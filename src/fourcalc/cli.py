@@ -15,12 +15,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from fourcalc.certificates import verify_certificate
 from fourcalc.config import Config, load_config
 from fourcalc.errors import DslSyntaxError, FourcalcError, NoSplit
 from fourcalc.evaluate import evaluate
-from fourcalc.geography import GeographyQuery, bk_region, free_action_region
+from fourcalc.geography import CITE_GEOGRAPHY, GeographyQuery, bk_region, free_action_region
 from fourcalc.obstruction import decompose_for_obstruction, hitchin_thorpe, homeo_equal
 from fourcalc.parser import parse_dsl
 from fourcalc.reproduce import TARGETS, compare_with_golden, golden_path, run_target
@@ -239,10 +240,31 @@ def _parse_bounds(text: str) -> tuple[int, int]:
         raise SystemExit(2)
 
 
+def _parse_fraction(text: str | None, option: str, default: Fraction) -> Fraction:
+    if not text:
+        return default
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        print(f"bad {option} {text!r}: expected a fraction", file=sys.stderr)
+        raise SystemExit(2)
+
+
+# Lines per write() of a listing: few calls, and no second full copy.
+_WRITE_CHUNK = 4096
+
+
+def _write_lines(lines) -> None:
+    """Write newline-terminated lines to stdout in chunks."""
+    lines, write = iter(lines), sys.stdout.write
+    while chunk := "".join(islice(lines, _WRITE_CHUNK)):
+        write(chunk)
+
+
 def cmd_enumerate(args, config: Config) -> int:
     if args.region == "bk":
-        eps_prime = Fraction(args.eps_prime) if args.eps_prime else config.eps_prime
-        c = Fraction(args.c) if args.c else config.c_eps
+        eps_prime = _parse_fraction(args.eps_prime, "--eps-prime", config.eps_prime)
+        c = _parse_fraction(args.c, "--c", config.c_eps)
         points = bk_region(eps_prime, c, _parse_bounds(args.bounds))
         if args.json:
             print(
@@ -251,8 +273,8 @@ def cmd_enumerate(args, config: Config) -> int:
                         "eps_prime": str(eps_prime),
                         "c": str(c),
                         "points": [
-                            {"x": p.x, "y": p.y, "annotation": p.annotation}
-                            for p in points
+                            {"x": x, "y": y, "annotation": CITE_GEOGRAPHY}
+                            for x, y in points
                         ],
                     },
                     sort_keys=True,
@@ -261,11 +283,10 @@ def cmd_enumerate(args, config: Config) -> int:
             )
         else:
             print("x,y")
-            for p in points:
-                print(f"{p.x},{p.y}")
+            _write_lines(f"{x},{y}\n" for x, y in points)
         return 0
-    eps = Fraction(args.eps) if args.eps else config.eps
-    c = Fraction(args.c) if args.c else config.c_eps
+    eps = _parse_fraction(args.eps, "--eps", config.eps)
+    c = _parse_fraction(args.c, "--c", config.c_eps)
     query = GeographyQuery(
         d=args.d, epsilon=eps, c_of_eps=c, bounds=_parse_bounds(args.bounds)
     )
@@ -293,8 +314,9 @@ def cmd_enumerate(args, config: Config) -> int:
         )
     else:
         print("n,m,k,verdict")
-        for p in points:
-            print(f"{p.n},{p.m},{p.k},{p.blueprint.certificates[-1].verdict}")
+        _write_lines(
+            f"{p.n},{p.m},{p.k},{p.blueprint.certificates[-1].verdict}\n" for p in points
+        )
     return 0
 
 

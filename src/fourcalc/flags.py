@@ -10,7 +10,7 @@ name and a citation, and unresolved cases stay ``UNKNOWN``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 
@@ -132,10 +132,19 @@ class StructureFlags:
         """
         rule = updates.pop("rule", "declared")
         citation = updates.pop("citation", "")
-        prov = list(self.provenance)
-        for fld in updates:
-            prov.append(Provenance(fld, rule, citation))
-        return replace(self, provenance=tuple(prov), **updates)
+        state = self.__dict__.copy()
+        for name, value in updates.items():
+            if name not in _FLAG_FIELDS:
+                raise TypeError(f"cite() got an unexpected flag {name!r}")
+            state[name] = value
+        state["provenance"] = self.provenance + tuple(
+            Provenance(name, rule, citation) for name in updates
+        )
+        # The class is frozen: install the copied state in one step rather
+        # than through __init__, one frozen setattr per field.
+        flags = object.__new__(type(self))
+        object.__setattr__(flags, "__dict__", state)
+        return flags
 
     def as_dict(self) -> dict:
         return {
@@ -150,3 +159,7 @@ class StructureFlags:
             "acd": self.acd.value,
             "provenance": [p.as_dict() for p in self.provenance],
         }
+
+
+# The fields cite() may set: every field except the provenance it keeps.
+_FLAG_FIELDS = frozenset(f.name for f in fields(StructureFlags)) - {"provenance"}

@@ -9,8 +9,10 @@ comparisons are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from fourcalc.config import Config
@@ -101,25 +103,17 @@ def _make_blueprint(
     )
 
 
-@dataclass(frozen=True)
-class BkPoint:
-    x: int
-    y: int
-    annotation: str = CITE_GEOGRAPHY
-
-
-def bk_region(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[BkPoint]:
-    """Integer points with 0 < y <= (9 - eps') x - c inside the bounds."""
+def bk_region(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[tuple[int, int]]:
+    """Integer points (x, y) with 0 < y <= (9 - eps') x - c inside the
+    bounds, column by column.  Each column's top is one exact floor."""
     if eps_prime <= 0 or c <= 0:
         raise InfeasiblePoint("eps' and c must be positive")
     x_max, y_max = bounds
+    slope = 9 - eps_prime
     points = []
     for x in range(1, x_max + 1):
-        limit = (9 - eps_prime) * x - c
-        top = min(Fraction(y_max), limit)
-        for y in range(1, int(top) + 1):
-            if Fraction(y) <= limit:
-                points.append(BkPoint(x, y))
+        top = min(y_max, math.floor(slope * x - c))
+        points.extend(zip(repeat(x), range(1, top + 1)))
     return points
 
 

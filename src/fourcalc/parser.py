@@ -237,7 +237,12 @@ class _Parser:
     def finish_logt(self) -> ManifoldExpr:
         inner = self.parse_expr()
         self.expect_sym(",")
+        at = self.current
         mult = self.expect_int()
+        if mult < 1:
+            raise DslSyntaxError(
+                f"logt multiplicity must be >= 1, found {mult}", at.line, at.column
+            )
         self.expect_sym(")")
         return LogTransform(inner, mult) if mult > 1 else inner
 

@@ -34,6 +34,11 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "Nope(3)")
         assert code == 2 and "syntax error" in err
 
+    def test_logt_multiplicity_below_one_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "logt(E(2),-3)")
+        assert code == 2 and out == ""
+        assert "syntax error" in err and "multiplicity" in err
+
 
 class TestChecks:
     def test_ht_ok(self, capsys):
@@ -85,6 +90,17 @@ class TestNormalizeAndEnumerate:
         rows = out.strip().splitlines()
         assert rows[0] == "x,y"
         assert "13,4" in rows and "13,18" not in rows
+
+    def test_enumerate_bad_fraction_exit_2(self, capsys):
+        for argv in (
+            ("enumerate", "bk", "--bounds", "10,10", "--c", "x"),
+            ("enumerate", "bk", "--bounds", "10,10", "--eps-prime", "1/0"),
+            ("enumerate", "free-actions", "--d", "2", "--bounds", "10,10", "--eps", "1/0"),
+            ("enumerate", "free-actions", "--d", "2", "--bounds", "10,10", "--c", "y"),
+        ):
+            code, out, err = run_cli(capsys, *argv)  # nothing may propagate
+            assert code == 2 and out == ""
+            assert err.startswith("bad --") and len(err.splitlines()) == 1
 
     def test_config_override(self, capsys):
         code, out, _ = run_cli(

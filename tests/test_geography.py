@@ -1,16 +1,23 @@
 """Region enumerators and the named family generators."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fourcalc.certificates import verify_certificate
+from fourcalc.cli import main
 from fourcalc.config import Config
 from fourcalc.errors import BadP, BadParity, InfeasiblePoint
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import Primitive
 from fourcalc.flags import Parity, W2Type
 from fourcalc.geography import (
+    CITE_GEOGRAPHY,
     GeographyQuery,
     bk_contains,
     bk_region,
@@ -29,17 +36,87 @@ from fourcalc.geography import (
 
 class TestBkRegion:
     def test_membership_examples(self):
-        points = {(p.x, p.y) for p in bk_region(Fraction(1), Fraction(100), (13, 20))}
+        points = set(bk_region(Fraction(1), Fraction(100), (13, 20)))
         assert (13, 4) in points
         assert (13, 18) not in points
 
     def test_strict_positivity(self):
-        assert all(p.y >= 1 for p in bk_region(Fraction(1), Fraction(1), (5, 5)))
+        assert all(y >= 1 for _, y in bk_region(Fraction(1), Fraction(1), (5, 5)))
 
     def test_half_eps_slope(self):
         # eps' = 1/2 gives the working slope 8.5.
         assert bk_contains(Fraction(1, 2), Fraction(10), 4, 24)
         assert not bk_contains(Fraction(1, 2), Fraction(10), 4, 25)
+
+    def test_empty_from_slope_nine(self):
+        for eps_prime in (Fraction(9), Fraction(19, 2), Fraction(40)):
+            assert bk_region(eps_prime, Fraction(1, 3), (60, 60)) == []
+
+
+def reference_bk_region(eps_prime, c, bounds):
+    """The per-point enumeration bk_region replaced: one exact Fraction
+    comparison for every candidate point."""
+    x_max, y_max = bounds
+    points = []
+    for x in range(1, x_max + 1):
+        limit = (9 - eps_prime) * x - c
+        top = min(Fraction(y_max), limit)
+        for y in range(1, int(top) + 1):
+            if Fraction(y) <= limit:
+                points.append((x, y))
+    return points
+
+
+POSITIVE = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
+BOUNDS = st.tuples(st.integers(0, 60), st.integers(0, 60))
+
+
+@st.composite
+def integral_column(draw):
+    """(eps', c, x0, y0) with (9 - eps') x0 - c exactly the integer y0."""
+    eps_prime = draw(st.fractions(min_value=Fraction(1, 12), max_value=9, max_denominator=12))
+    x0 = draw(st.integers(1, 60))
+    y0 = draw(st.integers(-5, 60))
+    c = (9 - eps_prime) * x0 - y0
+    assume(c > 0)
+    return eps_prime, c, x0, y0
+
+
+@given(POSITIVE, POSITIVE, BOUNDS)
+def test_bk_region_matches_reference(eps_prime, c, bounds):
+    assert bk_region(eps_prime, c, bounds) == reference_bk_region(eps_prime, c, bounds)
+
+
+@given(integral_column(), BOUNDS)
+def test_bk_region_integral_column_top(params, bounds):
+    eps_prime, c, x0, y0 = params
+    points = bk_region(eps_prime, c, bounds)
+    assert points == reference_bk_region(eps_prime, c, bounds)
+    if 1 <= y0 <= bounds[1] and x0 <= bounds[0]:
+        assert (x0, y0) in points and (x0, y0 + 1) not in points
+
+
+def _enumerate_bk_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["enumerate", "bk", *argv]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(POSITIVE, POSITIVE, BOUNDS)
+def test_enumerate_bk_output_matches_reference(eps_prime, c, bounds):
+    points = reference_bk_region(eps_prime, c, bounds)
+    argv = ("--eps-prime", str(eps_prime), "--c", str(c), "--bounds", "%d,%d" % bounds)
+    csv = "x,y\n" + "".join(f"{x},{y}\n" for x, y in points)
+    assert _enumerate_bk_stdout(*argv) == csv
+    data = {
+        "eps_prime": str(eps_prime),
+        "c": str(c),
+        "points": [{"x": x, "y": y, "annotation": CITE_GEOGRAPHY} for x, y in points],
+    }
+    expected = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert _enumerate_bk_stdout(*argv, "--json") == expected
 
 
 class TestFreeActionRegion:

@@ -89,6 +89,16 @@ class TestErrors:
         with pytest.raises(DslSyntaxError):
             parse_dsl("E(0)")
 
+    def test_logt_multiplicity_below_one(self):
+        for text, column in (("logt(E(2),0)", 11), ("logt(E(2), -3)", 12)):
+            with pytest.raises(DslSyntaxError) as err:
+                parse_dsl(text)
+            assert err.value.line == 1 and err.value.column == column
+            assert "multiplicity" in str(err.value)
+
+    def test_logt_multiplicity_one_is_the_inner_expression(self):
+        assert parse_dsl("logt(E(2),1)") == Primitive("E", (2,))
+
 
 ATOMS = st.sampled_from(
     [
