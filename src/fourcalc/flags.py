@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Optional
 
 
@@ -111,6 +112,15 @@ class Provenance:
         return {"field": self.field, "rule": self.rule, "citation": self.citation}
 
 
+# cite() takes its records from this bounded table: the (field, rule,
+# citation) triples come from the citation literals in the source, so a
+# few dozen distinct records serve every evaluation instead of a fresh
+# one per flag set.  The records are immutable values, so sharing them
+# changes no result.
+_PROVENANCE_TABLE_SIZE = 1024
+_provenance = lru_cache(maxsize=_PROVENANCE_TABLE_SIZE)(Provenance)
+
+
 @dataclass(frozen=True)
 class StructureFlags:
     spin: TriState = UNKNOWN
@@ -133,13 +143,13 @@ class StructureFlags:
         rule = updates.pop("rule", "declared")
         citation = updates.pop("citation", "")
         state = self.__dict__.copy()
+        provenance = self.provenance
         for name, value in updates.items():
             if name not in _FLAG_FIELDS:
                 raise TypeError(f"cite() got an unexpected flag {name!r}")
             state[name] = value
-        state["provenance"] = self.provenance + tuple(
-            Provenance(name, rule, citation) for name in updates
-        )
+            provenance += (_provenance(name, rule, citation),)
+        state["provenance"] = provenance
         # The class is frozen: install the copied state in one step rather
         # than through __init__, one frozen setattr per field.
         flags = object.__new__(type(self))

@@ -139,20 +139,20 @@ def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
     """
     d = query.d
     n_max, m_max = query.bounds
+    eps_prime, c_of_eps, n_of_eps = query.eps_prime, query.c_of_eps, query.n_of_eps
+    six_minus_eps, slope = 6 - query.epsilon, 9 - eps_prime
     points = []
+    if six_minus_eps <= 0:
+        return points  # (6 - eps) m - N(eps) < 0 < n for every m
     for n in range(d, n_max + 1, d):
-        for m in range(d, m_max + 1, d):
-            if Fraction(n) >= (6 - query.epsilon) * m - query.n_of_eps:
-                continue
-            chained = Fraction(3 * n, 2 * d) + 1 < (9 - query.eps_prime) * Fraction(
-                m, d
-            ) - query.c_of_eps
+        # The least multiple of d with (6 - eps) m > n + N(eps); it is at
+        # least d because n + N(eps) > 0.
+        m_start = d * ((n + n_of_eps) // (six_minus_eps * d) + 1)
+        for m in range(m_start, m_max + 1, d):
+            chained = Fraction(3 * n, 2 * d) + 1 < slope * Fraction(m, d) - c_of_eps
             assert chained, f"region point ({n},{m}) fails the chained inequality"
-            bp = build_quotient_blueprint(
-                n, m, d, eps_prime=query.eps_prime, c_of_eps=query.c_of_eps
-            )
+            bp = build_quotient_blueprint(n, m, d, eps_prime=eps_prime, c_of_eps=c_of_eps)
             points.append(FreeActionPoint(n, m, bp.labels["k"], bp))
-    points.sort(key=lambda p: (p.n, p.m))
     return points
 
 

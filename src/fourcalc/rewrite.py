@@ -14,7 +14,12 @@ Two disjoint rule sets, never mixed in one run:
   (4,4,2) hypersurface into K3s and quadrics.
 
 Every application preserves chi, tau, b1 and the spin flag of the total
-sum, asserted after each step.  The canonical multiplicities are forced
+sum, asserted after each batch of identical firings (all copies of one
+summand rewritten by one rule).  That detects the same faults as a
+check after every firing: each copy changes (chi, tau) by the same
+amount, so k copies change it exactly when one does, and a summand a
+firing adds stays to the end of its batch, so a spin flag that one
+firing breaks is still broken there.  The canonical multiplicities are forced
 by (chi, tau) conservation, which is why normalization is confluent: any
 maximal rule order reaching an all-canonical multiset gives the same
 answer (the property suite randomizes rule order to check this).
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from fourcalc.certificates import Certificate, Step
@@ -127,6 +133,17 @@ def _total_spin(counts: dict) -> TriState:
     return UNKNOWN
 
 
+def _spin_rule(part: ManifoldExpr, wall_n0: int) -> Optional[tuple[str, int]]:
+    """The spin-mode rule for ``part`` and the quadric stock it needs."""
+    if part == Primitive("X442"):
+        return "wall-stabilize", wall_n0
+    if _is_odd_log_e2(part):
+        return "log-elliptic-decompose", 1
+    if part != K3 and _elliptic_halves(part) is not None:
+        return "elliptic-decompose", 1
+    return None
+
+
 def _applicable_rules(counts: dict, mode: str, wall_n0: int) -> list[tuple]:
     rules = []
     if mode == "nonspin":
@@ -142,70 +159,73 @@ def _applicable_rules(counts: dict, mode: str, wall_n0: int) -> list[tuple]:
     else:
         stock = counts.get(S2XS2, 0)
         for part in counts:
-            if part == Primitive("X442") and stock >= wall_n0:
-                rules.append(("wall-stabilize", part))
-            elif _is_odd_log_e2(part) and stock >= 1:
-                rules.append(("log-elliptic-decompose", part))
-            elif part != K3 and _elliptic_halves(part) is not None and stock >= 1:
-                rules.append(("elliptic-decompose", part))
+            spin_rule = _spin_rule(part, wall_n0)
+            if spin_rule is not None and stock >= spin_rule[1]:
+                rules.append((spin_rule[0], part))
     return rules
 
 
-def _apply_rule(counts: dict, rule: str, part, wall_n0: int) -> TraceStep:
-    def take(p, m=1):
-        counts[p] -= m
-        if counts[p] == 0:
-            del counts[p]
-
-    def put(p, m=1):
-        counts[p] = counts.get(p, 0) + m
-
+def _firing(rule: str, part, wall_n0: int) -> tuple[dict, TraceStep]:
+    """One firing of ``rule``: its net change to the multiset and its step."""
     if rule == "quadric-blowup":
-        take(S2XS2)
-        take(CP2B)
-        put(CP2)
-        put(CP2B, 2)
-        return TraceStep(rule, CITE_QUADRIC_BLOWUP, "(S2xS2) # CP2b -> CP2 # 2*CP2b")
+        return {S2XS2: -1, CP2: 1, CP2B: 1}, TraceStep(
+            rule, CITE_QUADRIC_BLOWUP, "(S2xS2) # CP2b -> CP2 # 2*CP2b"
+        )
     if rule == "decompose":
-        rec = evaluate(part).record
-        b2p, b2m = int(rec.b2plus), int(rec.b2minus)
-        acd_prov = [p for p in evaluate(part).flags.provenance if p.field == "acd"]
+        ev = evaluate(part)
+        b2p, b2m = int(ev.record.b2plus), int(ev.record.b2minus)
+        acd_prov = [p for p in ev.flags.provenance if p.field == "acd"]
         origin = acd_prov[-1].citation if acd_prov else CITE_ACD
-        take(part)
-        take(CP2)
-        put(CP2, b2p + 1)
-        if b2m:
-            put(CP2B, b2m)
-        return TraceStep(
+        # Consumes one CP2 and gives back b2+ + 1.
+        return {part: -1, CP2: b2p, CP2B: b2m}, TraceStep(
             rule, CITE_ACD, f"{part} # CP2 -> {b2p + 1}*CP2 # {b2m}*CP2b [{origin}]"
         )
     if rule == "wall-stabilize":
-        take(part)
-        put(K3, 4)
-        put(S2XS2, 7)
-        return TraceStep(
+        return {part: -1, K3: 4, S2XS2: 7}, TraceStep(
             rule,
             CITE_WALL,
             f"{part} # {wall_n0}*(S2xS2) -> 4*K3 # {7 + wall_n0}*(S2xS2)",
         )
     if rule == "log-elliptic-decompose":
-        take(part)
-        put(K3)
-        return TraceStep(
+        return {part: -1, K3: 1}, TraceStep(
             rule, CITE_SPIN_DECOMP, f"{part} # (S2xS2) -> K3 # (S2xS2)"
         )
     if rule == "elliptic-decompose":
         n = _elliptic_halves(part)
-        take(part)
-        put(K3, n)
-        if n - 1:
-            put(S2XS2, n - 1)
-        return TraceStep(
+        return {part: -1, K3: n, S2XS2: n - 1}, TraceStep(
             rule,
             CITE_SPIN_DECOMP,
             f"{part} # (S2xS2) -> {n}*K3 # {n}*(S2xS2)",
         )
     raise AssertionError(f"unknown rule {rule}")
+
+
+def _batch_size(
+    counts: dict, rule: str, part, delta: dict, ordered: bool, wall_n0: int
+) -> int:
+    """How many copies of one firing to apply in a single step.
+
+    Every copy of ``part`` (every quadric, for quadric-blowup) can fire in
+    turn: no firing takes the CP2, CP2b or quadric stock the next copy
+    needs.  With ``ordered`` (the fixed rule order) the batch stops after
+    one firing when that firing could enable a rule listed before this
+    one, so the steps come in the order the one-at-a-time loop takes.
+    """
+    copies = counts[S2XS2] if rule == "quadric-blowup" else counts[part]
+    if not ordered or copies == 1:
+        return copies
+    if rule == "decompose":
+        # The first CP2b next to a quadric enables quadric-blowup.
+        if delta[CP2B] and S2XS2 in counts and CP2B not in counts:
+            return 1
+    elif rule != "quadric-blowup" and delta.get(S2XS2):
+        # Added quadrics may lift an earlier summand over its stock threshold.
+        for other in counts:
+            if other == part:
+                break
+            if _spin_rule(other, wall_n0) is not None:
+                return 1
+    return copies
 
 
 def _is_spin_eligible(part: ManifoldExpr) -> bool:
@@ -270,8 +290,17 @@ def normalize(
         rules = _applicable_rules(counts, mode, wall_n0)
         if not rules:
             break
-        choice = rng.choice(rules) if rng is not None else rules[0]
-        trace.append(_apply_rule(counts, *choice, wall_n0=wall_n0))
+        rule, part = rng.choice(rules) if rng is not None else rules[0]
+        delta, step = _firing(rule, part, wall_n0)
+        copies = _batch_size(counts, rule, part, delta, rng is None, wall_n0)
+        for summand, change in delta.items():
+            if change:
+                mult = counts.get(summand, 0) + copies * change
+                if mult:
+                    counts[summand] = mult
+                else:
+                    del counts[summand]
+        trace.extend(repeat(step, copies))
         assert _total_record(counts) == check, "rewrite changed chi or tau"
         assert _total_spin(counts) is spin0 or spin0 is UNKNOWN, "rewrite changed spin"
 

@@ -81,6 +81,14 @@ class TestNormalizeAndEnumerate:
         assert lines[0] == "n,m,k,verdict"
         assert lines[1] == "2,4,1,einstein_obstructed"
 
+    def test_enumerate_free_actions_empty_from_eps_six(self, capsys):
+        for eps in ("6", "13/2"):
+            code, out, err = run_cli(
+                capsys, "enumerate", "free-actions", "--d", "2", "--eps", eps,
+                "--bounds", "40,40",
+            )
+            assert (code, out, err) == (0, "n,m,k,verdict\n", "")
+
     def test_enumerate_bk(self, capsys):
         code, out, _ = run_cli(
             capsys, "enumerate", "bk", "--eps-prime", "1", "--c", "100",

@@ -1,4 +1,5 @@
-"""StructureFlags.cite against the dataclasses.replace construction it replaced."""
+"""StructureFlags.cite against the dataclasses.replace construction it
+replaced, and the shared provenance records it takes."""
 
 import dataclasses
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fourcalc import flags as flags_module
 from fourcalc.flags import (
     NO,
     UNKNOWN,
@@ -86,3 +88,45 @@ def test_cite_result_is_frozen():
         flags.spin = NO
     with pytest.raises(dataclasses.FrozenInstanceError):
         flags.extra = 1
+
+
+def test_cite_shares_provenance_records():
+    first = StructureFlags().cite(spin=YES, acd=NO, rule="declared", citation="Rohlin")
+    second = StructureFlags(pi1=GroupLabel.trivial()).cite(
+        acd=YES, spin=NO, rule="declared", citation="Rohlin"
+    )
+    by_field = {p.field: p for p in second.provenance}
+    assert first.provenance[0] is by_field["spin"]
+    assert first.provenance[1] is by_field["acd"]
+
+
+def test_shared_records_equal_fresh_ones():
+    flags = StructureFlags().cite(spin=YES, rule="sum-spin", citation="Freedman")
+    flags = flags.cite(parity=Parity.EVEN, w2type=W2Type.II, rule="spin-entails")
+    assert flags.provenance == (
+        Provenance("spin", "sum-spin", "Freedman"),
+        Provenance("parity", "spin-entails", ""),
+        Provenance("w2type", "spin-entails", ""),
+    )
+    assert all(type(p) is Provenance for p in flags.provenance)
+    assert flags.as_dict()["provenance"] == [
+        {"field": "spin", "rule": "sum-spin", "citation": "Freedman"},
+        {"field": "parity", "rule": "spin-entails", "citation": ""},
+        {"field": "w2type", "rule": "spin-entails", "citation": ""},
+    ]
+
+
+def test_unknown_flag_raises_with_shared_records():
+    flags = StructureFlags().cite(spin=YES, rule="declared", citation="Rohlin")
+    with pytest.raises(TypeError):
+        flags.cite(spin=NO, bogus=YES, rule="declared", citation="Rohlin")
+
+
+def test_provenance_table_is_bounded():
+    bound = flags_module._PROVENANCE_TABLE_SIZE
+    flags = StructureFlags()
+    for i in range(3 * bound):
+        cited = flags.cite(acd=YES, rule="declared", citation=f"citation {i}")
+        assert cited.provenance == (Provenance("acd", "declared", f"citation {i}"),)
+    info = flags_module._provenance.cache_info()
+    assert info.maxsize == bound and info.currsize <= bound

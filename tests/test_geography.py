@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from fourcalc.certificates import verify_certificate
 from fourcalc.cli import main
 from fourcalc.config import Config
 from fourcalc.errors import BadP, BadParity, InfeasiblePoint
+from fourcalc import geography
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import Primitive
 from fourcalc.flags import Parity, W2Type
@@ -103,6 +106,15 @@ def _enumerate_bk_stdout(*argv):
     return out.getvalue()
 
 
+def _bk_json_reference(eps_prime, c, points):
+    data = {
+        "eps_prime": str(eps_prime),
+        "c": str(c),
+        "points": [{"x": x, "y": y, "annotation": CITE_GEOGRAPHY} for x, y in points],
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 @settings(max_examples=40, deadline=None)
 @given(POSITIVE, POSITIVE, BOUNDS)
 def test_enumerate_bk_output_matches_reference(eps_prime, c, bounds):
@@ -110,13 +122,122 @@ def test_enumerate_bk_output_matches_reference(eps_prime, c, bounds):
     argv = ("--eps-prime", str(eps_prime), "--c", str(c), "--bounds", "%d,%d" % bounds)
     csv = "x,y\n" + "".join(f"{x},{y}\n" for x, y in points)
     assert _enumerate_bk_stdout(*argv) == csv
-    data = {
-        "eps_prime": str(eps_prime),
-        "c": str(c),
-        "points": [{"x": x, "y": y, "annotation": CITE_GEOGRAPHY} for x, y in points],
-    }
-    expected = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    assert _enumerate_bk_stdout(*argv, "--json") == expected
+    assert _enumerate_bk_stdout(*argv, "--json") == _bk_json_reference(eps_prime, c, points)
+
+
+def test_enumerate_bk_json_empty_and_single_point():
+    empty = _enumerate_bk_stdout("--eps-prime", "1/2", "--c", "3", "--bounds", "0,0", "--json")
+    assert '"points": []' in empty
+    assert empty == _bk_json_reference(Fraction(1, 2), Fraction(3), [])
+    # (9 - 1) * 1 - 7 = 1: the region is the single point (1, 1).
+    single = _enumerate_bk_stdout("--eps-prime", "1", "--c", "7", "--bounds", "1,5", "--json")
+    assert single == _bk_json_reference(Fraction(1), Fraction(7), [(1, 1)])
+
+
+def reference_free_action_region(query):
+    """The double loop free_action_region replaced: every (n, m) of the
+    grid tested against the region, the query's properties rebuilt for
+    every point."""
+    d = query.d
+    n_max, m_max = query.bounds
+    points = []
+    for n in range(d, n_max + 1, d):
+        for m in range(d, m_max + 1, d):
+            if Fraction(n) >= (6 - query.epsilon) * m - query.n_of_eps:
+                continue
+            chained = Fraction(3 * n, 2 * d) + 1 < (9 - query.eps_prime) * Fraction(
+                m, d
+            ) - query.c_of_eps
+            assert chained, f"region point ({n},{m}) fails the chained inequality"
+            bp = geography.build_quotient_blueprint(
+                n, m, d, eps_prime=query.eps_prime, c_of_eps=query.c_of_eps
+            )
+            points.append(geography.FreeActionPoint(n, m, bp.labels["k"], bp))
+    points.sort(key=lambda p: (p.n, p.m))
+    return points
+
+
+def _stub_blueprint(n, m, d, eps_prime, c_of_eps):
+    """Stands in for the per-point blueprint: the m-range oracle is about
+    which points are visited, in which order, with which constants."""
+    k = (3 * n) // (2 * d) + 1 - n // d
+    return SimpleNamespace(labels={"k": k}, args=(n, m, d, eps_prime, c_of_eps))
+
+
+def _region_outcome(enumerate_region, query, n_scale):
+    """(n, m, k, call arguments) of every point, or the assertion raised.
+    ``n_scale`` shrinks N(eps), so that the chained assert can fail."""
+    n_of_eps = property(lambda q: n_scale * Fraction(2 * q.d, 3) * (q.c_of_eps + 1))
+    with mock.patch.object(geography, "build_quotient_blueprint", _stub_blueprint), \
+            mock.patch.object(GeographyQuery, "n_of_eps", n_of_eps):
+        try:
+            points = enumerate_region(query)
+        except AssertionError as exc:
+            # The first line: pytest appends its own rewriting of the assert.
+            return "AssertionError", str(exc).splitlines()[0]
+    return [(p.n, p.m, p.k, p.blueprint.args) for p in points]
+
+
+EPS = st.fractions(min_value=Fraction(1, 12), max_value=7, max_denominator=12)
+C_EPS = st.fractions(min_value=Fraction(1, 12), max_value=15, max_denominator=12)
+N_SCALE = st.sampled_from([1, 1, 1, Fraction(1, 2), 0])
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 7), EPS, C_EPS, BOUNDS, N_SCALE)
+def test_free_action_m_range_matches_reference(d, eps, c, bounds, n_scale):
+    query = GeographyQuery(d, eps, c, bounds)
+    got = _region_outcome(free_action_region, query, n_scale)
+    assert got == _region_outcome(reference_free_action_region, query, n_scale)
+
+
+@st.composite
+def integral_threshold(draw):
+    """(d, eps, c, n, t) with (n + N(eps)) / (6 - eps) exactly t, a
+    multiple of d: the column's first candidate m = t is not admitted."""
+    d = draw(st.integers(2, 7))
+    eps = draw(st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12))
+    assume(eps < 6)
+    n = d * draw(st.integers(1, 60 // d))
+    t = d * draw(st.integers(1, 60 // d))
+    c = Fraction(3, 2 * d) * (t * (6 - eps) - n) - 1
+    assume(c > 0)
+    return d, eps, c, n, t
+
+
+@settings(max_examples=100)
+@given(integral_threshold(), st.integers(0, 60))
+def test_free_action_m_range_integral_threshold(params, n_max_extra):
+    d, eps, c, n, t = params
+    query = GeographyQuery(d, eps, c, (n + n_max_extra, 60))
+    assert (n + query.n_of_eps) / (6 - eps) == t
+    got = _region_outcome(free_action_region, query, 1)
+    assert got == _region_outcome(reference_free_action_region, query, 1)
+    column = [m for pn, m, _, _ in got if pn == n]
+    assert t not in column
+    assert column == list(range(t + d, 61, d))
+
+
+def test_free_action_region_matches_reference_blueprints():
+    for query in (
+        GeographyQuery(2, Fraction(1, 2), Fraction(10), (24, 30)),
+        GeographyQuery(3, Fraction(3, 2), Fraction(5, 3), (30, 30)),
+        GeographyQuery(5, Fraction(5), Fraction(1, 4), (40, 40)),
+    ):
+        got, want = free_action_region(query), reference_free_action_region(query)
+        assert got and [(p.n, p.m, p.k) for p in got] == [(p.n, p.m, p.k) for p in want]
+        assert [p.blueprint.cover_normal_form for p in got] == [
+            p.blueprint.cover_normal_form for p in want
+        ]
+        assert [p.blueprint.certificates for p in got] == [
+            p.blueprint.certificates for p in want
+        ]
+
+
+def test_free_action_region_empty_from_eps_six():
+    for eps in (Fraction(6), Fraction(13, 2), Fraction(7)):
+        query = GeographyQuery(2, eps, Fraction(1, 12), (60, 60))
+        assert free_action_region(query) == reference_free_action_region(query) == []
 
 
 class TestFreeActionRegion:

@@ -3,10 +3,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fourcalc.errors import MismatchedInvariants, MixedRewriteModes
-from fourcalc.evaluate import eval_invariants
-from fourcalc.expr import CyclicCover, DivisorClass, Primitive, connected_sum_of
+from fourcalc import rewrite
+from fourcalc.errors import FourcalcError, MismatchedInvariants, MixedRewriteModes
+from fourcalc.evaluate import eval_invariants, evaluate
+from fourcalc.expr import (
+    CyclicCover,
+    DivisorClass,
+    LogTransform,
+    Primitive,
+    connected_sum_of,
+    sum_parts,
+)
+from fourcalc.flags import UNKNOWN, YES
 from fourcalc.rewrite import mm_rule, normalize, verify_diffeo_claim
 
 CP2 = Primitive("CP2")
@@ -146,3 +157,217 @@ class TestDiffeoClaims:
             connected_sum_of((CP2, 8), (CP2B, 38)),
         )
         assert cert.verdict == "no_verdict"
+
+
+# --- the one-firing-per-step loop normalize replaced, kept as the oracle ---
+
+def _reference_rules(counts, mode, wall_n0):
+    rules = []
+    if mode == "nonspin":
+        if counts.get(S2XS2, 0) >= 1 and counts.get(CP2B, 0) >= 1:
+            rules.append(("quadric-blowup", None))
+        if counts.get(CP2, 0) >= 1:
+            for part in counts:
+                if part in (CP2, CP2B):
+                    continue
+                ev = evaluate(part)
+                if ev.flags.acd is YES and ev.flags.pi1.is_trivial:
+                    rules.append(("decompose", part))
+    else:
+        stock = counts.get(S2XS2, 0)
+        for part in counts:
+            if part == Primitive("X442") and stock >= wall_n0:
+                rules.append(("wall-stabilize", part))
+            elif rewrite._is_odd_log_e2(part) and stock >= 1:
+                rules.append(("log-elliptic-decompose", part))
+            elif part != K3 and rewrite._elliptic_halves(part) is not None and stock >= 1:
+                rules.append(("elliptic-decompose", part))
+    return rules
+
+
+def _reference_apply(counts, rule, part, wall_n0):
+    def take(p, m=1):
+        counts[p] -= m
+        if counts[p] == 0:
+            del counts[p]
+
+    def put(p, m=1):
+        counts[p] = counts.get(p, 0) + m
+
+    TraceStep = rewrite.TraceStep
+    if rule == "quadric-blowup":
+        take(S2XS2)
+        take(CP2B)
+        put(CP2)
+        put(CP2B, 2)
+        return TraceStep(rule, rewrite.CITE_QUADRIC_BLOWUP, "(S2xS2) # CP2b -> CP2 # 2*CP2b")
+    if rule == "decompose":
+        rec = evaluate(part).record
+        b2p, b2m = int(rec.b2plus), int(rec.b2minus)
+        acd_prov = [p for p in evaluate(part).flags.provenance if p.field == "acd"]
+        origin = acd_prov[-1].citation if acd_prov else rewrite.CITE_ACD
+        take(part)
+        take(CP2)
+        put(CP2, b2p + 1)
+        if b2m:
+            put(CP2B, b2m)
+        return TraceStep(
+            rule, rewrite.CITE_ACD, f"{part} # CP2 -> {b2p + 1}*CP2 # {b2m}*CP2b [{origin}]"
+        )
+    if rule == "wall-stabilize":
+        take(part)
+        put(K3, 4)
+        put(S2XS2, 7)
+        return TraceStep(
+            rule,
+            rewrite.CITE_WALL,
+            f"{part} # {wall_n0}*(S2xS2) -> 4*K3 # {7 + wall_n0}*(S2xS2)",
+        )
+    if rule == "log-elliptic-decompose":
+        take(part)
+        put(K3)
+        return TraceStep(rule, rewrite.CITE_SPIN_DECOMP, f"{part} # (S2xS2) -> K3 # (S2xS2)")
+    n = rewrite._elliptic_halves(part)
+    take(part)
+    put(K3, n)
+    if n - 1:
+        put(S2XS2, n - 1)
+    return TraceStep(rule, rewrite.CITE_SPIN_DECOMP, f"{part} # (S2xS2) -> {n}*K3 # {n}*(S2xS2)")
+
+
+def reference_normalize(expr, rng=None, wall_n0=1):
+    """normalize as it was: one rule firing per step, conservation
+    asserted after every firing."""
+    counts, trace = {}, []
+    for part, mult in sum_parts(expr):
+        if rewrite._is_identity_part(part):
+            trace.append(
+                rewrite.TraceStep("drop-identity", rewrite.CITE_IDENTITY, f"dropped {mult}*{part}")
+            )
+            continue
+        counts[part] = counts.get(part, 0) + mult
+    if not counts:
+        return rewrite.NormalizeResult(Primitive("S4"), tuple(trace), True, "spin")
+    if any(not evaluate(p).flags.pi1.is_trivial for p in counts):
+        return rewrite.NormalizeResult(expr, tuple(trace), False, "blocked")
+    mode = rewrite._choose_mode(counts)
+    check = rewrite._total_record(counts)
+    spin0 = rewrite._total_spin(counts)
+    while True:
+        rules = _reference_rules(counts, mode, wall_n0)
+        if not rules:
+            break
+        choice = rng.choice(rules) if rng is not None else rules[0]
+        trace.append(_reference_apply(counts, *choice, wall_n0=wall_n0))
+        assert rewrite._total_record(counts) == check
+        assert rewrite._total_spin(counts) is spin0 or spin0 is UNKNOWN
+    canonical_parts = (CP2, CP2B) if mode == "nonspin" else (K3, S2XS2)
+    canonical = all(p in canonical_parts for p in counts)
+    ordered = [(p, counts[p]) for p in canonical_parts if p in counts]
+    ordered += sorted(
+        ((p, m) for p, m in counts.items() if p not in canonical_parts),
+        key=lambda item: str(item[0]),
+    )
+    result = connected_sum_of(*ordered) if ordered else Primitive("S4")
+    return rewrite.NormalizeResult(result, tuple(trace), canonical, mode)
+
+
+S4 = Primitive("S4")
+NONSPIN_POOL = [
+    CP2, CP2B, S2XS2, K3, S4, OCTIC,
+    Primitive("E", (2,)), Primitive("E", (4,)), Primitive("BK", (3, 5, 0)),
+]
+SPIN_POOL = [
+    S2XS2, K3, S4, Primitive("X442"), Primitive("Y", (1,)), Primitive("Y", (3,)),
+    Primitive("E", (2,)), Primitive("E", (4,)), Primitive("E", (6,)),
+    LogTransform(Primitive("E", (2,)), 3), LogTransform(Primitive("E", (2,)), 5),
+]
+MULTISETS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(NONSPIN_POOL), st.integers(1, 6)), min_size=1, max_size=6),
+    st.lists(st.tuples(st.sampled_from(SPIN_POOL), st.integers(1, 6)), min_size=1, max_size=6),
+    st.lists(
+        st.tuples(st.sampled_from(NONSPIN_POOL + SPIN_POOL), st.integers(1, 4)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except FourcalcError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=150, deadline=None)
+@given(MULTISETS, st.integers(0, 4))
+def test_batched_normalize_matches_one_firing_per_step(pieces, wall_n0):
+    expr = connected_sum_of(*pieces)
+    got = _outcome(lambda: normalize(expr, wall_n0=wall_n0))
+    want = _outcome(lambda: reference_normalize(expr, wall_n0=wall_n0))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.expr == want.expr
+    assert got.trace == want.trace
+    assert got.canonical == want.canonical
+    assert got.mode == want.mode
+
+
+@settings(max_examples=100, deadline=None)
+@given(MULTISETS, st.integers(0, 4), st.integers(0, 2**32))
+def test_batched_normalize_random_order_same_form(pieces, wall_n0, seed):
+    expr = connected_sum_of(*pieces)
+    got = _outcome(lambda: normalize(expr, rng=random.Random(seed), wall_n0=wall_n0))
+    want = _outcome(lambda: reference_normalize(expr, rng=random.Random(seed), wall_n0=wall_n0))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.expr == want.expr
+
+
+def test_one_firing_computed_per_batch(monkeypatch):
+    calls = []
+    firing = rewrite._firing
+
+    def counted(*args):
+        calls.append(args[0])
+        return firing(*args)
+
+    monkeypatch.setattr(rewrite, "_firing", counted)
+    result = normalize(connected_sum_of((S2XS2, 5), (CP2B, 1)))
+    assert calls == ["quadric-blowup"]
+    assert [t.rule for t in result.trace] == ["quadric-blowup"] * 5
+    assert result.expr == connected_sum_of((CP2, 5), (CP2B, 6))
+
+
+def _fault_on_first_firing(monkeypatch, rule, extra):
+    """Make the first firing of ``rule`` also apply ``extra``; the batch
+    it starts repeats the fault in every copy."""
+    firing, faulted = rewrite._firing, []
+
+    def faulty(name, part, wall_n0):
+        delta, step = firing(name, part, wall_n0)
+        if name == rule and not faulted:
+            faulted.append(name)
+            delta = dict(delta)
+            for summand, change in extra.items():
+                delta[summand] = delta.get(summand, 0) + change
+        return delta, step
+
+    monkeypatch.setattr(rewrite, "_firing", faulty)
+
+
+def test_batch_end_check_catches_chi_fault(monkeypatch):
+    _fault_on_first_firing(monkeypatch, "quadric-blowup", {CP2: 1})
+    with pytest.raises(AssertionError, match="chi or tau"):
+        normalize(connected_sum_of((S2XS2, 3), (CP2B, 1)))
+
+
+def test_batch_end_check_catches_spin_fault(monkeypatch):
+    # Trade a quadric for CP2 # CP2b: the same (chi, tau), but not spin.
+    e4 = Primitive("E", (4,))
+    _fault_on_first_firing(monkeypatch, "elliptic-decompose", {S2XS2: -1, CP2: 1, CP2B: 1})
+    with pytest.raises(AssertionError, match="spin"):
+        normalize(connected_sum_of((e4, 3), (S2XS2, 1)))
