@@ -234,12 +234,6 @@ def test_free_action_region_matches_reference_blueprints():
         ]
 
 
-def test_free_action_region_empty_from_eps_six():
-    for eps in (Fraction(6), Fraction(13, 2), Fraction(7)):
-        query = GeographyQuery(2, eps, Fraction(1, 12), (60, 60))
-        assert free_action_region(query) == reference_free_action_region(query) == []
-
-
 class TestFreeActionRegion:
     def test_divisibility_filter(self):
         query = GeographyQuery(2, Fraction(1, 2), Fraction(10), (8, 8))
