@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 
 from fourcalc.certificates import verify_certificate
 from fourcalc.config import Config, load_config
@@ -264,34 +264,10 @@ def _write_lines(lines) -> None:
 
 
 def _bk_csv_columns(points):
-    """The CSV lines of a bk listing, one string per column.  bk_region
-    lists each column x as y = 1, 2, ..., top, so a column ends where the
-    next x begins."""
-    start = 0
-    while start < len(points):
-        x = points[start][0]
-        end = bisect_left(points, (x + 1,), start)
+    """The CSV lines of a bk listing, one string per run of points with equal x."""
+    for x, column in groupby(points, itemgetter(0)):
         head = f"{x},"
-        yield head + ("\n" + head).join(map(str, range(1, end - start + 1))) + "\n"
-        start = end
-
-
-def _bk_json_chunks(eps_prime: Fraction, c: Fraction, points):
-    """The bytes json.dumps(..., sort_keys=True, indent=2) gives for a bk
-    listing, from one template per point."""
-    head = '{\n  "c": %s,\n  "eps_prime": %s,\n  "points": [' % (
-        json.dumps(str(c)), json.dumps(str(eps_prime))
-    )
-    if not points:
-        yield head + "]\n}\n"
-        return
-    point = (
-        '\n    {\n      "annotation": %s,\n      "x": %%d,\n      "y": %%d\n    }'
-        % json.dumps(CITE_GEOGRAPHY)
-    )
-    yield head + point % points[0]
-    yield from map(("," + point).__mod__, islice(points, 1, None))
-    yield "\n  ]\n}\n"
+        yield head + ("\n" + head).join([str(y) for _, y in column]) + "\n"
 
 
 def cmd_enumerate(args, config: Config) -> int:
@@ -300,7 +276,20 @@ def cmd_enumerate(args, config: Config) -> int:
         c = _parse_fraction(args.c, "--c", config.c_eps)
         points = bk_region(eps_prime, c, _parse_bounds(args.bounds))
         if args.json:
-            _write_lines(_bk_json_chunks(eps_prime, c, points))
+            print(
+                json.dumps(
+                    {
+                        "eps_prime": str(eps_prime),
+                        "c": str(c),
+                        "points": [
+                            {"x": x, "y": y, "annotation": CITE_GEOGRAPHY}
+                            for x, y in points
+                        ],
+                    },
+                    sort_keys=True,
+                    indent=2,
+                )
+            )
         else:
             print("x,y")
             _write_lines(_bk_csv_columns(points))

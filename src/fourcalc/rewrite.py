@@ -14,8 +14,9 @@ Two disjoint rule sets, never mixed in one run:
   (4,4,2) hypersurface into K3s and quadrics.
 
 Every application preserves chi, tau, b1 and the spin flag of the total
-sum, asserted after each batch of identical firings (all copies of one
-summand rewritten by one rule).  That detects the same faults as a
+sum, asserted after each batch of identical firings (in the fixed rule
+order, all copies of one summand rewritten by one rule; a randomized
+order fires one copy per batch).  That detects the same faults as a
 check after every firing: each copy changes (chi, tau) by the same
 amount, so k copies change it exactly when one does, and a summand a
 firing adds stays to the end of its batch, so a spin flag that one
@@ -200,20 +201,17 @@ def _firing(rule: str, part, wall_n0: int) -> tuple[dict, TraceStep]:
     raise AssertionError(f"unknown rule {rule}")
 
 
-def _batch_size(
-    counts: dict, rule: str, part, delta: dict, ordered: bool, wall_n0: int
-) -> int:
-    """How many copies of one firing to apply in a single step.
+def _batch_size(counts: dict, rule: str, part, delta: dict, wall_n0: int) -> int:
+    """How many copies of one firing to apply in a single step of the
+    fixed rule order.
 
     Every copy of ``part`` (every quadric, for quadric-blowup) can fire in
     turn: no firing takes the CP2, CP2b or quadric stock the next copy
-    needs.  With ``ordered`` (the fixed rule order) the batch stops after
-    one firing when that firing could enable a rule listed before this
-    one, so the steps come in the order the one-at-a-time loop takes.
+    needs.  The batch stops after one firing when that firing could enable
+    a rule listed before this one, so the steps come in the order the
+    one-at-a-time loop takes.
     """
     copies = counts[S2XS2] if rule == "quadric-blowup" else counts[part]
-    if not ordered or copies == 1:
-        return copies
     if rule == "decompose":
         # The first CP2b next to a quadric enables quadric-blowup.
         if delta[CP2B] and S2XS2 in counts and CP2B not in counts:
@@ -290,9 +288,12 @@ def normalize(
         rules = _applicable_rules(counts, mode, wall_n0)
         if not rules:
             break
-        rule, part = rng.choice(rules) if rng is not None else rules[0]
+        rule, part = rules[0] if rng is None else rng.choice(rules)
         delta, step = _firing(rule, part, wall_n0)
-        copies = _batch_size(counts, rule, part, delta, rng is None, wall_n0)
+        # A random order fires one copy per choice, so that every maximal
+        # order, copies of one summand interleaved with other rules, can
+        # come up.
+        copies = 1 if rng is not None else _batch_size(counts, rule, part, delta, wall_n0)
         for summand, change in delta.items():
             if change:
                 mult = counts.get(summand, 0) + copies * change

@@ -2,6 +2,7 @@
 
 import json
 
+from fourcalc import cli
 from fourcalc.cli import main
 
 
@@ -98,6 +99,15 @@ class TestNormalizeAndEnumerate:
         rows = out.strip().splitlines()
         assert rows[0] == "x,y"
         assert "13,4" in rows and "13,18" not in rows
+
+    def test_bk_csv_columns_write_the_points_given(self, monkeypatch, capsys):
+        # Columns that do not start at y = 1, skip a y, or come back to an
+        # earlier x: each line is the point as bk_region listed it.
+        points = [(1, 2), (1, 5), (3, 1), (3, 2), (1, 7)]
+        monkeypatch.setattr(cli, "bk_region", lambda *args: points)
+        code, out, _ = run_cli(capsys, "enumerate", "bk", "--bounds", "3,7")
+        assert code == 0
+        assert out == "x,y\n1,2\n1,5\n3,1\n3,2\n1,7\n"
 
     def test_enumerate_bad_fraction_exit_2(self, capsys):
         for argv in (
