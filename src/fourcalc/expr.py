@@ -15,15 +15,52 @@ An expression is one of:
 * ``LogTransform(inner, multiplicity)`` -- logarithmic transform on an
   elliptic fiber (invariants unchanged, smooth structure marked).
 
-Trees are immutable and hashable so evaluation can be cached.
+Trees are immutable and hashable so evaluation can be cached.  The
+recursive nodes (quotients, sums, fiber sums, log transforms) compute
+their hash once and keep it: the generated dataclass hash would walk the
+whole subtree on every call, and the evaluation cache and
+``connected_sum_of`` hash every level of a deep tree.  The kept value is
+the hash the generated method would give; it stays out of the state that
+``copy`` and ``pickle`` carry, because string hashes differ between
+processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from fourcalc.errors import InvalidExpr, NegativeDegree, NonDivisibleBranch
+
+_HASH = "_hash"
+
+
+def _hash_once(node) -> int:
+    """The hash the generated dataclass ``__hash__`` gives (that of the
+    field tuple), computed on the first call and then kept.  It is
+    computed here rather than in a helper, so that hashing a deep tree
+    for the first time recurses through one frame per level, as the
+    generated method does."""
+    value = node.__dict__.get(_HASH)
+    if value is None:
+        value = hash(tuple(map(node.__dict__.__getitem__, node._field_names)))
+        object.__setattr__(node, _HASH, value)
+    return value
+
+
+def _state_without_hash(node) -> dict:
+    state = dict(node.__dict__)
+    state.pop(_HASH, None)
+    return state
+
+
+def _hashed_once(cls):
+    """Give a frozen dataclass a hash computed on first use and then kept."""
+    cls._field_names = tuple(f.name for f in fields(cls))
+    cls.__hash__ = _hash_once
+    cls.__getstate__ = _state_without_hash
+    return cls
+
 
 CP2_BASE = "CP2"
 QUADRIC_BASE = "CP1xCP1"
@@ -141,6 +178,7 @@ class BicyclicCover:
         return f"bicyclic({self.d},{self.p};{self.a},{self.b},{self.m},{self.n})"
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Quotient:
     inner: "ManifoldExpr"
@@ -158,6 +196,7 @@ class Quotient:
         return f"quotient({self.inner},{self.d}{tail})"
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class ConnectedSum:
     """Connected sum of parts, each with a positive multiplicity."""
@@ -187,6 +226,7 @@ class ConnectedSum:
         return " # ".join(pieces)
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class FiberSum:
     left: "ManifoldExpr"
@@ -201,6 +241,7 @@ class FiberSum:
         return f"fibersum({self.left},{self.right},g={self.genus})"
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class LogTransform:
     inner: "ManifoldExpr"

@@ -191,32 +191,32 @@ class Splitting:
     certificate: Certificate
 
 
-def decompose_for_obstruction(expr: ManifoldExpr) -> list[Splitting]:
-    """Enumerate splittings of a connected sum into (X, k CP2b, l S1xS3)
-    for which the curvature obstruction fires, best (max k + 4l) first."""
+def decompose_for_obstruction(expr: ManifoldExpr) -> Splitting:
+    """The best splitting of a connected sum into (X, k CP2b, l S1xS3)
+    for which the curvature obstruction fires: X is the sum of every
+    other summand, k counts all CP2b and l all S1xS3.
+
+    One split suffices.  CP2b and S1xS3 have b2+ = 0 and vanishing
+    Seiberg-Witten invariant, so moving some of them into X cannot give
+    X a nontrivial invariant it lacked.  Each CP2b moved lowers
+    (2 chi + 3 tau)(X) by 1 and each S1xS3 by 4, so the left side
+    k + 4l of the obstruction drops by three times as much as the bound
+    (2 chi + 3 tau)(X)/3, and positivity only gets harder.  Hence if the
+    split with X = core does not fire, no split does, and when it fires
+    it has the largest k + 4l.
+    """
     parts = sum_parts(expr)
-    bars = sum(m for p, m in parts if p == Primitive("CP2b"))
-    tubes = sum(m for p, m in parts if p == Primitive("S1xS3"))
-    core = [(p, m) for p, m in parts if p not in (Primitive("CP2b"), Primitive("S1xS3"))]
+    bar, tube = Primitive("CP2b"), Primitive("S1xS3")
+    bars = sum(m for p, m in parts if p == bar)
+    tubes = sum(m for p, m in parts if p == tube)
+    core = [(p, m) for p, m in parts if p != bar and p != tube]
     if not core:
         raise NoSplit("no summand can carry a Seiberg-Witten invariant")
-
-    candidates = []
-    for k in range(bars, -1, -1):
-        for l in range(tubes, -1, -1):
-            pieces = list(core)
-            if bars - k:
-                pieces.append((Primitive("CP2b"), bars - k))
-            if tubes - l:
-                pieces.append((Primitive("S1xS3"), tubes - l))
-            x_expr = connected_sum_of(*pieces)
-            cert = lebrun_einstein(x_expr, k, l)
-            if cert.verdict == "einstein_obstructed":
-                candidates.append(Splitting(x_expr, k, l, cert))
-    if not candidates:
+    x_expr = connected_sum_of(*core)
+    cert = lebrun_einstein(x_expr, bars, tubes)
+    if cert.verdict != "einstein_obstructed":
         raise NoSplit("no splitting satisfies the obstruction hypotheses")
-    candidates.sort(key=lambda s: s.k + 4 * s.l, reverse=True)
-    return candidates
+    return Splitting(x_expr, bars, tubes, cert)
 
 
 def spin_einstein(
@@ -315,11 +315,16 @@ def spin_einstein(
 @dataclass(frozen=True)
 class HomeoKey:
     """Hambleton-Kreck data: for cyclic fundamental groups and indefinite
-    forms, (pi1, b2+, b2-, parity, w2-type) classifies up to homeomorphism."""
+    forms, (pi1, b2+, b2-, parity, w2-type) classifies up to homeomorphism.
+
+    A key from :func:`homeo_key` is complete.  A partial key, as
+    :func:`homeo_equal` first reads it, may hold None for b2+/b2- and
+    UNKNOWN for the parity or the w2-type.
+    """
 
     pi1: GroupLabel
-    b2plus: int
-    b2minus: int
+    b2plus: Optional[int]
+    b2minus: Optional[int]
     parity: Parity
     w2type: W2Type
 
@@ -333,50 +338,80 @@ class HomeoKey:
         }
 
 
-def homeo_key(expr: ManifoldExpr, require_indefinite: bool = True) -> HomeoKey:
+_CLASSIFIED_GROUPS = ("trivial", "cyclic")
+_UNKNOWN_FIELDS = (None, Parity.UNKNOWN, W2Type.UNKNOWN)
+
+
+def _partial_key(expr: ManifoldExpr) -> HomeoKey:
     ev = evaluate(expr)
     flags, rec = ev.flags, ev.record
-    if flags.pi1.kind not in ("trivial", "cyclic"):
-        raise UnsupportedGroup(f"pi1 = {flags.pi1} is not trivial or finite cyclic")
-    if flags.parity is Parity.UNKNOWN:
-        raise UnknownFlag(f"parity unknown for {expr}")
-    if flags.w2type is W2Type.UNKNOWN:
-        raise UnknownFlag(f"w2-type unknown for {expr}")
     b2p, b2m = rec.b2plus, rec.b2minus
     if b2p is None or b2p.denominator != 1 or b2m.denominator != 1:
-        raise UnknownFlag(f"b2+/b2- not integral for {expr}")
-    b2p, b2m = int(b2p), int(b2m)
-    if require_indefinite and (b2p < 1 or b2m < 1):
-        raise UnknownFlag(
-            f"intersection form not visibly indefinite (b2+={b2p}, b2-={b2m})"
-        )
+        b2p = b2m = None
+    else:
+        b2p, b2m = int(b2p), int(b2m)
     return HomeoKey(flags.pi1, b2p, b2m, flags.parity, flags.w2type)
+
+
+def homeo_key(expr: ManifoldExpr, require_indefinite: bool = True) -> HomeoKey:
+    key = _partial_key(expr)
+    if key.pi1.kind not in _CLASSIFIED_GROUPS:
+        raise UnsupportedGroup(f"pi1 = {key.pi1} is not trivial or finite cyclic")
+    if key.parity is Parity.UNKNOWN:
+        raise UnknownFlag(f"parity unknown for {expr}")
+    if key.w2type is W2Type.UNKNOWN:
+        raise UnknownFlag(f"w2-type unknown for {expr}")
+    if key.b2plus is None:
+        raise UnknownFlag(f"b2+/b2- not integral for {expr}")
+    if require_indefinite and (key.b2plus < 1 or key.b2minus < 1):
+        raise UnknownFlag(
+            f"intersection form not visibly indefinite (b2+={key.b2plus}, b2-={key.b2minus})"
+        )
+    return key
+
+
+def _known_mismatch(ka: HomeoKey, kb: HomeoKey) -> bool:
+    """Whether a field both keys know differs, within the classified groups."""
+    if ka.pi1.kind not in _CLASSIFIED_GROUPS or kb.pi1.kind not in _CLASSIFIED_GROUPS:
+        return False
+    pairs = zip(
+        (ka.pi1, ka.b2plus, ka.b2minus, ka.parity, ka.w2type),
+        (kb.pi1, kb.b2plus, kb.b2minus, kb.parity, kb.w2type),
+    )
+    return any(
+        x != y and x not in _UNKNOWN_FIELDS and y not in _UNKNOWN_FIELDS for x, y in pairs
+    )
+
+
+def _betti_step(name: str, x: Optional[int], y: Optional[int], citation: str) -> Step:
+    if x is None or y is None:
+        shown = ["unknown" if v is None else v for v in (x, y)]
+        return Step(f"{name}: {shown[0]} vs {shown[1]}", citation, None)
+    return Step(f"{name}-compare", citation, f"{x} {'==' if x == y else '!='} {y}")
 
 
 def homeo_equal(a: ManifoldExpr, b: ManifoldExpr) -> Certificate:
     """Compare homeomorphism keys.
 
-    Differing keys are conclusive for any forms; equal keys conclude
-    homeomorphism only on indefinite forms (or identical expressions).
+    A field that both sides know and that differs decides
+    ``not_homeomorphic``, whatever the other fields are.  Otherwise both
+    keys must be complete (else :class:`UnknownFlag` or
+    :class:`UnsupportedGroup`, as from :func:`homeo_key`); differing keys
+    are conclusive for any forms, and equal keys conclude homeomorphism
+    only on indefinite forms (or identical expressions).
     """
-    ka = homeo_key(a, require_indefinite=False)
-    kb = homeo_key(b, require_indefinite=False)
-    if ka == kb and a != b and (ka.b2plus < 1 or ka.b2minus < 1):
-        raise UnknownFlag(
-            "equal keys on a definite form: the classification does not apply"
-        )
+    ka, kb = _partial_key(a), _partial_key(b)
+    if not _known_mismatch(ka, kb):
+        ka = homeo_key(a, require_indefinite=False)
+        kb = homeo_key(b, require_indefinite=False)
+        if ka == kb and a != b and (ka.b2plus < 1 or ka.b2minus < 1):
+            raise UnknownFlag(
+                "equal keys on a definite form: the classification does not apply"
+            )
     citation = CITE_FREEDMAN if ka.pi1.is_trivial else CITE_HAMBLETON_KRECK
     steps = [
-        Step(
-            "b2plus-compare",
-            citation,
-            f"{ka.b2plus} {'==' if ka.b2plus == kb.b2plus else '!='} {kb.b2plus}",
-        ),
-        Step(
-            "b2minus-compare",
-            citation,
-            f"{ka.b2minus} {'==' if ka.b2minus == kb.b2minus else '!='} {kb.b2minus}",
-        ),
+        _betti_step("b2plus", ka.b2plus, kb.b2plus, citation),
+        _betti_step("b2minus", ka.b2minus, kb.b2minus, citation),
         Step(f"parity: {ka.parity.value} vs {kb.parity.value}", citation, None),
         Step(f"w2type: {ka.w2type.value} vs {kb.w2type.value}", citation, None),
         Step(f"pi1: {ka.pi1} vs {kb.pi1}", citation, None),

@@ -22,7 +22,7 @@ identical tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from fourcalc.errors import DslSyntaxError, InvalidExpr, UnknownPrimitive
 from fourcalc.expr import (
@@ -44,8 +44,7 @@ _CONSTRUCTORS = ("cover", "bicyclic", "quotient", "fibersum", "logt")
 _COVER_BASES = {"CP2": "CP2", "CP1xCP1": "CP1xCP1", "S2xS2": "CP1xCP1"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "name" | "sym" | "end"
     text: str
     line: int
@@ -53,27 +52,37 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Split text into tokens with 1-based line and column positions.
+
+    Positions are tracked incrementally: ``line`` counts the newlines
+    before ``pos`` and ``newline`` is the index of the last of them (-1
+    on the first line), so each character is scanned a bounded number of
+    times.  Tokens never contain a newline; only the whitespace skipped
+    in front of a token can.
+    """
     tokens = []
     pos = 0
+    line, newline = 1, -1
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
+        if match is None:
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            line = text.count("\n", 0, pos) + 1
-            column = pos - text.rfind("\n", 0, pos)
-            raise DslSyntaxError(f"unexpected character {rest[0]!r}", line, column)
-        start = match.start() + len(match.group(0)) - len(match.group(0).lstrip())
-        line = text.count("\n", 0, start) + 1
-        column = start - text.rfind("\n", 0, start)
-        for kind in ("int", "name", "sym"):
-            if match.group(kind) is not None:
-                tokens.append(_Token(kind, match.group(kind), line, column))
-                break
+            raise DslSyntaxError(f"unexpected character {rest[0]!r}", line, pos - newline)
+        kind = match.lastgroup
+        start = match.start(kind)
+        skipped = text.count("\n", pos, start)
+        if skipped:
+            line += skipped
+            newline = text.rfind("\n", pos, start)
+        tokens.append(_Token(kind, match.group(kind), line, start - newline))
         pos = match.end()
-    last_line = text.count("\n") + 1
-    tokens.append(_Token("end", "", last_line, len(text) - text.rfind("\n", 0, len(text))))
+    skipped = text.count("\n", pos)
+    if skipped:
+        line += skipped
+        newline = text.rfind("\n", pos)
+    tokens.append(_Token("end", "", line, len(text) - newline))
     return tokens
 
 

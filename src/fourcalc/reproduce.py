@@ -119,7 +119,7 @@ def _free_action_example(d: int) -> Report:
     quotient = connected_sum_of(
         (octic, 1), (Primitive("CP2b"), 1), (Primitive("Sd", (d,)), 1)
     )
-    splitting = decompose_for_obstruction(quotient)[0]
+    splitting = decompose_for_obstruction(quotient)
     report.certificates.append(splitting.certificate)
     report.values["split"] = {"k": splitting.k, "l": splitting.l}
     report.say(

@@ -2,8 +2,10 @@
 
 import json
 
-from fourcalc import cli
+from fourcalc import cli, reproduce
+from fourcalc.certificates import Certificate, Step
 from fourcalc.cli import main
+from fourcalc.reproduce import Report
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +36,11 @@ class TestEval:
     def test_syntax_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "Nope(3)")
         assert code == 2 and "syntax error" in err
+
+    def test_syntax_error_on_third_line(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "K3 #\n  CP2b #\n\t2*E(2) # )")
+        assert code == 2 and out == ""
+        assert err == "syntax error: expected a manifold, found ')' (line 3, column 11)\n"
 
     def test_logt_multiplicity_below_one_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "eval", "logt(E(2),-3)")
@@ -66,6 +73,19 @@ class TestChecks:
         assert code == 0 and "homeomorphic" in out
         code, _, _ = run_cli(capsys, "check", "homeo", "CP2", "CP2b")
         assert code == 1
+
+    def test_homeo_known_mismatch_with_unknown_w2_exit_1(self, capsys):
+        # Parity and b2- differ; the right side's w2-type is unknown.
+        code, out, err = run_cli(capsys, "check", "homeo", "CP2 # Sd(2)", "S2xS2 # Sd(2)")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == "verdict: not_homeomorphic"
+        assert "  b2minus-compare: 0 != 1" in lines and "  w2type: I vs unknown" in lines
+
+    def test_homeo_equal_known_fields_unknown_w2_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "check", "homeo", "S2xS2 # Sd(2)", "S2xS2 # Sd(2)")
+        assert (code, out) == (2, "")
+        assert err == "error: w2-type unknown for S2xS2 # Sd(2)\n"
 
 
 class TestNormalizeAndEnumerate:
@@ -151,6 +171,21 @@ class TestReproduce:
         assert first == second
         data = json.loads(first)
         assert data["values"]["normal_form"] == "23 CP2 # 116 CP2b"
+
+    def test_failed_self_verification_exit_3(self, monkeypatch, capsys):
+        def broken(config):
+            report = Report("prop1.3")
+            report.say("a report whose certificate does not check")
+            report.certificates.append(
+                Certificate("hitchin_thorpe_ok", (Step("ht-plus", "test", "1 >= 2"),))
+            )
+            return report
+
+        monkeypatch.setitem(reproduce._BUILDERS, "prop1.3", broken)
+        for argv in (("reproduce", "prop1.3"), ("reproduce", "prop1.3", "--json")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("internal inconsistency: certificate self-verification failed")
 
     def test_unknown_target_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "thm9.9")

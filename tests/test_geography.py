@@ -8,7 +8,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from fourcalc.certificates import verify_certificate
@@ -115,7 +115,11 @@ def _bk_json_reference(eps_prime, c, points):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-@settings(max_examples=40, deadline=None)
+# No shrink phase: shrinking the 60x60 listings of a failing example
+# takes minutes, and the unshrunk example already names the mismatch.
+@settings(
+    max_examples=40, deadline=None, phases=[p for p in Phase if p is not Phase.shrink]
+)
 @given(POSITIVE, POSITIVE, BOUNDS)
 def test_enumerate_bk_output_matches_reference(eps_prime, c, bounds):
     points = reference_bk_region(eps_prime, c, bounds)

@@ -4,14 +4,24 @@ obstructions, SW propagation, homeomorphism keys, certificates."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fourcalc import obstruction
 from fourcalc.certificates import verify_certificate
 from fourcalc.errors import NoSplit, UnknownFlag, UnsupportedGroup
 from fourcalc.evaluate import evaluate
-from fourcalc.expr import CyclicCover, DivisorClass, Primitive, connected_sum_of
-from fourcalc.flags import NO, UNKNOWN, YES, StructureFlags
+from fourcalc.expr import (
+    CyclicCover,
+    DivisorClass,
+    Primitive,
+    Quotient,
+    connected_sum_of,
+    sum_parts,
+)
+from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel, Parity, StructureFlags
 from fourcalc.invariants import InvariantRecord
 from fourcalc.obstruction import (
+    Splitting,
     decompose_for_obstruction,
     hitchin_thorpe,
     homeo_equal,
@@ -24,6 +34,7 @@ from fourcalc.registry import REGISTRY
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
+S1XS3 = Primitive("S1xS3")
 K3 = Primitive("K3")
 OCTIC = CyclicCover("CP2", 2, DivisorClass("CP2", (8,)))
 SPHERE2 = Primitive("Sd", (2,))
@@ -116,10 +127,83 @@ class TestLebrun:
                     assert lebrun_einstein(x_part, k, l + 1).verdict == "einstein_obstructed"
 
 
+def reference_decompose(expr):
+    """The enumeration decompose_for_obstruction replaced: every one of
+    the (bars+1)(tubes+1) splittings evaluated, the firing ones sorted
+    best (max k + 4l) first."""
+    parts = sum_parts(expr)
+    bars = sum(m for p, m in parts if p == CP2B)
+    tubes = sum(m for p, m in parts if p == S1XS3)
+    core = [(p, m) for p, m in parts if p not in (CP2B, S1XS3)]
+    if not core:
+        raise NoSplit("no summand can carry a Seiberg-Witten invariant")
+    candidates = []
+    for k in range(bars, -1, -1):
+        for l in range(tubes, -1, -1):
+            pieces = list(core)
+            if bars - k:
+                pieces.append((CP2B, bars - k))
+            if tubes - l:
+                pieces.append((S1XS3, tubes - l))
+            x_expr = connected_sum_of(*pieces)
+            cert = lebrun_einstein(x_expr, k, l)
+            if cert.verdict == "einstein_obstructed":
+                candidates.append(Splitting(x_expr, k, l, cert))
+    if not candidates:
+        raise NoSplit("no splitting satisfies the obstruction hypotheses")
+    candidates.sort(key=lambda s: s.k + 4 * s.l, reverse=True)
+    return candidates
+
+
+def _reference_best(expr):
+    return reference_decompose(expr)[0]
+
+
+def _outcome(fn, expr):
+    try:
+        split = fn(expr)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return split.x_expr, split.k, split.l, split.certificate.as_dict()
+
+
+# Core pieces: with a nontrivial SW invariant and small positive
+# 2 chi + 3 tau (so that a few blow-ups already fire), with 2 chi + 3 tau = 0, with
+# b2+ > 0 and no SW invariant, with b2+ = 0, and one whose evaluation
+# raises.
+SW_PIECES = [
+    OCTIC,
+    CyclicCover("CP2", 3, DivisorClass("CP2", (6,))),
+    CyclicCover("CP2", 2, DivisorClass("CP2", (10,))),
+    CyclicCover("CP1xCP1", 2, DivisorClass("CP1xCP1", (6, 6))),
+    Primitive("X442"),
+    Primitive("BK", (33, 87, 7)),
+]
+FLAT_PIECES = [K3, Primitive("E", (2,)), Primitive("E", (4,)), Primitive("Y", (1,))]
+PLAIN_PIECES = [CP2, Primitive("S2xS2")]
+NULL_PIECES = [SPHERE2, Primitive("Sd", (3,)), Primitive("S4")]
+CORE_POOL = SW_PIECES + FLAT_PIECES + PLAIN_PIECES + [Quotient(K3, 5)]
+
+
+@st.composite
+def blown_up_sums(draw):
+    core = []
+    if draw(st.integers(0, 9)):
+        main = draw(st.sampled_from(SW_PIECES * 2 + CORE_POOL))
+        core.append((main, draw(st.sampled_from([1, 1, 1, 2]))))
+        extras = st.sampled_from(NULL_PIECES * 3 + CORE_POOL)
+        core += [(p, 1) for p in draw(st.lists(extras, max_size=2))]
+    bars = draw(st.integers(0, 8))
+    tubes = draw(st.integers(0, 4))
+    pieces = [(p, m) for p, m in core + [(CP2B, bars), (S1XS3, tubes)] if m]
+    pieces = draw(st.permutations(pieces)) or [(CP2B, 1)]
+    return connected_sum_of(*pieces)
+
+
 class TestDecompose:
     def test_involution_split(self):
         expr = connected_sum_of((OCTIC, 1), (SPHERE2, 1), (CP2B, 1))
-        best = decompose_for_obstruction(expr)[0]
+        best = decompose_for_obstruction(expr)
         assert (best.k, best.l) == (1, 0)
         assert best.x_expr == connected_sum_of((OCTIC, 1), (SPHERE2, 1))
 
@@ -130,30 +214,53 @@ class TestDecompose:
     def test_thm_family_pattern(self):
         block = Primitive("BK", (41, 328, 1))
         expr = connected_sum_of((block, 1), (Primitive("Sd", (3,)), 1), (CP2B, 132))
-        best = decompose_for_obstruction(expr)[0]
+        best = decompose_for_obstruction(expr)
         assert best.k == 132 and best.l == 0
         assert best.x_expr == connected_sum_of((block, 1), (Primitive("Sd", (3,)), 1))
 
     def test_exhaustive_oracle_small_sums(self):
-        # Compare against brute force over all (k, l) splittings.
-        expr = connected_sum_of(
-            (OCTIC, 1), (SPHERE2, 1), (CP2B, 3), (Primitive("S1xS3"), 1)
-        )
-        found = {(s.k, s.l) for s in decompose_for_obstruction(expr)}
-        brute = set()
-        for k in range(4):
-            for l in range(2):
-                inside = [(OCTIC, 1), (SPHERE2, 1)]
-                if 3 - k:
-                    inside.append((CP2B, 3 - k))
-                if 1 - l:
-                    inside.append((Primitive("S1xS3"), 1 - l))
-                x_expr = connected_sum_of(*inside)
-                if lebrun_einstein(x_expr, k, l).verdict == "einstein_obstructed":
-                    brute.add((k, l))
-        assert found == brute and found
-        best = decompose_for_obstruction(expr)[0]
-        assert best.k + 4 * best.l == max(k + 4 * l for k, l in brute)
+        # Several splittings fire; the one split is the best of them.
+        expr = connected_sum_of((OCTIC, 1), (SPHERE2, 1), (CP2B, 3), (S1XS3, 1))
+        assert len(reference_decompose(expr)) > 1
+        assert _outcome(decompose_for_obstruction, expr) == _outcome(_reference_best, expr)
+        best = decompose_for_obstruction(expr)
+        assert (best.k, best.l) == (3, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blown_up_sums())
+    def test_one_split_matches_enumeration(self, expr):
+        assert _outcome(decompose_for_obstruction, expr) == _outcome(_reference_best, expr)
+
+    def test_one_split_each_outcome(self):
+        # One sum for each outcome: a firing split, NoSplit for either
+        # reason, and an error raised by evaluation.
+        cases = {
+            connected_sum_of((OCTIC, 1), (CP2B, 30), (S1XS3, 2)): Splitting,
+            connected_sum_of((K3, 1), (CP2B, 4)): "no splitting satisfies",
+            connected_sum_of((CP2B, 2), (S1XS3, 2)): "no summand can carry",
+            connected_sum_of((Quotient(K3, 5), 1), (CP2B, 1)): "no free cyclic action",
+        }
+        for expr, want in cases.items():
+            got = _outcome(decompose_for_obstruction, expr)
+            assert got == _outcome(_reference_best, expr)
+            if want is Splitting:
+                assert got[3]["verdict"] == "einstein_obstructed"
+            else:
+                assert want in got[1]
+
+    def test_calls_lebrun_once(self, monkeypatch):
+        calls = []
+        original = obstruction.lebrun_einstein
+
+        def counted(x_expr, k, l):
+            calls.append((x_expr, k, l))
+            return original(x_expr, k, l)
+
+        monkeypatch.setattr(obstruction, "lebrun_einstein", counted)
+        expr = connected_sum_of((Primitive("BK", (33, 87, 7)), 1), (CP2B, 40), (S1XS3, 40))
+        split = decompose_for_obstruction(expr)
+        assert calls == [(Primitive("BK", (33, 87, 7)), 40, 40)]
+        assert (split.k, split.l) == (40, 40)
 
 
 class TestSpinEinstein:
@@ -205,6 +312,61 @@ class TestHomeo:
             homeo_key(Primitive("S1xS3"))
         with pytest.raises(UnknownFlag):
             homeo_key(SPHERE2)  # w2-type unknown for d >= 2
+
+    def test_known_mismatch_decides_despite_unknown_w2(self):
+        # The parities (odd vs even) and b2- (0 vs 1) already differ; only
+        # the right side's w2-type is unknown.
+        left = connected_sum_of((CP2, 1), (SPHERE2, 1))
+        right = connected_sum_of((Primitive("S2xS2"), 1), (SPHERE2, 1))
+        with pytest.raises(UnknownFlag, match="w2-type unknown"):
+            homeo_key(right, require_indefinite=False)
+        for a, b in ((left, right), (right, left)):
+            cert = certify(homeo_equal(a, b))
+            assert cert.verdict == "not_homeomorphic"
+            rules = [s.rule for s in cert.steps]
+            assert "parity: odd vs even" in rules or "parity: even vs odd" in rules
+            assert any(r.startswith("w2type:") and "unknown" in r for r in rules)
+
+    def test_equal_known_fields_keep_unknown_flag(self):
+        right = connected_sum_of((Primitive("S2xS2"), 1), (SPHERE2, 1))
+        with pytest.raises(UnknownFlag, match="w2-type unknown"):
+            homeo_equal(right, right)
+
+    def test_known_group_mismatch_decides(self):
+        # Both w2-types unknown; the fundamental groups differ.
+        left = connected_sum_of((Primitive("S2xS2"), 1), (SPHERE2, 1))
+        right = connected_sum_of((Primitive("S2xS2"), 1), (Primitive("Sd", (3,)), 1))
+        cert = certify(homeo_equal(left, right))
+        assert cert.verdict == "not_homeomorphic"
+        assert "pi1: Z/2 vs Z/3" in [s.rule for s in cert.steps]
+
+    def test_unknown_betti_numbers_shown_as_unknown(self):
+        if "HalfKnownPiece" not in REGISTRY:
+            REGISTRY.register_primitive(
+                "HalfKnownPiece",
+                InvariantRecord(3, 1, None),
+                StructureFlags().cite(
+                    parity=Parity.ODD,
+                    pi1=GroupLabel.trivial(),
+                    rule="declared",
+                    citation="test fixture",
+                ),
+            )
+        piece = Primitive("HalfKnownPiece")
+        cert = certify(homeo_equal(piece, Primitive("S2xS2")))
+        assert cert.verdict == "not_homeomorphic"
+        assert [s.rule for s in cert.steps][:2] == ["b2plus: unknown vs 1", "b2minus: unknown vs 1"]
+        assert cert.inputs["left_key"]["b2plus"] is None
+        # Against CP2 every known field agrees: the unknown ones block.
+        with pytest.raises(UnknownFlag):
+            homeo_equal(piece, CP2)
+
+    def test_unclassified_group_still_raises(self):
+        # b2+ differs, but pi1 = Z is outside the classification.
+        with pytest.raises(UnsupportedGroup):
+            homeo_equal(Primitive("S1xS3"), CP2)
+        with pytest.raises(UnsupportedGroup):
+            homeo_equal(CP2, Primitive("S1xS3"))
 
     def test_equivalence_relation(self):
         pool = [

@@ -1,7 +1,7 @@
 """DSL parsing: grammar, positioned errors, print/parse round trips."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fourcalc.errors import DslSyntaxError, UnknownPrimitive
 from fourcalc.expr import (
@@ -15,7 +15,7 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
-from fourcalc.parser import parse_dsl
+from fourcalc.parser import _TOKEN_RE, _tokenize, parse_dsl
 
 
 class TestGrammar:
@@ -130,3 +130,59 @@ def expressions(draw):
 @given(expressions())
 def test_round_trip(expr):
     assert parse_dsl(str(expr)) == expr
+
+
+def reference_tokenize(text):
+    """The tokenizer _tokenize replaced: each token's line and column
+    recounted from the start of the text."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None or match.end() == pos:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            line = text.count("\n", 0, pos) + 1
+            column = pos - text.rfind("\n", 0, pos)
+            raise DslSyntaxError(f"unexpected character {rest[0]!r}", line, column)
+        start = match.start() + len(match.group(0)) - len(match.group(0).lstrip())
+        line = text.count("\n", 0, start) + 1
+        column = start - text.rfind("\n", 0, start)
+        for kind in ("int", "name", "sym"):
+            if match.group(kind) is not None:
+                tokens.append((kind, match.group(kind), line, column))
+                break
+        pos = match.end()
+    last_line = text.count("\n") + 1
+    tokens.append(("end", "", last_line, len(text) - text.rfind("\n", 0, len(text))))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except DslSyntaxError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# Pieces of DSL text: tokens, runs of spaces, tabs and newlines (blank
+# lines included), other whitespace, non-ASCII digits and characters the
+# grammar does not know.
+DSL_PIECES = st.sampled_from(
+    ["CP2", "K3", "E", "Sd", "cover", "x_1", "12", "0", "#", "*", "(", ")", ",",
+     ";", "=", "-", " ", "  ", "\t", "\n", "\n\n", " \n\t ", "\r\n", "\x0b",
+     "\u2028", "\u00a0", "\u0663", "@", "!", "{", "\u00e9", "."]
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(DSL_PIECES, max_size=40).map("".join))
+def test_tokenize_matches_reference(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+
+@given(st.text(max_size=60))
+def test_tokenize_matches_reference_on_any_text(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
