@@ -30,7 +30,7 @@ from fourcalc.expr import (
     Primitive,
     Quotient,
 )
-from fourcalc.evaluate import eval_invariants, evaluate, infer_flags
+from fourcalc.evaluate import eval_invariants, infer_flags
 
 __all__ = [
     "BicyclicCover",
@@ -47,7 +47,6 @@ __all__ = [
     "TriState",
     "derive_betti",
     "eval_invariants",
-    "evaluate",
     "infer_flags",
 ]
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import groupby, islice
 from operator import itemgetter
 
-from fourcalc.config import Config, load_config
+from fourcalc.config import Config, eps_prime_of, load_config
 from fourcalc.errors import DslSyntaxError, FourcalcError, NoSplit
 from fourcalc.evaluate import evaluate
 from fourcalc.geography import CITE_GEOGRAPHY, GeographyQuery, bk_region, free_action_region
@@ -271,7 +271,7 @@ def _bk_csv_columns(points):
 
 def cmd_enumerate(args, config: Config) -> int:
     if args.region == "bk":
-        eps_prime = _parse_fraction(args.eps_prime, "--eps-prime", config.eps_prime)
+        eps_prime = _parse_fraction(args.eps_prime, "--eps-prime", eps_prime_of(config.eps))
         c = _parse_fraction(args.c, "--c", config.c_eps)
         points = bk_region(eps_prime, c, _parse_bounds(args.bounds))
         if args.json:

@@ -23,20 +23,17 @@ from math import ceil
 from typing import Optional
 
 
+def eps_prime_of(eps: Fraction) -> Fraction:
+    """The geography slope margin eps' = 3 eps / 2 that goes with eps."""
+    return Fraction(3, 2) * eps
+
+
 @dataclass(frozen=True)
 class Config:
     eps: Fraction = Fraction(1, 2)
     c_eps: Fraction = Fraction(10)
     n1: Optional[int] = None
     wall_n0: int = 1
-
-    @property
-    def eps_prime(self) -> Fraction:
-        return Fraction(3, 2) * self.eps
-
-    def n_of_eps(self, d: int) -> Fraction:
-        """N(eps) = (2d/3)(c(eps') + 1), never stored independently."""
-        return Fraction(2 * d, 3) * (self.c_eps + 1)
 
     @property
     def n1_effective(self) -> int:

@@ -255,61 +255,3 @@ def cyclic_blueprint(base: str, d: int, branch: DivisorClass) -> CoverBlueprint:
         description=f"{d}-cyclic cover of {base} branched along {branch}",
         checks=tuple(checks),
     )
-
-
-def bicyclic_blueprint(d, p, a, b, m, n) -> CoverBlueprint:
-    checks = [
-        CheckResult("smooth-branch", True, "generic invariant sections", "Bertini"),
-        CheckResult(
-            "transversality", True, "branch curves meet transversally", "genericity"
-        ),
-        CheckResult(
-            "flexibility",
-            min(a, b, m, n) >= 1,
-            f"(a,b,m,n)=({a},{b},{m},{n})",
-            "strictly positive degrees are flexible",
-        ),
-        CheckResult(
-            "ampleness",
-            ample_canonical(d, p, a, b, m, n, mode="cover"),
-            f"(d-1)a+(p-1)m = {(d-1)*a+(p-1)*m}, (d-1)b+(p-1)n = {(d-1)*b+(p-1)*n}",
-            "canonical bundle ample above threshold 3",
-        ),
-    ]
-    return CoverBlueprint(
-        kind="bicyclic-cover",
-        description=f"type ({d},{p}) bi-cyclic cover, branches "
-        f"({d * a},{d * b}) and ({p * m},{p * n})",
-        checks=tuple(checks),
-    )
-
-
-def quotient_blueprint(
-    d: int, a: int, b: int, second_branch: DivisorClass, action: str
-) -> CoverBlueprint:
-    adm = action_admissibility(d, a, b, action)
-    checks = [
-        CheckResult(
-            "gcd-admissibility",
-            adm.passed,
-            "; ".join(c.witness for c in adm.checks),
-            "free line-bundle actions need coprime weights",
-        ),
-        CheckResult(
-            "branch-invariance",
-            second_branch.divisible_by(d),
-            f"second branch {second_branch} vs d={d}",
-            "invariant sections have d-divisible bidegree",
-        ),
-        CheckResult(
-            "fixed-points-avoided",
-            True,
-            "branch chosen through none of the four fixed points",
-            "Bertini on the invariant linear system",
-        ),
-    ]
-    return CoverBlueprint(
-        kind=f"{action}-quotient",
-        description=f"free Z/{d} quotient",
-        checks=tuple(checks),
-    )

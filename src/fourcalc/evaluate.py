@@ -44,7 +44,7 @@ from fourcalc.flags import (
     TriState,
     W2Type,
 )
-from fourcalc.invariants import InvariantRecord
+from fourcalc.invariants import InvariantRecord, connected_sum_record, rohlin_compatible
 from fourcalc.registry import ELLIPTIC_FIBER, REGISTRY, genus_cap
 
 # Primitives whose distinguished fiber/surface has simply connected
@@ -80,14 +80,13 @@ def _finish(
     record: InvariantRecord, flags: StructureFlags, **kwargs
 ) -> Evaluation:
     """Apply the generic flag rules that depend only on (record, flags)."""
-    # Rohlin contrapositive.
-    if flags.spin is UNKNOWN and record.b1 == 0 and record.tau % 16 != 0:
+    # Rohlin: declared spin must satisfy it; otherwise it rules spin out.
+    if flags.spin is not NO and not rohlin_compatible(record.chi, record.tau, record.b1):
+        if flags.spin is YES:
+            raise InconsistentFlags(
+                f"spin with b1=0 but tau={record.tau} not divisible by 16"
+            )
         flags = flags.cite(spin=NO, rule="rohlin-contrapositive", citation=_CITE_ROHLIN)
-    # Declared-spin consistency.
-    if flags.spin is YES and record.b1 == 0 and record.tau % 16 != 0:
-        raise InconsistentFlags(
-            f"spin with b1=0 but tau={record.tau} not divisible by 16"
-        )
     if flags.spin is YES:
         updates = {}
         if flags.parity is Parity.UNKNOWN:
@@ -247,16 +246,7 @@ def _combine_pi1(parts: list[tuple[Evaluation, int]]) -> GroupLabel:
 
 def _eval_connected_sum(expr: ConnectedSum) -> Evaluation:
     parts = [(evaluate(sub), mult) for sub, mult in expr.parts]
-    total = sum(mult for _, mult in parts)
-    chi = sum(ev.record.chi * mult for ev, mult in parts) - 2 * (total - 1)
-    tau = sum(ev.record.tau * mult for ev, mult in parts)
-    b1 = 0
-    for ev, mult in parts:
-        if ev.record.b1 is None:
-            b1 = None
-            break
-        b1 += ev.record.b1 * mult
-    record = InvariantRecord(chi=chi, tau=tau, b1=b1)
+    record = connected_sum_record((ev.record, mult) for ev, mult in parts)
 
     pi1 = _combine_pi1(parts)
     flags = StructureFlags(pi1=pi1).cite(

@@ -167,10 +167,6 @@ class BicyclicCover:
                 raise NegativeDegree("bicyclic parameters must be >= 1")
 
     @property
-    def first_branch(self) -> DivisorClass:
-        return DivisorClass(QUADRIC_BASE, (self.d * self.a, self.d * self.b))
-
-    @property
     def second_branch(self) -> DivisorClass:
         return DivisorClass(QUADRIC_BASE, (self.p * self.m, self.p * self.n))
 
@@ -211,10 +207,6 @@ class ConnectedSum:
                 raise InvalidExpr("multiplicities must be >= 1")
             if isinstance(part, ConnectedSum):
                 raise InvalidExpr("nest sums via flatten(), not directly")
-
-    @property
-    def total_parts(self) -> int:
-        return sum(mult for _, mult in self.parts)
 
     def __str__(self):
         pieces = []
@@ -288,8 +280,3 @@ def sum_parts(expr: ManifoldExpr) -> tuple[tuple[ManifoldExpr, int], ...]:
     if isinstance(expr, ConnectedSum):
         return expr.parts
     return ((expr, 1),)
-
-
-def to_dsl(expr: ManifoldExpr) -> str:
-    """Render an expression in the DSL; parse(to_dsl(e)) == e."""
-    return str(expr)

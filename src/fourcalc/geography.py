@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Optional
 
-from fourcalc.config import Config
+from fourcalc.config import Config, eps_prime_of
 from fourcalc.certificates import Certificate
 from fourcalc.covers import action_admissibility, ample_canonical
 from fourcalc.errors import BadP, BadParity, InfeasiblePoint
@@ -56,7 +56,7 @@ class GeographyQuery:
 
     @property
     def eps_prime(self) -> Fraction:
-        return Fraction(3, 2) * self.epsilon
+        return eps_prime_of(self.epsilon)
 
     @property
     def n_of_eps(self) -> Fraction:
@@ -449,7 +449,8 @@ def exotic_partner_family(
     )
 
 
-def _fourth_congruence_piece(b2plus_sum: int) -> ManifoldExpr:
+def fourth_congruence_piece(b2plus_sum: int) -> ManifoldExpr:
+    """The registry piece (K3 or E(4)) whose b2+ brings the sum to 4 mod 8."""
     for candidate in (Primitive("K3"), Primitive("E", (4,))):
         b2p = int(evaluate(candidate).record.b2plus)
         if (b2plus_sum + b2p) % 8 == 4:
@@ -480,7 +481,7 @@ def spin_sum_families(
         assumption = ""
         if m == 3:
             partial = sum(int(evaluate(p).record.b2plus) for p in pieces4)
-            fourth = _fourth_congruence_piece(partial)
+            fourth = fourth_congruence_piece(partial)
             pieces4.append(fourth)
             assumption = (
                 f"fourth congruence piece {fourth} supplied by the engine; "

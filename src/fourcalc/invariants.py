@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,22 @@ def derive_betti(rec: InvariantRecord) -> tuple[Fraction, Fraction, list[str]]:
     warnings.extend(rec.consistency_warnings())
     assert b2p - b2m == rec.tau
     return b2p, b2m, warnings
+
+
+def connected_sum_record(parts: Iterable[tuple[InvariantRecord, int]]) -> InvariantRecord:
+    """Invariants of the connected sum of (record, multiplicity) pairs.
+
+    chi adds and loses 2 per connecting neck; tau and b1 add.  b1 is
+    unknown when any part's b1 is.
+    """
+    chi = tau = b1 = total = 0
+    for rec, mult in parts:
+        chi += rec.chi * mult
+        tau += rec.tau * mult
+        total += mult
+        if b1 is not None:
+            b1 = None if rec.b1 is None else b1 + rec.b1 * mult
+    return InvariantRecord(chi=chi - 2 * (total - 1), tau=tau, b1=b1)
 
 
 def rohlin_compatible(chi: int, tau: int, b1: Optional[int]) -> bool:

@@ -58,7 +58,7 @@ def _tokenize(text: str) -> list[_Token]:
     before ``pos`` and ``newline`` is the index of the last of them (-1
     on the first line), so each character is scanned a bounded number of
     times.  Tokens never contain a newline; only the whitespace skipped
-    in front of a token can.
+    in front of a token (or of a character no token begins with) can.
     """
     tokens = []
     pos = 0
@@ -69,13 +69,16 @@ def _tokenize(text: str) -> list[_Token]:
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            raise DslSyntaxError(f"unexpected character {rest[0]!r}", line, pos - newline)
-        kind = match.lastgroup
-        start = match.start(kind)
+            start = len(text) - len(rest)  # the character no token begins with
+        else:
+            kind = match.lastgroup
+            start = match.start(kind)
         skipped = text.count("\n", pos, start)
         if skipped:
             line += skipped
             newline = text.rfind("\n", pos, start)
+        if match is None:
+            raise DslSyntaxError(f"unexpected character {rest[0]!r}", line, start - newline)
         tokens.append(_Token(kind, match.group(kind), line, start - newline))
         pos = match.end()
     skipped = text.count("\n", pos)

@@ -7,7 +7,10 @@ Primitives are blocks imported from the literature; the evaluator never
 recomputes their geometry.
 
 The registry is populated once at import time and is append-only:
-``register_primitive`` adds new names but never overwrites existing ones.
+``Registry.register_primitive`` adds new names but never overwrites
+existing ones.  Declared flags are validated and stored as given; the
+fields they entail (spin => even form, w2-type II) are filled in by the
+evaluator, which applies every generic flag rule.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fourcalc.flags import (
     TriState,
     W2Type,
 )
-from fourcalc.invariants import InvariantRecord
+from fourcalc.invariants import InvariantRecord, rohlin_compatible
 
 GENUS1 = "genus1"
 GENUS2 = "genus2"
@@ -57,7 +60,7 @@ def _validate(name: str, record: InvariantRecord, flags: StructureFlags) -> None
     if record.b1 is not None and record.b2 is not None and record.b2 < abs(record.tau):
         raise InconsistentFlags(f"{name}: b2 < |tau|")
     if flags.spin is YES:
-        if record.b1 == 0 and record.tau % 16 != 0:
+        if not rohlin_compatible(record.chi, record.tau, record.b1):
             raise InconsistentFlags(
                 f"{name}: declared spin with b1=0 and tau={record.tau} "
                 "not divisible by 16 (Rohlin)"
@@ -68,21 +71,6 @@ def _validate(name: str, record: InvariantRecord, flags: StructureFlags) -> None
             raise InconsistentFlags(f"{name}: spin means w2-type II")
     if flags.w2type is W2Type.II and flags.spin is NO:
         raise InconsistentFlags(f"{name}: w2-type II means spin")
-
-
-def _complete(flags: StructureFlags) -> StructureFlags:
-    """Fill entailed fields of declared flags (spin=yes => even, type II)."""
-    if flags.spin is YES:
-        updates = {}
-        if flags.parity is Parity.UNKNOWN:
-            updates["parity"] = Parity.EVEN
-        if flags.w2type is W2Type.UNKNOWN:
-            updates["w2type"] = W2Type.II
-        if updates:
-            flags = flags.cite(
-                rule="spin-entails", citation="w2 = 0 forces even parity", **updates
-            )
-    return flags
 
 
 class Registry:
@@ -114,7 +102,7 @@ class Registry:
             name=name,
             params=(),
             record=record,
-            flags=_complete(flags),
+            flags=flags,
             capabilities=dict(capabilities or {}),
             complex_surface=complex_surface,
             labels=labels,
@@ -274,8 +262,6 @@ def _build_homology_sphere(params: tuple) -> PrimitiveInfo:
         parity=Parity.EVEN,  # b2 = 0: the trivial form is even
         sw_nontrivial=NO,
     )
-    if d == 1:
-        flags = _complete(flags)
     return PrimitiveInfo(
         name="Sd",
         params=(d,),
@@ -427,8 +413,3 @@ def _build_geography_block(params: tuple) -> PrimitiveInfo:
 
 
 REGISTRY = Registry()
-
-
-def register_primitive(name, record, flags, **kwargs) -> PrimitiveInfo:
-    """Module-level convenience wrapper around the shared registry."""
-    return REGISTRY.register_primitive(name, record, flags, **kwargs)

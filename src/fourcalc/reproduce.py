@@ -28,6 +28,7 @@ from fourcalc.expr import (
 from fourcalc.geography import (
     GeographyQuery,
     exotic_partner_family,
+    fourth_congruence_piece,
     free_action_region,
     ke_corrected_chi_h,
     ke_family_start,
@@ -404,7 +405,7 @@ def reproduce_thm17(config: Config = Config()) -> Report:
         ng = _group_elliptic_block(kg, kg)
         pieces = [Primitive("Xk", (2,)), ng, Primitive("Y", (j,))]
         partial = sum(int(evaluate(p).record.b2plus) for p in pieces)
-        fourth = _fourth_for(partial)
+        fourth = fourth_congruence_piece(partial)
         cert = spin_einstein(
             pieces + [fourth],
             3,
@@ -443,13 +444,6 @@ def _group_elliptic_block(kg: int, n: int) -> ManifoldExpr:
     return FiberSum(
         Primitive("XG", (24 * kg, -16 * kg, "G")), Primitive("E", (2 * n,)), 1
     )
-
-
-def _fourth_for(partial_b2p: int) -> ManifoldExpr:
-    for candidate in (Primitive("K3"), Primitive("E", (4,))):
-        if (partial_b2p + int(evaluate(candidate).record.b2plus)) % 8 == 4:
-            return candidate
-    raise AssertionError("no congruence piece found")
 
 
 def reproduce_thm18(config: Config = Config()) -> Report:

@@ -44,6 +44,7 @@ from fourcalc.expr import (
     sum_parts,
 )
 from fourcalc.flags import NO, UNKNOWN, YES, TriState
+from fourcalc.invariants import InvariantRecord, connected_sum_record
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
@@ -102,10 +103,6 @@ def _elliptic_halves(part: ManifoldExpr) -> Optional[int]:
         return part.params[0] // 2
     if part == K3:
         return 1
-    if isinstance(part, LogTransform):
-        inner = part.inner
-        if isinstance(inner, Primitive) and inner.name == "E" and inner.params == (2,):
-            return None  # handled by the log-transform rule, not this one
     return None
 
 
@@ -118,11 +115,8 @@ def _is_odd_log_e2(part: ManifoldExpr) -> bool:
     return False
 
 
-def _total_record(counts: dict) -> tuple[int, int]:
-    total = sum(counts.values())
-    chi = sum(evaluate(p).record.chi * m for p, m in counts.items()) - 2 * (total - 1)
-    tau = sum(evaluate(p).record.tau * m for p, m in counts.items())
-    return chi, tau
+def _total_record(counts: dict) -> InvariantRecord:
+    return connected_sum_record((evaluate(p).record, m) for p, m in counts.items())
 
 
 def _total_spin(counts: dict) -> TriState:
@@ -314,42 +308,6 @@ def normalize(
     )
     result = connected_sum_of(*ordered) if ordered else Primitive("S4")
     return NormalizeResult(result, tuple(trace), canonical, mode)
-
-
-@dataclass(frozen=True)
-class RewriteSchema:
-    """Blow-up decomposition schema for a smoothing of a normal-crossing
-    pair: V # CP2 -> X1 # X2 # 2g CP2 # (2g + n - 1) CP2b."""
-
-    genus: int
-    crossings: int
-    cp2_count: int
-    cp2b_count: int
-    chi_offset: int  # chi(V) - chi(X1) - chi(X2), forced by chi additivity
-    tau_offset: int  # tau(V) - tau(X1) - tau(X2), schema-forced bookkeeping
-
-    def describe(self) -> str:
-        return (
-            f"V # CP2 -> X1 # X2 # {self.cp2_count}*CP2 # {self.cp2b_count}*CP2b; "
-            f"chi(V) = chi(X1) + chi(X2) + {self.chi_offset}, "
-            f"tau(V) = tau(X1) + tau(X2) + {self.tau_offset} (lemma-supplied)"
-        )
-
-
-def mm_rule(g: int, n: int) -> RewriteSchema:
-    """Instantiate the normal-crossing decomposition schema for genus g
-    and n intersection points; chi consistency of both sides is forced
-    by connected-sum additivity, the signature bookkeeping is imported.
-    """
-    if g < 0 or n < 1:
-        raise ValueError("need g >= 0 and n >= 1")
-    cp2, cp2b = 2 * g, 2 * g + n - 1
-    # chi(V) + 1 = chi(X1) + chi(X2) + 3*(cp2 + cp2b) - 2*(cp2 + cp2b + 1)
-    chi_offset = cp2 + cp2b - 3
-    tau_offset = cp2 - cp2b - 1
-    assert chi_offset == 4 * g + n - 4
-    assert tau_offset == -n
-    return RewriteSchema(g, n, cp2, cp2b, chi_offset, tau_offset)
 
 
 def verify_diffeo_claim(

@@ -1,8 +1,9 @@
 """Surgery operations at the expression level.
 
-``connected_sum``, ``fiber_sum`` and ``log_transform`` build expressions
-(the evaluator transports invariants and flags); ``universal_cover``
-expands the two covering patterns the engine supports:
+``fiber_sum`` and ``log_transform`` build expressions and validate them
+eagerly (the evaluator transports invariants and flags; connected sums
+are built with ``expr.connected_sum_of``); ``universal_cover`` expands
+the two covering patterns the engine supports:
 
 * ``Quotient(N, d)``  ->  ``N``;
 * a connected sum with exactly one rational-homology-sphere summand
@@ -27,10 +28,6 @@ from fourcalc.expr import (
 )
 
 S2XS2 = Primitive("S2xS2")
-
-
-def connected_sum(parts: list[tuple[ManifoldExpr, int]]) -> ManifoldExpr:
-    return connected_sum_of(*parts)
 
 
 def fiber_sum(left: ManifoldExpr, right: ManifoldExpr, genus: int) -> ManifoldExpr:

@@ -42,6 +42,13 @@ class TestEval:
         assert code == 2 and out == ""
         assert err == "syntax error: expected a manifold, found ')' (line 3, column 11)\n"
 
+    def test_unexpected_character_position(self, capsys):
+        # The position is the bad character's, not the whitespace's before it.
+        for text, position in (("K3 #    @", "line 1, column 9"), ("K3 #\n@", "line 2, column 1")):
+            code, out, err = run_cli(capsys, "eval", text)
+            assert code == 2 and out == ""
+            assert err == f"syntax error: unexpected character '@' ({position})\n"
+
     def test_logt_multiplicity_below_one_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "eval", "logt(E(2),-3)")
         assert code == 2 and out == ""

@@ -169,6 +169,14 @@ class TestQuotient:
         with pytest.raises(AdmissibilityFail):
             evaluate(Quotient(BicyclicCover(2, 2, 1, 2, 1, 1), 2))
 
+    def test_second_branch_must_be_invariant(self):
+        # The gcd conditions hold for (a, b) = (3, 3) and d = 3, but the
+        # second branch O(2,2) has no Z/3-invariant smooth section.
+        assert covers.action_admissibility(3, 3, 3).passed
+        with pytest.raises(AdmissibilityFail) as err:
+            evaluate(Quotient(BicyclicCover(3, 2, 3, 3, 1, 1), 3))
+        assert str(err.value) == "second branch O(2,2) is not invariant under Z/3"
+
     def test_quotient_consistency(self):
         inner = BicyclicCover(3, 2, 3, 3, 3, 3)
         quotient = Quotient(inner, 3)
@@ -209,13 +217,3 @@ class TestBlueprints:
         bad = covers.cyclic_blueprint("CP2", 2, DivisorClass("CP2", (7,)))
         assert not bad.constructible
         assert [c.name for c in bad.failures()] == ["d-divisibility"]
-
-    def test_quotient_blueprint_checks(self):
-        bp = covers.quotient_blueprint(
-            3, 3, 3, DivisorClass(QUADRIC, (6, 6)), "standard"
-        )
-        assert bp.constructible
-        bad = covers.quotient_blueprint(
-            2, 1, 2, DivisorClass(QUADRIC, (2, 2)), "standard"
-        )
-        assert not bad.constructible

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fourcalc.invariants import InvariantRecord, derive_betti, rohlin_compatible
+from fourcalc.invariants import (
+    InvariantRecord,
+    connected_sum_record,
+    derive_betti,
+    rohlin_compatible,
+)
 
 
 def test_chern_identities():
@@ -60,6 +65,16 @@ def test_rohlin_compatibility():
     assert rohlin_compatible(24, -16, 0)
     assert not rohlin_compatible(46, -30, 0)
     assert rohlin_compatible(46, -30, 1)  # b1 > 0: no constraint imposed
+
+
+def test_connected_sum_record():
+    k3, cp2b, s1s3 = InvariantRecord(24, -16, 0), InvariantRecord(3, -1, 0), InvariantRecord(0, 0, 1)
+    # chi adds with -2 per neck; tau and b1 add.
+    assert connected_sum_record([(k3, 2), (cp2b, 3), (s1s3, 1)]) == InvariantRecord(47, -35, 1)
+    assert connected_sum_record([(k3, 1)]) == k3
+    unknown = InvariantRecord(3, 1, None)
+    assert connected_sum_record([(s1s3, 1), (unknown, 2)]).b1 is None
+    assert connected_sum_record([(unknown, 1), (s1s3, 1)]).b1 is None
 
 
 @given(st.integers(-500, 500), st.integers(-500, 500), st.integers(0, 10))

@@ -143,8 +143,9 @@ def reference_tokenize(text):
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            line = text.count("\n", 0, pos) + 1
-            column = pos - text.rfind("\n", 0, pos)
+            bad = len(text) - len(rest)
+            line = text.count("\n", 0, bad) + 1
+            column = bad - text.rfind("\n", 0, bad)
             raise DslSyntaxError(f"unexpected character {rest[0]!r}", line, column)
         start = match.start() + len(match.group(0)) - len(match.group(0).lstrip())
         line = text.count("\n", 0, start) + 1

@@ -130,8 +130,16 @@ def test_register_w2type_spin_coherence():
     with pytest.raises(InconsistentFlags):
         reg.register_primitive("Bad2", InvariantRecord(4, 0, 0), bad)
     ok = StructureFlags().cite(spin=YES, rule="declared", citation="fine")
-    info = reg.register_primitive("Fine", InvariantRecord(4, 0, 0), ok)
-    assert info.flags.parity is Parity.EVEN and info.flags.w2type is W2Type.II
+    reg.register_primitive("Fine", InvariantRecord(4, 0, 0), ok)
+    # The evaluator fills in what declared spin entails.
+    if "SpinCoherentBlock" not in REGISTRY:
+        REGISTRY.register_primitive("SpinCoherentBlock", InvariantRecord(4, 0, 0), ok)
+    flags = infer_flags(Primitive("SpinCoherentBlock"))
+    assert flags.parity is Parity.EVEN and flags.w2type is W2Type.II
+    assert [(p.field, p.rule) for p in flags.provenance][-2:] == [
+        ("parity", "spin-entails"),
+        ("w2type", "spin-entails"),
+    ]
 
 
 def test_unknown_primitive_and_bad_params():

@@ -18,7 +18,7 @@ from fourcalc.expr import (
     sum_parts,
 )
 from fourcalc.flags import UNKNOWN, YES
-from fourcalc.rewrite import mm_rule, normalize, verify_diffeo_claim
+from fourcalc.rewrite import normalize, verify_diffeo_claim
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
@@ -107,31 +107,6 @@ class TestNormalize:
                 shuffled = normalize(expr, rng=rng)
                 assert shuffled.expr == reference.expr
                 assert shuffled.canonical == reference.canonical
-
-
-class TestMmRule:
-    def test_degenerate_counts(self):
-        schema = mm_rule(0, 1)
-        assert (schema.cp2_count, schema.cp2b_count) == (0, 0)
-        assert schema.chi_offset == -3
-
-    def test_reference_instance(self):
-        schema = mm_rule(1, 2)
-        assert (schema.cp2_count, schema.cp2b_count) == (2, 3)
-
-    def test_euler_consistency_forced(self):
-        # Independent oracle: chi additivity applied to both sides of the
-        # schema V # CP2 -> X1 # X2 # 2g CP2 # (2g+n-1) CP2b.
-        for g in range(0, 4):
-            for n in range(1, 5):
-                schema = mm_rule(g, n)
-                parts = 2 + schema.cp2_count + schema.cp2b_count
-                rhs_chi = 3 * (schema.cp2_count + schema.cp2b_count) - 2 * (parts - 1)
-                # chi(V) + chi(CP2) - 2 = chi(X1) + chi(X2) + rhs_chi
-                assert schema.chi_offset == rhs_chi - 1
-                assert schema.chi_offset == 4 * g + n - 4
-                rhs_tau = schema.cp2_count - schema.cp2b_count
-                assert schema.tau_offset == rhs_tau - 1 == -n
 
 
 class TestDiffeoClaims:

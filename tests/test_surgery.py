@@ -11,6 +11,7 @@ from fourcalc.expr import (
     ConnectedSum,
     CyclicCover,
     DivisorClass,
+    FiberSum,
     Primitive,
     connected_sum_of,
 )
@@ -61,6 +62,18 @@ class TestConnectedSum:
         assert evaluate(expr).flags.pi1 == GroupLabel.cyclic(3)
         two = connected_sum_of((Primitive("Sd", (3,)), 2))
         assert evaluate(two).flags.pi1.kind == "presented"
+
+    def test_unknown_b1_part_makes_b1_unknown(self):
+        # A fiber sum of two non-simply-connected blocks has unknown pi1
+        # and b1; every sum containing it inherits the unknown b1.
+        torus_sum = FiberSum(Primitive("FgProd", (1, 1)), Primitive("FgProd", (1, 1)), 1)
+        inner = eval_invariants(torus_sum)
+        assert inner.b1 is None
+        rec = eval_invariants(connected_sum_of((torus_sum, 1), (CP2, 2)))
+        assert rec.b1 is None and rec.b2 is None
+        assert (rec.chi, rec.tau) == (inner.chi + 2, inner.tau + 2)
+        rec = eval_invariants(connected_sum_of((Primitive("S1xS3"), 1), (torus_sum, 1)))
+        assert rec.b1 is None and (rec.chi, rec.tau) == (inner.chi - 2, inner.tau)
 
     def test_fold_order_invariance(self):
         rng = random.Random(7)
