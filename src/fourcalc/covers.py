@@ -186,20 +186,12 @@ def quotient_invariants(inner: InvariantRecord, d: int) -> InvariantRecord:
     return InvariantRecord(chi=chi, tau=tau, b1=0)
 
 
-def ample_canonical(
-    d: int, p: int, a: int, b: int, m: int, n: int, mode: str = "cover"
-) -> bool:
-    """Ampleness of the canonical bundle of a bi-cyclic cover (mode
-    "cover", thresholds >= 3) or of its free cyclic quotient in quotient
-    parameters (mode "quotient", strict thresholds > 2)."""
+def ample_canonical(d: int, p: int, a: int, b: int, m: int, n: int) -> bool:
+    """Ampleness of the canonical bundle of a bi-cyclic cover."""
     for value in (d, p, a, b, m, n):
         if value < 1:
             raise NegativeDegree("parameters must be >= 1")
-    if mode == "cover":
-        return (d - 1) * a + (p - 1) * m >= 3 and (d - 1) * b + (p - 1) * n >= 3
-    if mode == "quotient":
-        return (d - 1) * a + d * (p - 1) * m > 2 and (d - 1) * b + d * (p - 1) * n > 2
-    raise InvalidExpr(f"unknown ampleness mode {mode!r}")
+    return (d - 1) * a + (p - 1) * m >= 3 and (d - 1) * b + (p - 1) * n >= 3
 
 
 def cyclic_cover_ample(base: str, d: int, line_bundle: DivisorClass) -> bool:
@@ -207,51 +199,3 @@ def cyclic_cover_ample(base: str, d: int, line_bundle: DivisorClass) -> bool:
     c1 = BASE_C1[base]
     return all((d - 1) * l - c > 0 for l, c in zip(line_bundle.degrees, c1))
 
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    citation: str = ""
-
-
-@dataclass(frozen=True)
-class CoverBlueprint:
-    """A cover/quotient construction plus its named precondition checks."""
-
-    kind: str
-    description: str
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def constructible(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def cyclic_blueprint(base: str, d: int, branch: DivisorClass) -> CoverBlueprint:
-    checks = [
-        CheckResult(
-            "smooth-branch", True, "generic section is smooth", "Bertini"
-        ),
-        CheckResult(
-            "d-divisibility",
-            branch.divisible_by(d),
-            f"branch {branch} vs degree {d}",
-            "cyclic covers need O(D) = L^d",
-        ),
-        CheckResult(
-            "flexibility",
-            all(k >= 1 for k in branch.degrees),
-            f"branch degrees {branch.degrees}",
-            "flexible branch loci give simply connected covers",
-        ),
-    ]
-    return CoverBlueprint(
-        kind="cyclic-cover",
-        description=f"{d}-cyclic cover of {base} branched along {branch}",
-        checks=tuple(checks),
-    )

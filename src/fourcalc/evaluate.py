@@ -41,7 +41,6 @@ from fourcalc.flags import (
     GroupLabel,
     Parity,
     StructureFlags,
-    TriState,
     W2Type,
 )
 from fourcalc.invariants import InvariantRecord, connected_sum_record, rohlin_compatible
@@ -136,7 +135,7 @@ def _eval_primitive(expr: Primitive) -> Evaluation:
     )
 
 
-def _cover_flags(spin_hint: TriState, ample: bool, acd_citation: str) -> StructureFlags:
+def _cover_flags(ample: bool, acd_citation: str) -> StructureFlags:
     flags = StructureFlags(pi1=GroupLabel.trivial()).cite(
         rule="flexible-branch", citation=_CITE_FLEXIBLE, pi1=GroupLabel.trivial()
     )
@@ -144,18 +143,12 @@ def _cover_flags(spin_hint: TriState, ample: bool, acd_citation: str) -> Structu
     flags = flags.cite(acd=YES, rule="acd-cover", citation=acd_citation)
     if ample:
         flags = flags.cite(minimal_general_type=YES, rule="ample-canonical", citation=_CITE_AMPLE)
-    if spin_hint is not UNKNOWN:
-        flags = flags.cite(spin=spin_hint, rule="declared", citation="")
     return flags
 
 
 def _eval_cyclic(expr: CyclicCover) -> Evaluation:
-    blueprint = covers.cyclic_blueprint(expr.base, expr.d, expr.branch)
-    if not blueprint.constructible:
-        raise InvalidExpr(
-            "cover not constructible: "
-            + "; ".join(c.name for c in blueprint.failures())
-        )
+    if any(k < 1 for k in expr.branch.degrees):
+        raise InvalidExpr("cover not constructible: flexibility")
     line = expr.branch.divided_by(expr.d)
     record = covers.cyclic_cover_invariants(
         covers.BASE_RECORDS[expr.base], covers.BASE_C1[expr.base], expr.d, line
@@ -164,16 +157,14 @@ def _eval_cyclic(expr: CyclicCover) -> Evaluation:
         base_info = REGISTRY.instantiate("CP2" if expr.base == "CP2" else "S2xS2")
         return _finish(record, base_info.flags, complex_surface=True)
     acd_cite = _CITE_ACD_CP2 if expr.base == "CP2" else _CITE_ACD_QUADRIC
-    flags = _cover_flags(UNKNOWN, covers.cyclic_cover_ample(expr.base, expr.d, line), acd_cite)
+    flags = _cover_flags(covers.cyclic_cover_ample(expr.base, expr.d, line), acd_cite)
     return _finish(record, flags, complex_surface=True)
 
 
 def _eval_bicyclic(expr: BicyclicCover) -> Evaluation:
     record = covers.bicyclic_invariants(expr.d, expr.p, expr.a, expr.b, expr.m, expr.n)
-    ample = covers.ample_canonical(
-        expr.d, expr.p, expr.a, expr.b, expr.m, expr.n, mode="cover"
-    )
-    flags = _cover_flags(UNKNOWN, ample, _CITE_ACD_QUADRIC)
+    ample = covers.ample_canonical(expr.d, expr.p, expr.a, expr.b, expr.m, expr.n)
+    flags = _cover_flags(ample, _CITE_ACD_QUADRIC)
     return _finish(record, flags, complex_surface=True)
 
 

@@ -243,7 +243,7 @@ def printed_even_invariants(d: int, i: int) -> tuple[int, int, int]:
     return c1, c2, (c1 - 2 * c2) // 3
 
 
-def ke_quotient_family(d: int, i: int, config: Config = Config()) -> FamilyBlueprint:
+def ke_quotient_family(d: int, i: int) -> FamilyBlueprint:
     """The i-th member of the Kaehler-Einstein-admitting quotient family
     for the group Z/d: a free quotient of a bi-cyclic cover of the
     quadric, minimal of general type with ample canonical class, w2-type
@@ -299,7 +299,7 @@ def _ke_family_odd(d: int, i: int) -> FamilyBlueprint:
     assert rec.chi_h == ke_corrected_chi_h(d, i)
     delta = ke_printed_chi_h(d, i) - rec.chi_h
     assert delta == d * (d - 1)
-    assert ample_canonical(d, 2, d, d, d * i, d * i, mode="cover")
+    assert ample_canonical(d, 2, d, d, d * i, d * i)
     adm = action_admissibility(d, d, d, "standard")
     assert adm.passed
 
@@ -371,9 +371,10 @@ def _ke_family_even(d: int, i: int) -> FamilyBlueprint:
     )
 
 
-def ke_family_start(d: int, config: Config = Config(), search_limit: int = 2001) -> int:
-    """Least odd index from which every member has c1^2 <= 5 chi_h."""
-    top = search_limit if search_limit % 2 == 1 else search_limit - 1
+def ke_family_start(d: int) -> int:
+    """Least odd index from which every member has c1^2 <= 5 chi_h
+    (scanning down from the odd index 2001)."""
+    top = 2001
     start = None
     for i in range(top, 0, -2):
         if d % 2 == 1:
@@ -403,7 +404,7 @@ def exotic_partner_family(
             "even-d family records come from printed closed forms and are "
             "formal; homeomorphism keys are only verified for odd d"
         )
-    z = ke_quotient_family(d, i, config)
+    z = ke_quotient_family(d, i)
     zrec = z.quotient_record
     chi_h = zrec.chi_h
     assert chi_h.denominator == 1
@@ -534,7 +535,6 @@ def group_family(
     k_index: int,
     p: int,
     j: int,
-    config: Config = Config(),
     b1: int = 0,
 ) -> FamilyBlueprint:
     """Non-spin manifolds with prescribed fundamental group and no

@@ -353,7 +353,7 @@ def _partial_key(expr: ManifoldExpr) -> HomeoKey:
     return HomeoKey(flags.pi1, b2p, b2m, flags.parity, flags.w2type)
 
 
-def homeo_key(expr: ManifoldExpr, require_indefinite: bool = True) -> HomeoKey:
+def homeo_key(expr: ManifoldExpr) -> HomeoKey:
     key = _partial_key(expr)
     if key.pi1.kind not in _CLASSIFIED_GROUPS:
         raise UnsupportedGroup(f"pi1 = {key.pi1} is not trivial or finite cyclic")
@@ -363,10 +363,6 @@ def homeo_key(expr: ManifoldExpr, require_indefinite: bool = True) -> HomeoKey:
         raise UnknownFlag(f"w2-type unknown for {expr}")
     if key.b2plus is None:
         raise UnknownFlag(f"b2+/b2- not integral for {expr}")
-    if require_indefinite and (key.b2plus < 1 or key.b2minus < 1):
-        raise UnknownFlag(
-            f"intersection form not visibly indefinite (b2+={key.b2plus}, b2-={key.b2minus})"
-        )
     return key
 
 
@@ -402,8 +398,7 @@ def homeo_equal(a: ManifoldExpr, b: ManifoldExpr) -> Certificate:
     """
     ka, kb = _partial_key(a), _partial_key(b)
     if not _known_mismatch(ka, kb):
-        ka = homeo_key(a, require_indefinite=False)
-        kb = homeo_key(b, require_indefinite=False)
+        ka, kb = homeo_key(a), homeo_key(b)
         if ka == kb and a != b and (ka.b2plus < 1 or ka.b2minus < 1):
             raise UnknownFlag(
                 "equal keys on a definite form: the classification does not apply"

@@ -162,7 +162,7 @@ def reproduce_prop312(config: Config = Config()) -> Report:
     odd_rows = []
     for d in (3, 5, 7):
         for i in (1, 3, 5):
-            bp = ke_quotient_family(d, i, config)
+            bp = ke_quotient_family(d, i)
             rec = bp.quotient_record
             printed = ke_printed_chi_h(d, i)
             row = {
@@ -190,7 +190,7 @@ def reproduce_prop312(config: Config = Config()) -> Report:
     even_rows = []
     for d in (2, 4, 6):
         for i in (1, 3):
-            bp = ke_quotient_family(d, i, config)
+            bp = ke_quotient_family(d, i)
             c1sq, c2, tau = printed_even_invariants(d, i)
             assert (bp.quotient_record.c1sq, bp.quotient_record.c2) == (c1sq, c2)
             row = {
@@ -209,7 +209,7 @@ def reproduce_prop312(config: Config = Config()) -> Report:
             )
     report.values["even"] = even_rows
     report.values["family_start"] = {
-        str(d): ke_family_start(d, config) for d in (2, 3, 5, 7)
+        str(d): ke_family_start(d) for d in (2, 3, 5, 7)
     }
     return report
 
@@ -217,10 +217,10 @@ def reproduce_prop312(config: Config = Config()) -> Report:
 def reproduce_thm11(config: Config = Config()) -> Report:
     report = Report("thm1.1")
     d = 3
-    start = ke_family_start(d, config)
+    start = ke_family_start(d)
     report.values["d"] = d
     report.values["family_start"] = start
-    z = ke_quotient_family(d, start, config)
+    z = ke_quotient_family(d, start)
     zrec = z.quotient_record
     report.say(
         f"Kaehler-Einstein quotient (d={d}, i={start}): chi={zrec.chi}, "
@@ -328,7 +328,7 @@ def reproduce_thm16(config: Config = Config()) -> Report:
         p = high - 1
         entries = []
         for j in (1, 2):
-            bp = group_family(24, -16, "G", k, p, j, config)
+            bp = group_family(24, -16, "G", k, p, j)
             report.certificates.extend(bp.certificates)
             entries.append(
                 {
@@ -343,7 +343,7 @@ def reproduce_thm16(config: Config = Config()) -> Report:
         boundary_rejected = False
         if low.denominator == 1:
             try:
-                group_family(24, -16, "G", k, int(low), 1, config)
+                group_family(24, -16, "G", k, int(low), 1)
             except BadP:
                 boundary_rejected = True
         rows.append(

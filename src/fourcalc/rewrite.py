@@ -1,29 +1,38 @@
 """Rewrite engine reducing expressions to canonical connected sums.
 
-Two disjoint rule sets, never mixed in one run:
+Each rule is one row of ``RULES``: its mode, the summand it consumes,
+the stock it needs beside that summand, what one firing gives, its
+citation and its trace detail.  Which rules apply, how many copies fire
+at once and which mode a sum takes are read off the table, so a new rule
+is a new row.
 
-* non-spin mode targets the form a CP2 # b CP2b, using
-  - quadric-blowup: (S2xS2) # CP2b -> CP2 # 2 CP2b,
-  - decompose: M # CP2 -> (b2+ + 1) CP2 # b2- CP2b for any summand M
-    flagged almost completely decomposable (the flag is derived
-    structurally for cyclic covers of CP2 branched along d-divisible
-    curves and for iterated cyclic covers of the quadric, or declared on
-    geography blocks); the rule consumes exactly one CP2;
-* spin mode targets p K3 # q (S2xS2), using the stabilized
-  decompositions of elliptic surfaces, their odd log transforms and the
-  (4,4,2) hypersurface into K3s and quadrics.
+* Non-spin mode targets a CP2 # b CP2b: quadric-blowup, and decompose
+  for any summand flagged almost completely decomposable (the flag is
+  derived for cyclic covers of CP2 and of the quadric, or declared on
+  geography blocks), which consumes one CP2.
+* Spin mode targets p K3 # q (S2xS2): the stabilized decompositions of
+  elliptic surfaces, their odd log transforms and the (4,4,2)
+  hypersurface into K3s and quadrics.
 
-Every application preserves chi, tau, b1 and the spin flag of the total
-sum, asserted after each batch of identical firings (in the fixed rule
-order, all copies of one summand rewritten by one rule; a randomized
-order fires one copy per batch).  That detects the same faults as a
-check after every firing: each copy changes (chi, tau) by the same
-amount, so k copies change it exactly when one does, and a summand a
-firing adds stays to the end of its batch, so a spin flag that one
-firing breaks is still broken there.  The canonical multiplicities are forced
-by (chi, tau) conservation, which is why normalization is confluent: any
-maximal rule order reaching an all-canonical multiset gives the same
-answer (the property suite randomizes rule order to check this).
+A summand with spin rules only puts a sum in spin mode.  CP2, CP2b, or a
+summand other than K3 and S2xS2 with non-spin rules only, puts it in
+non-spin mode.  A sum with both is rejected; one with neither is in spin
+mode.  E(2n) has rules in both modes.
+
+Rules are tried stock by stock, in the order the table names the stocks,
+and within a stock summand by summand, in the order the summands entered
+the sum.  Every application preserves chi, tau, b1 and the spin flag of
+the total sum, asserted after each batch of identical firings (in the
+fixed order, every copy of the consumed summand, unless a firing adds
+stock that a rule tried earlier lacks; a randomized order fires one copy
+per batch).  That detects the same faults as a check after every
+firing: each copy changes (chi, tau) by the same amount, so k copies
+change it exactly when one does, and a summand a firing adds stays to
+the end of its batch, so a spin flag that one firing breaks is still
+broken there.  The canonical multiplicities are forced by (chi, tau)
+conservation, which is why normalization is confluent: any maximal rule
+order reaching an all-canonical multiset gives the same answer (the
+property suite randomizes rule order to check this).
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional
+from typing import Callable, Optional
 
 from fourcalc.certificates import Certificate, Step
 from fourcalc.errors import MismatchedInvariants, MixedRewriteModes
@@ -50,12 +59,86 @@ CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
 S2XS2 = Primitive("S2xS2")
 K3 = Primitive("K3")
+CANONICAL = {"nonspin": (CP2, CP2B), "spin": (K3, S2XS2)}
+S4 = Primitive("S4")
+IDENTITY = frozenset((S4, Primitive("Sd", (1,))))
 
 CITE_QUADRIC_BLOWUP = "the quadric blown up once is CP2 # 2 CP2b"
 CITE_ACD = "almost completely decomposable: M # CP2 decomposes completely"
 CITE_SPIN_DECOMP = "elliptic pieces decompose into K3s and quadrics after one stabilization"
 CITE_WALL = "Wall stabilization: homeomorphic spin sums agree after adding quadrics"
 CITE_IDENTITY = "the 4-sphere is the identity of connected sum"
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A firing replaces one summand that ``consumes`` accepts by what
+    ``gives`` returns for it, beside ``stock`` copies of ``needs`` (None:
+    ``wall_n0`` copies) that it leaves in place.  ``detail`` writes the
+    trace line from the summand, the stock and what the firing gives.  An
+    exclusive rule is the only rule its summands take.  The import-time
+    check fires each rule on its ``sample``."""
+
+    name: str
+    mode: str
+    consumes: Callable[[ManifoldExpr], bool]
+    needs: Primitive
+    stock: Optional[int]
+    gives: Callable[[ManifoldExpr], dict]
+    citation: str
+    detail: Callable[[ManifoldExpr, int, dict], str]
+    sample: ManifoldExpr
+    exclusive: bool = False
+
+
+def _planes(part: ManifoldExpr) -> dict:
+    rec = evaluate(part).record
+    return {CP2: int(rec.b2plus), CP2B: int(rec.b2minus)}
+
+
+def _acd_origin(part: ManifoldExpr) -> str:
+    acd = [p.citation for p in evaluate(part).flags.provenance if p.field == "acd"]
+    return acd[-1] if acd else CITE_ACD
+
+
+# Columns: name, mode, consumes, needs, stock, gives, citation, detail, sample.
+RULES = (
+    Rule("quadric-blowup", "nonspin", lambda part: part == S2XS2, CP2B, 1,
+         lambda part: {CP2: 1, CP2B: 1}, CITE_QUADRIC_BLOWUP,
+         lambda part, stock, gives: "(S2xS2) # CP2b -> CP2 # 2*CP2b", S2XS2),
+    Rule("decompose", "nonspin",
+         lambda part: part not in CANONICAL["nonspin"] and evaluate(part).flags.acd is YES,
+         CP2, 1, _planes, CITE_ACD,
+         lambda part, stock, gives: f"{part} # CP2 -> {gives[CP2] + stock}*CP2 # "
+         f"{gives[CP2B]}*CP2b [{_acd_origin(part)}]",
+         Primitive("E", (3,))),
+    Rule("wall-stabilize", "spin",
+         lambda part: isinstance(part, Primitive) and part.name == "X442", S2XS2, None,
+         lambda part: {K3: 4, S2XS2: 7}, CITE_WALL,
+         lambda part, stock, gives: f"{part} # {stock}*(S2xS2) -> "
+         f"{gives[K3]}*K3 # {gives[S2XS2] + stock}*(S2xS2)",
+         Primitive("X442")),
+    # E(2)_p is spin only for odd p.  The ACD flag a log transform
+    # inherits gives these summands no non-spin route.
+    Rule("log-elliptic-decompose", "spin",
+         lambda part: (isinstance(part, Primitive) and part.name == "Y")
+         or (isinstance(part, LogTransform) and part.inner == Primitive("E", (2,))
+             and part.multiplicity % 2 == 1),
+         S2XS2, 1, lambda part: {K3: 1}, CITE_SPIN_DECOMP,
+         lambda part, stock, gives: f"{part} # (S2xS2) -> K3 # (S2xS2)",
+         Primitive("Y", (1,)), exclusive=True),
+    Rule("elliptic-decompose", "spin",
+         lambda part: isinstance(part, Primitive) and part.name == "E" and part.params[0] % 2 == 0,
+         S2XS2, 1, lambda part: {K3: part.params[0] // 2, S2XS2: part.params[0] // 2 - 1},
+         CITE_SPIN_DECOMP,
+         lambda part, stock, gives: f"{part} # (S2xS2) -> "
+         f"{gives[K3]}*K3 # {gives[S2XS2] + stock}*(S2xS2)",
+         Primitive("E", (4,))),
+)
+STOCKS = {
+    mode: tuple(dict.fromkeys(rule.needs for rule in RULES if rule.mode == mode))
+    for mode in CANONICAL
+}
 
 
 @dataclass(frozen=True)
@@ -77,176 +160,57 @@ class NormalizeResult:
         return {str(p): m for p, m in sum_parts(self.expr)}
 
 
-def _is_identity_part(part: ManifoldExpr) -> bool:
-    if isinstance(part, Primitive):
-        if part.name == "S4":
-            return True
-        if part.name == "Sd" and part.params == (1,):
-            return True
-    return False
+def _totals(counts: dict) -> tuple[InvariantRecord, TriState]:
+    """The (chi, tau, b1) record and the spin flag of the whole sum."""
+    evs = [(evaluate(p), m) for p, m in counts.items()]
+    spins = {ev.flags.spin for ev, _ in evs}
+    spin = NO if NO in spins else YES if spins <= {YES} else UNKNOWN
+    return connected_sum_record((ev.record, m) for ev, m in evs), spin
 
 
-def _is_spin_only(part: ManifoldExpr) -> bool:
-    if isinstance(part, Primitive):
-        if part.name in ("X442", "Y"):
-            return True
-        if part.name == "E" and part.params[0] % 2 == 0:
-            return False  # has a non-spin route via ACD as well
-    if isinstance(part, LogTransform):
-        return True
-    return False
-
-
-def _elliptic_halves(part: ManifoldExpr) -> Optional[int]:
-    """n for parts smoothly equivalent to E(2n); None otherwise."""
-    if isinstance(part, Primitive) and part.name == "E" and part.params[0] % 2 == 0:
-        return part.params[0] // 2
-    if part == K3:
-        return 1
-    return None
-
-
-def _is_odd_log_e2(part: ManifoldExpr) -> bool:
-    if isinstance(part, Primitive) and part.name == "Y":
-        return True
-    if isinstance(part, LogTransform):
-        inner = part.inner
-        return isinstance(inner, Primitive) and inner.name == "E" and inner.params == (2,)
-    return False
-
-
-def _total_record(counts: dict) -> InvariantRecord:
-    return connected_sum_record((evaluate(p).record, m) for p, m in counts.items())
-
-
-def _total_spin(counts: dict) -> TriState:
-    spins = [evaluate(p).flags.spin for p in counts]
-    if any(s is NO for s in spins):
-        return NO
-    if all(s is YES for s in spins):
-        return YES
-    return UNKNOWN
-
-
-def _spin_rule(part: ManifoldExpr, wall_n0: int) -> Optional[tuple[str, int]]:
-    """The spin-mode rule for ``part`` and the quadric stock it needs."""
-    if part == Primitive("X442"):
-        return "wall-stabilize", wall_n0
-    if _is_odd_log_e2(part):
-        return "log-elliptic-decompose", 1
-    if part != K3 and _elliptic_halves(part) is not None:
-        return "elliptic-decompose", 1
-    return None
-
-
-def _applicable_rules(counts: dict, mode: str, wall_n0: int) -> list[tuple]:
-    rules = []
-    if mode == "nonspin":
-        if counts.get(S2XS2, 0) >= 1 and counts.get(CP2B, 0) >= 1:
-            rules.append(("quadric-blowup", None))
-        if counts.get(CP2, 0) >= 1:
-            for part in counts:
-                if part in (CP2, CP2B):
-                    continue
-                ev = evaluate(part)
-                if ev.flags.acd is YES and ev.flags.pi1.is_trivial:
-                    rules.append(("decompose", part))
-    else:
-        stock = counts.get(S2XS2, 0)
-        for part in counts:
-            spin_rule = _spin_rule(part, wall_n0)
-            if spin_rule is not None and stock >= spin_rule[1]:
-                rules.append((spin_rule[0], part))
+def _rules_of(part: ManifoldExpr) -> list[Rule]:
+    rules = _PIECE_RULES.get(part)
+    if rules is None:
+        rules = [rule for rule in RULES if rule.consumes(part)]
+        rules = [rule for rule in rules if rule.exclusive] or rules
     return rules
 
 
-def _firing(rule: str, part, wall_n0: int) -> tuple[dict, TraceStep]:
-    """One firing of ``rule``: its net change to the multiset and its step."""
-    if rule == "quadric-blowup":
-        return {S2XS2: -1, CP2: 1, CP2B: 1}, TraceStep(
-            rule, CITE_QUADRIC_BLOWUP, "(S2xS2) # CP2b -> CP2 # 2*CP2b"
-        )
-    if rule == "decompose":
-        ev = evaluate(part)
-        b2p, b2m = int(ev.record.b2plus), int(ev.record.b2minus)
-        acd_prov = [p for p in ev.flags.provenance if p.field == "acd"]
-        origin = acd_prov[-1].citation if acd_prov else CITE_ACD
-        # Consumes one CP2 and gives back b2+ + 1.
-        return {part: -1, CP2: b2p, CP2B: b2m}, TraceStep(
-            rule, CITE_ACD, f"{part} # CP2 -> {b2p + 1}*CP2 # {b2m}*CP2b [{origin}]"
-        )
-    if rule == "wall-stabilize":
-        return {part: -1, K3: 4, S2XS2: 7}, TraceStep(
-            rule,
-            CITE_WALL,
-            f"{part} # {wall_n0}*(S2xS2) -> 4*K3 # {7 + wall_n0}*(S2xS2)",
-        )
-    if rule == "log-elliptic-decompose":
-        return {part: -1, K3: 1}, TraceStep(
-            rule, CITE_SPIN_DECOMP, f"{part} # (S2xS2) -> K3 # (S2xS2)"
-        )
-    if rule == "elliptic-decompose":
-        n = _elliptic_halves(part)
-        return {part: -1, K3: n, S2XS2: n - 1}, TraceStep(
-            rule,
-            CITE_SPIN_DECOMP,
-            f"{part} # (S2xS2) -> {n}*K3 # {n}*(S2xS2)",
-        )
-    raise AssertionError(f"unknown rule {rule}")
+def _firing(rule: Rule, part: ManifoldExpr, wall_n0: int) -> tuple[dict, TraceStep]:
+    """One firing of ``rule`` on ``part``: its net change to the multiset and its step."""
+    gives = rule.gives(part)
+    detail = rule.detail(part, wall_n0 if rule.stock is None else rule.stock, gives)
+    return {part: -1, **gives}, TraceStep(rule.name, rule.citation, detail)
 
 
-def _batch_size(counts: dict, rule: str, part, delta: dict, wall_n0: int) -> int:
-    """How many copies of one firing to apply in a single step of the
-    fixed rule order.
-
-    Every copy of ``part`` (every quadric, for quadric-blowup) can fire in
-    turn: no firing takes the CP2, CP2b or quadric stock the next copy
-    needs.  The batch stops after one firing when that firing could enable
-    a rule listed before this one, so the steps come in the order the
-    one-at-a-time loop takes.
-    """
-    copies = counts[S2XS2] if rule == "quadric-blowup" else counts[part]
-    if rule == "decompose":
-        # The first CP2b next to a quadric enables quadric-blowup.
-        if delta[CP2B] and S2XS2 in counts and CP2B not in counts:
-            return 1
-    elif rule != "quadric-blowup" and delta.get(S2XS2):
-        # Added quadrics may lift an earlier summand over its stock threshold.
-        for other in counts:
-            if other == part:
-                break
-            if _spin_rule(other, wall_n0) is not None:
-                return 1
-    return copies
+def _choose_mode(rules_of: dict) -> str:
+    spin_only = nonspin = False
+    for part, rules in rules_of.items():
+        modes = {rule.mode for rule in rules}
+        if modes == {"spin"}:
+            spin_only = True
+        elif part in CANONICAL["nonspin"] or (modes == {"nonspin"} and part not in CANONICAL["spin"]):
+            nonspin = True
+    if spin_only and nonspin:
+        raise MixedRewriteModes("expression mixes spin-mode and non-spin-mode summands")
+    return "nonspin" if nonspin else "spin"
 
 
-def _is_spin_eligible(part: ManifoldExpr) -> bool:
-    if part in (K3, S2XS2):
-        return True
-    if isinstance(part, Primitive):
-        if part.name in ("X442", "Y"):
-            return True
-        if part.name == "E" and part.params[0] % 2 == 0:
-            return True
-    return _is_odd_log_e2(part)
-
-
-def _choose_mode(counts: dict) -> str:
-    has_planes = any(p in (CP2, CP2B) for p in counts)
-    has_nonspin_acd = any(
-        p not in (CP2, CP2B)
-        and not _is_spin_eligible(p)
-        and evaluate(p).flags.acd is YES
-        for p in counts
-    )
-    has_spin_only = any(_is_spin_only(p) for p in counts)
-    if has_spin_only and (has_planes or has_nonspin_acd):
-        raise MixedRewriteModes(
-            "expression mixes spin-mode and non-spin-mode summands"
-        )
-    if has_planes or has_nonspin_acd:
-        return "nonspin"
-    return "spin"
+def _ready(counts: dict, rules_of: dict, mode: str, wall_n0: int) -> tuple[list, set]:
+    """The (rule, summand) pairs whose stock is there, in the order rules
+    are tried, and the stocks lacked by the rules tried before the first.
+    ``rules_of`` holds the rules of each summand of ``counts``, in order."""
+    ready, lacked = [], set()
+    for need in STOCKS[mode]:
+        have = counts.get(need, 0)
+        for part, rules in rules_of.items():
+            for rule in rules:
+                if rule.needs is need and rule.mode == mode:
+                    if have >= (wall_n0 if rule.stock is None else rule.stock):
+                        ready.append((rule, part))
+                    elif not ready:
+                        lacked.add(need)
+    return ready, lacked
 
 
 def normalize(
@@ -264,49 +228,58 @@ def normalize(
     counts: dict = {}
     trace: list[TraceStep] = []
     for part, mult in sum_parts(expr):
-        if _is_identity_part(part):
+        if part in IDENTITY:
             trace.append(TraceStep("drop-identity", CITE_IDENTITY, f"dropped {mult}*{part}"))
             continue
         counts[part] = counts.get(part, 0) + mult
     if not counts:
-        return NormalizeResult(Primitive("S4"), tuple(trace), True, "spin")
+        return NormalizeResult(S4, tuple(trace), True, "spin")
     if any(not evaluate(p).flags.pi1.is_trivial for p in counts):
         return NormalizeResult(expr, tuple(trace), False, "blocked")
 
+    rules_of = {part: _rules_of(part) for part in counts}
     if mode is None:
-        mode = _choose_mode(counts)
-    check = _total_record(counts)
-    spin0 = _total_spin(counts)
+        mode = _choose_mode(rules_of)
+    check, spin0 = _totals(counts)
 
     while True:
-        rules = _applicable_rules(counts, mode, wall_n0)
-        if not rules:
+        ready, lacked = _ready(counts, rules_of, mode, wall_n0)
+        if not ready:
             break
-        rule, part = rules[0] if rng is None else rng.choice(rules)
+        rule, part = ready[0] if rng is None else rng.choice(ready)
         delta, step = _firing(rule, part, wall_n0)
-        # A random order fires one copy per choice, so that every maximal
-        # order, copies of one summand interleaved with other rules, can
-        # come up.
-        copies = 1 if rng is not None else _batch_size(counts, rule, part, delta, wall_n0)
+        # The fixed order fires every copy of the summand, unless a firing
+        # adds stock that a rule tried earlier lacks.  A random order fires
+        # one copy per choice, so that every maximal order, copies of one
+        # summand interleaved with other rules, can come up.
+        if rng is not None or any(delta.get(need, 0) > 0 for need in lacked):
+            copies = 1
+        else:
+            copies = counts[part]
         for summand, change in delta.items():
             if change:
-                mult = counts.get(summand, 0) + copies * change
+                mult = counts.get(summand)
+                if mult is None:
+                    mult = 0
+                    rules_of[summand] = _rules_of(summand)
+                mult += copies * change
                 if mult:
                     counts[summand] = mult
                 else:
-                    del counts[summand]
+                    del counts[summand], rules_of[summand]
         trace.extend(repeat(step, copies))
-        assert _total_record(counts) == check, "rewrite changed chi or tau"
-        assert _total_spin(counts) is spin0 or spin0 is UNKNOWN, "rewrite changed spin"
+        record, spin = _totals(counts)
+        assert record == check, "rewrite changed chi or tau"
+        assert spin is spin0 or spin0 is UNKNOWN, "rewrite changed spin"
 
-    canonical_parts = (CP2, CP2B) if mode == "nonspin" else (K3, S2XS2)
+    canonical_parts = CANONICAL[mode]
     canonical = all(p in canonical_parts for p in counts)
     ordered = [(p, counts[p]) for p in canonical_parts if p in counts]
     ordered += sorted(
         ((p, m) for p, m in counts.items() if p not in canonical_parts),
         key=lambda item: str(item[0]),
     )
-    result = connected_sum_of(*ordered) if ordered else Primitive("S4")
+    result = connected_sum_of(*ordered) if ordered else S4
     return NormalizeResult(result, tuple(trace), canonical, mode)
 
 
@@ -354,12 +327,24 @@ def verify_diffeo_claim(
     )
 
 
+# Most sums hold canonical pieces: their rules are looked up, not found.
+_PIECE_RULES: dict = {}
+_PIECE_RULES.update((piece, _rules_of(piece)) for pieces in CANONICAL.values() for piece in pieces)
+
+
 def _registration_check():
-    """Fixed rules must preserve (chi, tau, b1), verified symbolically here."""
-    lhs = connected_sum_of((S2XS2, 1), (CP2B, 1))
-    rhs = connected_sum_of((CP2, 1), (CP2B, 2))
-    lr, rr = evaluate(lhs).record, evaluate(rhs).record
-    assert (lr.chi, lr.tau, lr.b1) == (rr.chi, rr.tau, rr.b1)
+    """Every rule preserves (chi, tau, b1) and the spin flag, verified
+    here by firing it once on its sample summand.  No firing may lower
+    its own stock: a batch fires every copy on the stock the first had."""
+    for rule in RULES:
+        assert rule.consumes(rule.sample), rule.name
+        before = {rule.sample: 1, rule.needs: 1 if rule.stock is None else rule.stock}
+        after = dict(before)
+        delta = _firing(rule, rule.sample, 1)[0]
+        for summand, change in delta.items():
+            after[summand] = after.get(summand, 0) + change
+        assert _totals(after) == _totals(before), rule.name
+        assert delta.get(rule.needs, 0) >= 0, rule.name
 
 
 _registration_check()

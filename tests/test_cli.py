@@ -49,6 +49,12 @@ class TestEval:
             assert code == 2 and out == ""
             assert err == f"syntax error: unexpected character '@' ({position})\n"
 
+    def test_cover_with_zero_branch_exit_2(self, capsys):
+        for d in (1, 2):
+            code, out, err = run_cli(capsys, "eval", f"cover(CP2, d={d}, branch=0)")
+            assert (code, out) == (2, "")
+            assert err == "error: cover not constructible: flexibility\n"
+
     def test_logt_multiplicity_below_one_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "eval", "logt(E(2),-3)")
         assert code == 2 and out == ""
@@ -99,6 +105,14 @@ class TestNormalizeAndEnumerate:
     def test_normalize(self, capsys):
         code, out, _ = run_cli(capsys, "normalize", "S2xS2 # CP2b")
         assert code == 0 and "CP2 # 2*CP2b" in out
+
+    def test_normalize_log_transforms(self, capsys):
+        code, out, _ = run_cli(capsys, "normalize", "logt(E(2),2) # S2xS2")
+        assert (code, out) == (0, "normal form: S2xS2 # (logt(E(2),2))  (partial)\n")
+        code, out, _ = run_cli(capsys, "normalize", "logt(E(3),3)")
+        assert (code, out) == (0, "normal form: logt(E(3),3)  (partial)\n")
+        code, _, err = run_cli(capsys, "normalize", "logt(E(2),3) # CP2")
+        assert code == 2 and "mixes spin-mode and non-spin-mode" in err
 
     def test_enumerate_csv_header(self, capsys):
         code, out, _ = run_cli(

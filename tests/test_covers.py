@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fourcalc import covers
-from fourcalc.errors import AdmissibilityFail, NonIntegralQuotient
+from fourcalc.errors import AdmissibilityFail, NonDivisibleBranch, NonIntegralQuotient
 from fourcalc.evaluate import eval_invariants, evaluate
 from fourcalc.expr import BicyclicCover, CyclicCover, DivisorClass, Quotient
 from fourcalc.invariants import InvariantRecord
@@ -195,25 +195,20 @@ class TestQuotient:
 
 class TestAmpleness:
     def test_boundary_false(self):
-        assert not covers.ample_canonical(2, 2, 1, 1, 1, 1, mode="cover")
+        assert not covers.ample_canonical(2, 2, 1, 1, 1, 1)
 
     def test_family_parameters(self):
-        assert covers.ample_canonical(3, 2, 3, 3, 3, 3, mode="cover")
-
-    def test_quotient_threshold_mode(self):
-        # Strict thresholds (d-1)a + d(p-1)m > 2 in quotient parameters.
-        assert covers.ample_canonical(2, 2, 1, 1, 1, 1, mode="quotient")
-        assert not covers.ample_canonical(2, 2, 1, 1, 1, 1, mode="cover")
+        assert covers.ample_canonical(3, 2, 3, 3, 3, 3)
 
     def test_single_cover_ampleness(self):
         assert covers.cyclic_cover_ample("CP2", 2, DivisorClass("CP2", (4,)))
         assert not covers.cyclic_cover_ample("CP2", 2, DivisorClass("CP2", (3,)))
 
 
-class TestBlueprints:
-    def test_cyclic_blueprint_checks(self):
-        bp = covers.cyclic_blueprint("CP2", 2, DivisorClass("CP2", (8,)))
-        assert bp.constructible
-        bad = covers.cyclic_blueprint("CP2", 2, DivisorClass("CP2", (7,)))
-        assert not bad.constructible
-        assert [c.name for c in bad.failures()] == ["d-divisibility"]
+class TestConstructibility:
+    def test_branch_must_be_divisible(self):
+        CyclicCover("CP2", 2, DivisorClass("CP2", (8,)))
+        with pytest.raises(NonDivisibleBranch):
+            CyclicCover("CP2", 2, DivisorClass("CP2", (7,)))
+        with pytest.raises(NonDivisibleBranch):
+            CyclicCover("CP1xCP1", 3, DivisorClass("CP1xCP1", (3, 4)))

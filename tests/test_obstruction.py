@@ -319,7 +319,7 @@ class TestHomeo:
         left = connected_sum_of((CP2, 1), (SPHERE2, 1))
         right = connected_sum_of((Primitive("S2xS2"), 1), (SPHERE2, 1))
         with pytest.raises(UnknownFlag, match="w2-type unknown"):
-            homeo_key(right, require_indefinite=False)
+            homeo_key(right)
         for a, b in ((left, right), (right, left)):
             cert = certify(homeo_equal(a, b))
             assert cert.verdict == "not_homeomorphic"

@@ -1,6 +1,8 @@
 """Rewrite engine: canonical forms, traces, confluence, diffeo claims."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,15 @@ from fourcalc.expr import (
     connected_sum_of,
     sum_parts,
 )
-from fourcalc.flags import UNKNOWN, YES
+from fourcalc.flags import NO, UNKNOWN, YES
+from fourcalc.invariants import connected_sum_record
 from fourcalc.rewrite import normalize, verify_diffeo_claim
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
 S2XS2 = Primitive("S2xS2")
 K3 = Primitive("K3")
+E2, E3 = Primitive("E", (2,)), Primitive("E", (3,))
 OCTIC = CyclicCover("CP2", 2, DivisorClass("CP2", (8,)))
 
 
@@ -71,8 +75,11 @@ class TestNormalize:
         assert not result.canonical
 
     def test_mixed_modes_rejected(self):
-        with pytest.raises(MixedRewriteModes):
-            normalize(connected_sum_of((Primitive("X442"), 1), (CP2, 1)))
+        # An odd log transform of E(2) keeps to spin mode despite the ACD
+        # flag it inherits.
+        for spin_only in (Primitive("X442"), LogTransform(E2, 3)):
+            with pytest.raises(MixedRewriteModes):
+                normalize(connected_sum_of((spin_only, 1), (CP2, 1)))
 
     def test_identity_summands_dropped(self):
         result = normalize(connected_sum_of((CP2, 2), (Primitive("S4"), 3)))
@@ -108,6 +115,31 @@ class TestNormalize:
                 assert shuffled.expr == reference.expr
                 assert shuffled.canonical == reference.canonical
 
+    def test_even_log_transform_of_e2_is_not_decomposed(self):
+        # E(2)_p is spin only for odd p: logt(E(2),2) # S2xS2 must not
+        # reach the spin form K3 # S2xS2.
+        result = normalize(connected_sum_of((LogTransform(E2, 2), 1), (S2XS2, 1)))
+        assert not result.canonical and result.trace == ()
+        assert result.expr == connected_sum_of((S2XS2, 1), (LogTransform(E2, 2), 1))
+
+    def test_log_transform_without_spin_rule_is_partial(self):
+        result = normalize(LogTransform(E3, 3))
+        assert not result.canonical and result.mode == "nonspin"
+        assert result.expr == LogTransform(E3, 3)
+
+    def test_log_transform_decomposes_through_inherited_acd(self):
+        result = normalize(connected_sum_of((LogTransform(E3, 3), 1), (CP2, 1)))
+        assert result.canonical and result.mode == "nonspin"
+        assert result.expr == connected_sum_of((CP2, 6), (CP2B, 29))
+        assert [t.rule for t in result.trace] == ["decompose"]
+
+
+def test_readme_lists_the_rule_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Rewrite rules", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE)
+    assert names == [rule.name for rule in rewrite.RULES]
+
 
 class TestDiffeoClaims:
     def test_triple_cover_example(self):
@@ -124,6 +156,13 @@ class TestDiffeoClaims:
         with pytest.raises(MismatchedInvariants):
             verify_diffeo_claim(CP2, CP2B)
 
+    def test_even_log_transform_has_no_verdict(self):
+        cert = verify_diffeo_claim(
+            connected_sum_of((LogTransform(E2, 2), 1), (S2XS2, 1)),
+            connected_sum_of((K3, 1), (S2XS2, 1)),
+        )
+        assert cert.verdict == "no_verdict"
+
     def test_same_invariants_different_form(self):
         # The exotic block has the plane-sum invariants but normalization
         # cannot decompose it without a CP2: no verdict, not a crash.
@@ -135,6 +174,23 @@ class TestDiffeoClaims:
 
 
 # --- the one-firing-per-step loop normalize replaced, kept as the oracle ---
+
+def _reference_odd_log_e2(part):
+    # Y(j), or E(2) log-transformed with odd multiplicity: E(2)_p is spin
+    # only for odd p.
+    if isinstance(part, Primitive) and part.name == "Y":
+        return True
+    if isinstance(part, LogTransform):
+        return part.inner == Primitive("E", (2,)) and part.multiplicity % 2 == 1
+    return False
+
+
+def _reference_elliptic_halves(part):
+    """n for E(2n); None otherwise."""
+    if isinstance(part, Primitive) and part.name == "E" and part.params[0] % 2 == 0:
+        return part.params[0] // 2
+    return None
+
 
 def _reference_rules(counts, mode, wall_n0):
     rules = []
@@ -153,9 +209,9 @@ def _reference_rules(counts, mode, wall_n0):
         for part in counts:
             if part == Primitive("X442") and stock >= wall_n0:
                 rules.append(("wall-stabilize", part))
-            elif rewrite._is_odd_log_e2(part) and stock >= 1:
+            elif _reference_odd_log_e2(part) and stock >= 1:
                 rules.append(("log-elliptic-decompose", part))
-            elif part != K3 and rewrite._elliptic_halves(part) is not None and stock >= 1:
+            elif _reference_elliptic_halves(part) is not None and stock >= 1:
                 rules.append(("elliptic-decompose", part))
     return rules
 
@@ -202,7 +258,7 @@ def _reference_apply(counts, rule, part, wall_n0):
         take(part)
         put(K3)
         return TraceStep(rule, rewrite.CITE_SPIN_DECOMP, f"{part} # (S2xS2) -> K3 # (S2xS2)")
-    n = rewrite._elliptic_halves(part)
+    n = _reference_elliptic_halves(part)
     take(part)
     put(K3, n)
     if n - 1:
@@ -210,12 +266,40 @@ def _reference_apply(counts, rule, part, wall_n0):
     return TraceStep(rule, rewrite.CITE_SPIN_DECOMP, f"{part} # (S2xS2) -> {n}*K3 # {n}*(S2xS2)")
 
 
+def _reference_mode(counts):
+    def spin_eligible(part):
+        return (
+            part in (K3, S2XS2, Primitive("X442"))
+            or _reference_odd_log_e2(part)
+            or _reference_elliptic_halves(part) is not None
+        )
+
+    has_planes = any(p in (CP2, CP2B) for p in counts)
+    has_nonspin_acd = any(
+        p not in (CP2, CP2B) and not spin_eligible(p) and evaluate(p).flags.acd is YES
+        for p in counts
+    )
+    has_spin_only = any(p == Primitive("X442") or _reference_odd_log_e2(p) for p in counts)
+    if has_spin_only and (has_planes or has_nonspin_acd):
+        raise MixedRewriteModes("expression mixes spin-mode and non-spin-mode summands")
+    return "nonspin" if has_planes or has_nonspin_acd else "spin"
+
+
+def _reference_record(counts):
+    return connected_sum_record((evaluate(p).record, m) for p, m in counts.items())
+
+
+def _reference_spin(counts):
+    spins = {evaluate(p).flags.spin for p in counts}
+    return NO if NO in spins else YES if spins == {YES} else UNKNOWN
+
+
 def reference_normalize(expr, rng=None, wall_n0=1):
     """normalize as it was: one rule firing per step, conservation
     asserted after every firing."""
     counts, trace = {}, []
     for part, mult in sum_parts(expr):
-        if rewrite._is_identity_part(part):
+        if part in (Primitive("S4"), Primitive("Sd", (1,))):
             trace.append(
                 rewrite.TraceStep("drop-identity", rewrite.CITE_IDENTITY, f"dropped {mult}*{part}")
             )
@@ -225,17 +309,17 @@ def reference_normalize(expr, rng=None, wall_n0=1):
         return rewrite.NormalizeResult(Primitive("S4"), tuple(trace), True, "spin")
     if any(not evaluate(p).flags.pi1.is_trivial for p in counts):
         return rewrite.NormalizeResult(expr, tuple(trace), False, "blocked")
-    mode = rewrite._choose_mode(counts)
-    check = rewrite._total_record(counts)
-    spin0 = rewrite._total_spin(counts)
+    mode = _reference_mode(counts)
+    check = _reference_record(counts)
+    spin0 = _reference_spin(counts)
     while True:
         rules = _reference_rules(counts, mode, wall_n0)
         if not rules:
             break
         choice = rng.choice(rules) if rng is not None else rules[0]
         trace.append(_reference_apply(counts, *choice, wall_n0=wall_n0))
-        assert rewrite._total_record(counts) == check
-        assert rewrite._total_spin(counts) is spin0 or spin0 is UNKNOWN
+        assert _reference_record(counts) == check
+        assert _reference_spin(counts) is spin0 or spin0 is UNKNOWN
     canonical_parts = (CP2, CP2B) if mode == "nonspin" else (K3, S2XS2)
     canonical = all(p in canonical_parts for p in counts)
     ordered = [(p, counts[p]) for p in canonical_parts if p in counts]
@@ -256,6 +340,7 @@ SPIN_POOL = [
     S2XS2, K3, S4, Primitive("X442"), Primitive("Y", (1,)), Primitive("Y", (3,)),
     Primitive("E", (2,)), Primitive("E", (4,)), Primitive("E", (6,)),
     LogTransform(Primitive("E", (2,)), 3), LogTransform(Primitive("E", (2,)), 5),
+    LogTransform(Primitive("E", (2,)), 2), LogTransform(Primitive("E", (3,)), 3),
 ]
 MULTISETS = st.one_of(
     st.lists(st.tuples(st.sampled_from(NONSPIN_POOL), st.integers(1, 6)), min_size=1, max_size=6),
@@ -313,7 +398,7 @@ def test_one_firing_computed_per_batch(monkeypatch):
     firing = rewrite._firing
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args[0].name)
         return firing(*args)
 
     monkeypatch.setattr(rewrite, "_firing", counted)
@@ -328,10 +413,10 @@ def _fault_on_first_firing(monkeypatch, rule, extra):
     it starts repeats the fault in every copy."""
     firing, faulted = rewrite._firing, []
 
-    def faulty(name, part, wall_n0):
-        delta, step = firing(name, part, wall_n0)
-        if name == rule and not faulted:
-            faulted.append(name)
+    def faulty(fired, part, wall_n0):
+        delta, step = firing(fired, part, wall_n0)
+        if fired.name == rule and not faulted:
+            faulted.append(fired.name)
             delta = dict(delta)
             for summand, change in extra.items():
                 delta[summand] = delta.get(summand, 0) + change
