@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import groupby, islice
 from operator import itemgetter
 
-from fourcalc.config import Config, eps_prime_of, load_config
+from fourcalc.config import C_EPS, EPS, eps_prime_of
 from fourcalc.errors import DslSyntaxError, FourcalcError, NoSplit
 from fourcalc.evaluate import evaluate
 from fourcalc.geography import CITE_GEOGRAPHY, GeographyQuery, bk_region, free_action_region
@@ -29,77 +29,49 @@ from fourcalc.rewrite import normalize
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config", default=argparse.SUPPRESS, help="key=value configuration file"
-    )
-    common.add_argument(
-        "--set",
-        action="append",
-        default=argparse.SUPPRESS,
-        metavar="KEY=VALUE",
-        help="override a configuration key (eps, c_eps, n1, wall_n0)",
-    )
     parser = argparse.ArgumentParser(
         prog="fourcalc",
-        parents=[common],
         description="exact invariant calculus and Einstein-metric "
         "obstructions for 4-manifold expressions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser(
-        "eval", parents=[common], help="invariants and flags of an expression"
-    )
+    p_eval = sub.add_parser("eval", help="invariants and flags of an expression")
     p_eval.add_argument("expr")
     p_eval.add_argument("--json", action="store_true")
 
     p_check = sub.add_parser("check", help="run an obstruction or comparison check")
     check_sub = p_check.add_subparsers(dest="check_kind", required=True)
-    p_ht = check_sub.add_parser(
-        "ht", parents=[common], help="Hitchin-Thorpe inequalities"
-    )
+    p_ht = check_sub.add_parser("ht", help="Hitchin-Thorpe inequalities")
     p_ht.add_argument("expr")
     p_ht.add_argument("--json", action="store_true")
-    p_ein = check_sub.add_parser(
-        "einstein", parents=[common], help="Einstein-metric obstruction"
-    )
+    p_ein = check_sub.add_parser("einstein", help="Einstein-metric obstruction")
     p_ein.add_argument("expr")
     p_ein.add_argument("--json", action="store_true")
-    p_homeo = check_sub.add_parser(
-        "homeo", parents=[common], help="homeomorphism of two expressions"
-    )
+    p_homeo = check_sub.add_parser("homeo", help="homeomorphism of two expressions")
     p_homeo.add_argument("expr")
     p_homeo.add_argument("other")
     p_homeo.add_argument("--json", action="store_true")
 
-    p_norm = sub.add_parser(
-        "normalize", parents=[common], help="canonical connected-sum form"
-    )
+    p_norm = sub.add_parser("normalize", help="canonical connected-sum form")
     p_norm.add_argument("expr")
     p_norm.add_argument("--json", action="store_true")
 
     p_enum = sub.add_parser("enumerate", help="lattice-region enumeration")
     enum_sub = p_enum.add_subparsers(dest="region", required=True)
-    p_bk = enum_sub.add_parser(
-        "bk", parents=[common], help="realizable (chi_h, c1sq) points"
-    )
+    p_bk = enum_sub.add_parser("bk", help="realizable (chi_h, c1sq) points")
     p_bk.add_argument("--eps-prime", default=None, help="slope margin eps'")
     p_bk.add_argument("--c", default=None, help="geography constant c(eps')")
     p_bk.add_argument("--bounds", required=True, metavar="XMAX,YMAX")
     p_bk.add_argument("--json", action="store_true")
-    p_free = enum_sub.add_parser(
-        "free-actions", parents=[common], help="admissible (n, m) points"
-    )
+    p_free = enum_sub.add_parser("free-actions", help="admissible (n, m) points")
     p_free.add_argument("--d", type=int, required=True)
     p_free.add_argument("--eps", default=None)
     p_free.add_argument("--c", default=None)
     p_free.add_argument("--bounds", required=True, metavar="NMAX,MMAX")
     p_free.add_argument("--json", action="store_true")
 
-    p_rep = sub.add_parser(
-        "reproduce", parents=[common], help="rebuild a named example set"
-    )
+    p_rep = sub.add_parser("reproduce", help="rebuild a named example set")
     p_rep.add_argument("target", choices=sorted(TARGETS))
     p_rep.add_argument("--json", action="store_true")
     p_rep.add_argument(
@@ -129,7 +101,7 @@ def _frac(value) -> str:
     return str(value)
 
 
-def cmd_eval(args, config: Config) -> int:
+def cmd_eval(args) -> int:
     expr = _parse_expr_or_exit(args.expr)
     ev = evaluate(expr)
     rec = ev.record
@@ -173,7 +145,7 @@ def cmd_eval(args, config: Config) -> int:
     return 0
 
 
-def cmd_check_ht(args, config: Config) -> int:
+def cmd_check_ht(args) -> int:
     expr = _parse_expr_or_exit(args.expr)
     cert = hitchin_thorpe(evaluate(expr).record, inputs={"expr": str(expr)})
     lines = [f"verdict: {cert.verdict}"]
@@ -182,7 +154,7 @@ def cmd_check_ht(args, config: Config) -> int:
     return 1 if cert.verdict == "hitchin_thorpe_violated" else 0
 
 
-def cmd_check_einstein(args, config: Config) -> int:
+def cmd_check_einstein(args) -> int:
     expr = _parse_expr_or_exit(args.expr)
     try:
         splitting = decompose_for_obstruction(expr)
@@ -201,7 +173,7 @@ def cmd_check_einstein(args, config: Config) -> int:
     return 0
 
 
-def cmd_check_homeo(args, config: Config) -> int:
+def cmd_check_homeo(args) -> int:
     left = _parse_expr_or_exit(args.expr)
     right = _parse_expr_or_exit(args.other)
     cert = homeo_equal(left, right)
@@ -212,9 +184,9 @@ def cmd_check_homeo(args, config: Config) -> int:
     return 1 if cert.verdict == "not_homeomorphic" else 0
 
 
-def cmd_normalize(args, config: Config) -> int:
+def cmd_normalize(args) -> int:
     expr = _parse_expr_or_exit(args.expr)
-    result = normalize(expr, wall_n0=config.wall_n0)
+    result = normalize(expr)
     data = {
         "input": str(expr),
         "canonical": result.canonical,
@@ -269,10 +241,10 @@ def _bk_csv_columns(points):
         yield head + ("\n" + head).join([str(y) for _, y in column]) + "\n"
 
 
-def cmd_enumerate(args, config: Config) -> int:
+def cmd_enumerate(args) -> int:
     if args.region == "bk":
-        eps_prime = _parse_fraction(args.eps_prime, "--eps-prime", eps_prime_of(config.eps))
-        c = _parse_fraction(args.c, "--c", config.c_eps)
+        eps_prime = _parse_fraction(args.eps_prime, "--eps-prime", eps_prime_of(EPS))
+        c = _parse_fraction(args.c, "--c", C_EPS)
         points = bk_region(eps_prime, c, _parse_bounds(args.bounds))
         if args.json:
             print(
@@ -293,8 +265,8 @@ def cmd_enumerate(args, config: Config) -> int:
             print("x,y")
             _write_lines(_bk_csv_columns(points))
         return 0
-    eps = _parse_fraction(args.eps, "--eps", config.eps)
-    c = _parse_fraction(args.c, "--c", config.c_eps)
+    eps = _parse_fraction(args.eps, "--eps", EPS)
+    c = _parse_fraction(args.c, "--c", C_EPS)
     query = GeographyQuery(
         d=args.d, epsilon=eps, c_of_eps=c, bounds=_parse_bounds(args.bounds)
     )
@@ -328,10 +300,10 @@ def cmd_enumerate(args, config: Config) -> int:
     return 0
 
 
-def cmd_reproduce(args, config: Config) -> int:
+def cmd_reproduce(args) -> int:
     # run_target raises AssertionError (exit 3) when a certificate fails
     # self-verification.
-    report = run_target(args.target, config)
+    report = run_target(args.target)
     if args.update_golden:
         path = golden_path(args.target)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -361,16 +333,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        overrides = dict(item.split("=", 1) for item in getattr(args, "set", []) or [])
-    except ValueError:
-        print("bad --set override; expected KEY=VALUE", file=sys.stderr)
-        return 2
-    try:
-        config = load_config(getattr(args, "config", None), overrides)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
     handlers = {
         "eval": cmd_eval,
@@ -385,8 +347,8 @@ def main(argv=None) -> int:
                 "einstein": cmd_check_einstein,
                 "homeo": cmd_check_homeo,
             }
-            return kinds[args.check_kind](args, config)
-        return handlers[args.command](args, config)
+            return kinds[args.check_kind](args)
+        return handlers[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except FourcalcError as exc:

@@ -132,7 +132,6 @@ class GcdCheck:
 
 @dataclass(frozen=True)
 class AdmissibilityResult:
-    action: str
     checks: tuple[GcdCheck, ...]
 
     @property
@@ -156,10 +155,7 @@ def action_admissibility(d: int, a: int, b: int, action: str = "standard") -> Ad
         triples = (("a+1", a + 1), ("2b+1", 2 * b + 1), ("a+2b+1", a + 2 * b + 1))
     else:
         raise InvalidExpr(f"unknown action {action!r}")
-    return AdmissibilityResult(
-        action=action,
-        checks=tuple(GcdCheck(label, value, d) for label, value in triples),
-    )
+    return AdmissibilityResult(tuple(GcdCheck(label, value, d) for label, value in triples))
 
 
 def quotient_invariants(inner: InvariantRecord, d: int) -> InvariantRecord:

@@ -96,12 +96,6 @@ class DivisorClass:
     def scaled(self, k: int) -> "DivisorClass":
         return DivisorClass(self.base, tuple(k * deg for deg in self.degrees))
 
-    def add(self, other: "DivisorClass") -> "DivisorClass":
-        assert self.base == other.base
-        return DivisorClass(
-            self.base, tuple(a + b for a, b in zip(self.degrees, other.degrees))
-        )
-
     def __str__(self):
         if self.base == CP2_BASE:
             return f"O({self.degrees[0]})"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Optional
 
-from fourcalc.config import Config, eps_prime_of
+from fourcalc.config import N1, WALL_N0, eps_prime_of
 from fourcalc.certificates import Certificate
 from fourcalc.covers import action_admissibility, ample_canonical
 from fourcalc.errors import BadP, BadParity, InfeasiblePoint
@@ -37,8 +37,6 @@ CITE_GEOGRAPHY = (
     "every lattice point under the slope-(9 - eps) line is realized by "
     "infinitely many ACD minimal symplectic manifolds"
 )
-CITE_AUBIN_YAU = "Aubin-Yau: ample canonical class gives a Kaehler-Einstein metric"
-CITE_BASIC_CLASSES = "connected-sum gluing keeps Seiberg-Witten basic classes distinct"
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,6 @@ class FamilyBlueprint:
     cover_record: InvariantRecord
     certificates: tuple[Certificate, ...]
     labels: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
     cover_normal_form: Optional[NormalizeResult] = None
 
 
@@ -82,7 +79,6 @@ def _make_blueprint(
     d: int,
     certificates: tuple[Certificate, ...],
     labels: dict,
-    notes: tuple[str, ...] = (),
     quotient_record: Optional[InvariantRecord] = None,
     cover_normal_form: Optional[NormalizeResult] = None,
 ) -> FamilyBlueprint:
@@ -98,7 +94,6 @@ def _make_blueprint(
         cover_record=cover_record,
         certificates=certificates,
         labels=labels,
-        notes=notes,
         cover_normal_form=cover_normal_form,
     )
 
@@ -211,11 +206,6 @@ def build_quotient_blueprint(
         d,
         certificates=(ht, cert),
         labels={"n": n, "m": m, "d": d, "k": k, "j": j},
-        notes=(
-            f"cover normal form: {nf.expr}",
-            "smooth structures for different j are distinguished by "
-            "Seiberg-Witten basic classes; " + CITE_BASIC_CLASSES,
-        ),
         cover_normal_form=nf,
     )
 
@@ -246,14 +236,18 @@ def printed_even_invariants(d: int, i: int) -> tuple[int, int, int]:
 def ke_quotient_family(d: int, i: int) -> FamilyBlueprint:
     """The i-th member of the Kaehler-Einstein-admitting quotient family
     for the group Z/d: a free quotient of a bi-cyclic cover of the
-    quadric, minimal of general type with ample canonical class, w2-type
-    I and odd intersection form, with c1^2 < 5 chi_h from the family
-    start index onwards.
+    quadric, minimal of general type with ample canonical class (so
+    Aubin-Yau gives a Kaehler-Einstein metric), w2-type I and odd
+    intersection form, with c1^2 < 5 chi_h from the family start index
+    onwards.
 
     Odd d: type (d, 2) covers with branch bidegrees (d^2, d^2) and
-    (2di, 2di), evaluated exactly.  Even d: the dedicated type (d, 3)
-    weighted-action generator whose invariants are imported from the
-    printed closed forms (see the notes attached to the blueprint).
+    (2di, 2di), evaluated exactly; the printed chi_h exceeds the
+    evaluated value by d(d-1) (see ``ke_printed_chi_h``).  Even d: the
+    dedicated type (d, 3) weighted-action generator, whose quotient
+    record is imported from the printed closed forms and is formal: on
+    the members sampled so far, the literal cover expression does not
+    evaluate to d times those values.
     """
     if i % 2 == 0 or i < 1:
         raise BadParity("the family is indexed by odd i >= 1")
@@ -304,12 +298,6 @@ def _ke_family_odd(d: int, i: int) -> FamilyBlueprint:
     assert adm.passed
 
     ht = hitchin_thorpe(rec, inputs={"expr": str(quotient)})
-    notes = (
-        f"Kaehler-Einstein metric exists: {CITE_AUBIN_YAU}",
-        "printed chi_h closed form exceeds the evaluated value by exactly "
-        f"d(d-1) = {d * (d - 1)}; the evaluated value is confirmed by the "
-        "two-step cover composition oracle",
-    )
     return _make_blueprint(
         quotient,
         cover_expr,
@@ -322,7 +310,6 @@ def _ke_family_odd(d: int, i: int) -> FamilyBlueprint:
             "chi_h": rec.chi_h,
             "einstein": "exists (Kaehler-Einstein)",
         },
-        notes=notes,
     )
 
 
@@ -343,15 +330,6 @@ def _ke_family_even(d: int, i: int) -> FamilyBlueprint:
     cover_expr = BicyclicCover(d, 3, a, b, d * i, d * i)
     quotient = Quotient(cover_expr, d, "weighted")
     cover_rec = evaluate(cover_expr).record
-    notes = (
-        f"Kaehler-Einstein metric exists: {CITE_AUBIN_YAU}",
-        "even-d member: the quotient record is imported from the printed "
-        "closed forms of the dedicated type-(d,3) weighted family",
-        "exact evaluation of the literal cover expression gives "
-        f"(c1sq, c2) = ({cover_rec.c1sq}, {cover_rec.chi}) against "
-        f"d * printed = ({d * c1sq}, {d * c2}); the printed forms are kept "
-        "as the family's defining data and this record is formal",
-    )
     return FamilyBlueprint(
         quotient=quotient,
         cover=cover_expr,
@@ -367,7 +345,6 @@ def _ke_family_even(d: int, i: int) -> FamilyBlueprint:
             "tau_mod_4": tau % 4,
             "einstein": "exists (Kaehler-Einstein)",
         },
-        notes=notes,
     )
 
 
@@ -389,9 +366,7 @@ def ke_family_start(d: int) -> int:
     return start
 
 
-def exotic_partner_family(
-    d: int, i: int, j: int, config: Config = Config()
-) -> FamilyBlueprint:
+def exotic_partner_family(d: int, i: int, j: int) -> FamilyBlueprint:
     """The j-th exotic partner of the i-th Kaehler-Einstein quotient:
     homeomorphic to it, carrying no Einstein metric.
 
@@ -413,10 +388,9 @@ def exotic_partner_family(
         raise InfeasiblePoint(
             f"index i={i} is below the family start: c1^2 > 5 chi_h"
         )
-    if chi_h <= config.n1_effective:
+    if chi_h <= N1:
         raise InfeasiblePoint(
-            f"chi_h = {chi_h} not above the geography threshold n1 = "
-            f"{config.n1_effective}"
+            f"chi_h = {chi_h} not above the geography threshold n1 = {N1}"
         )
     block = Primitive("BK", (chi_h, 8 * chi_h, j))
     k = 8 * chi_h - zrec.c1sq
@@ -442,11 +416,6 @@ def exotic_partner_family(
         d,
         certificates=(ht, homeo, lebrun),
         labels={"d": d, "i": i, "j": j, "k": k, "chi_h": chi_h},
-        notes=(
-            "homeomorphic to the Kaehler-Einstein quotient with the same "
-            "(d, i); smooth structures for different j stay distinct: "
-            + CITE_BASIC_CLASSES,
-        ),
     )
 
 
@@ -459,9 +428,7 @@ def fourth_congruence_piece(b2plus_sum: int) -> ManifoldExpr:
     raise InfeasiblePoint("no registry piece completes the mod-8 congruence")
 
 
-def spin_sum_families(
-    d: int, n: int, j: int, config: Config = Config()
-) -> tuple[FamilyBlueprint, FamilyBlueprint]:
+def spin_sum_families(d: int, n: int, j: int) -> tuple[FamilyBlueprint, FamilyBlueprint]:
     """The two spin families with free Z/d actions: connected sums of the
     (4,4,2) hypersurface, odd log transforms of E(2), elliptic pieces and
     the homology sphere Sd(d).  Their covers normalize to
@@ -469,10 +436,8 @@ def spin_sum_families(
     """
     if n < 1 or j < 1:
         raise InfeasiblePoint("need n >= 1 and j >= 1")
-    if d <= config.wall_n0:
-        raise InfeasiblePoint(
-            f"need d > wall stabilization constant n0 = {config.wall_n0}"
-        )
+    if d <= WALL_N0:
+        raise InfeasiblePoint(f"need d > wall stabilization constant n0 = {WALL_N0}")
     x442, sphere = Primitive("X442"), Primitive("Sd", (d,))
     y_piece = Primitive("Y", (j,))
 
@@ -495,7 +460,7 @@ def spin_sum_families(
         assert ht.verdict == "hitchin_thorpe_ok" and qrec.c1sq > 0
 
         cover = universal_cover(quotient)
-        nf = normalize(cover, wall_n0=config.wall_n0)
+        nf = normalize(cover)
         assert nf.canonical
         expected = connected_sum_of(
             (Primitive("K3"), expected_k3), (Primitive("S2xS2"), expected_s)
@@ -507,9 +472,6 @@ def spin_sum_families(
             d,
             certificates=(ht, cert),
             labels={"d": d, "n": n, "j": j, "cover_k3": expected_k3, "cover_s2xs2": expected_s},
-            notes=(
-                f"cover normal form {nf.expr} is independent of j",
-            ),
             cover_normal_form=nf,
         )
 
@@ -535,7 +497,6 @@ def group_family(
     k_index: int,
     p: int,
     j: int,
-    b1: int = 0,
 ) -> FamilyBlueprint:
     """Non-spin manifolds with prescribed fundamental group and no
     Einstein metric: a chain of fiber sums linking the group block to a
@@ -549,8 +510,7 @@ def group_family(
     low, high = Fraction(c1sq_xk + 16, 3), c1sq_xk + 16
     if not (low < p < high):
         raise BadP(f"need {high} > p > {low}, got p = {p}")
-    params = (chi_g, tau_g, group) if b1 == 0 else (chi_g, tau_g, group, b1)
-    chain = FiberSum(Primitive("XG", params), Primitive("E", (4,)), 1)
+    chain = FiberSum(Primitive("XG", (chi_g, tau_g, group)), Primitive("E", (4,)), 1)
     chain = FiberSum(chain, xk, 2)
     chain = FiberSum(chain, Primitive("E", (4,)), 2)
     chain = FiberSum(chain, log_transform(Primitive("E", (2,)), j), 1)
@@ -577,10 +537,4 @@ def group_family(
             "j": j,
             "c1sq_block": c1sq_xk,
         },
-        notes=(
-            "log multiplicity j indexes the smooth structure; "
-            + CITE_BASIC_CLASSES,
-            "members with different j are homeomorphic: the transforms act "
-            "on the elliptic piece before the fiber sums",
-        ),
     )

@@ -79,9 +79,6 @@ class Registry:
         self._families: dict[str, Callable[[tuple], PrimitiveInfo]] = {}
         _install_builtins(self)
 
-    def names(self) -> list[str]:
-        return sorted(set(self._fixed) | set(self._families))
-
     def __contains__(self, name: str) -> bool:
         return name in self._fixed or name in self._families
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 
 from fourcalc.certificates import Certificate, verify_certificate
-from fourcalc.config import Config
+from fourcalc.config import C_EPS, EPS
 from fourcalc.errors import BadP
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import (
@@ -145,19 +145,19 @@ def _free_action_example(d: int) -> Report:
     return report
 
 
-def reproduce_prop13(config: Config = Config()) -> Report:
+def reproduce_prop13() -> Report:
     report = _free_action_example(2)
     assert report.values["normal_form"] == "15 CP2 # 77 CP2b"
     return report
 
 
-def reproduce_prop14(config: Config = Config()) -> Report:
+def reproduce_prop14() -> Report:
     report = _free_action_example(3)
     assert report.values["normal_form"] == "23 CP2 # 116 CP2b"
     return report
 
 
-def reproduce_prop312(config: Config = Config()) -> Report:
+def reproduce_prop312() -> Report:
     report = Report("prop3.12")
     odd_rows = []
     for d in (3, 5, 7):
@@ -214,7 +214,7 @@ def reproduce_prop312(config: Config = Config()) -> Report:
     return report
 
 
-def reproduce_thm11(config: Config = Config()) -> Report:
+def reproduce_thm11() -> Report:
     report = Report("thm1.1")
     d = 3
     start = ke_family_start(d)
@@ -238,7 +238,7 @@ def reproduce_thm11(config: Config = Config()) -> Report:
     partners = []
     partner_bps = []
     for j in (1, 2):
-        bp = exotic_partner_family(d, start, j, config)
+        bp = exotic_partner_family(d, start, j)
         partner_bps.append(bp)
         report.certificates.extend(bp.certificates)
         chi_h = bp.labels["chi_h"]
@@ -280,16 +280,18 @@ def reproduce_thm11(config: Config = Config()) -> Report:
     return report
 
 
-def reproduce_thm15(config: Config = Config(), sample: int = 50) -> Report:
+# Admissible points thm1.5 lists for each d.
+THM15_SAMPLE = 50
+
+
+def reproduce_thm15() -> Report:
     report = Report("thm1.5")
     per_d = {}
     for d in (2, 3):
         bounds = (24, 24) if d == 2 else (36, 36)
-        query = GeographyQuery(
-            d=d, epsilon=config.eps, c_of_eps=config.c_eps, bounds=bounds
-        )
-        points = free_action_region(query)[:sample]
-        assert len(points) == sample, f"bounds too small for {sample} points"
+        query = GeographyQuery(d=d, epsilon=EPS, c_of_eps=C_EPS, bounds=bounds)
+        points = free_action_region(query)[:THM15_SAMPLE]
+        assert len(points) == THM15_SAMPLE, f"bounds too small for {THM15_SAMPLE} points"
         rows = []
         for pt in points:
             bp = pt.blueprint
@@ -314,12 +316,12 @@ def reproduce_thm15(config: Config = Config(), sample: int = 50) -> Report:
             f"cover {rows[0]['cover']}"
         )
     report.values["points"] = per_d
-    report.values["epsilon"] = _json_safe(config.eps)
-    report.values["c_of_eps"] = _json_safe(config.c_eps)
+    report.values["epsilon"] = _json_safe(EPS)
+    report.values["c_of_eps"] = _json_safe(C_EPS)
     return report
 
 
-def reproduce_thm16(config: Config = Config()) -> Report:
+def reproduce_thm16() -> Report:
     report = Report("thm1.6")
     rows = []
     for k in (1, 2, 3):
@@ -364,7 +366,7 @@ def reproduce_thm16(config: Config = Config()) -> Report:
     return report
 
 
-def reproduce_thm17(config: Config = Config()) -> Report:
+def reproduce_thm17() -> Report:
     report = Report("thm1.7")
     table = []
     for k in range(1, 11):
@@ -446,13 +448,13 @@ def _group_elliptic_block(kg: int, n: int) -> ManifoldExpr:
     )
 
 
-def reproduce_thm18(config: Config = Config()) -> Report:
+def reproduce_thm18() -> Report:
     report = Report("thm1.8")
     rows = []
     for d in (2, 3):
         for n in (1, 2):
-            first, second = spin_sum_families(d, n, 1, config)
-            first_b, second_b = spin_sum_families(d, n, 2, config)
+            first, second = spin_sum_families(d, n, 1)
+            first_b, second_b = spin_sum_families(d, n, 2)
             assert (
                 first.cover_normal_form.expr == first_b.cover_normal_form.expr
             ), "cover normal form must not depend on the log index"
@@ -502,10 +504,10 @@ _BUILDERS = {
 }
 
 
-def run_target(target: str, config: Config = Config()) -> Report:
+def run_target(target: str) -> Report:
     if target not in _BUILDERS:
         raise KeyError(f"unknown reproduction target {target!r}")
-    report = _BUILDERS[target](config)
+    report = _BUILDERS[target]()
     failures = report.self_verify()
     if failures:
         raise AssertionError(f"certificate self-verification failed: {failures}")

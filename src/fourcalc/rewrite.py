@@ -43,6 +43,7 @@ from itertools import repeat
 from typing import Callable, Optional
 
 from fourcalc.certificates import Certificate, Step
+from fourcalc.config import WALL_N0
 from fourcalc.errors import MismatchedInvariants, MixedRewriteModes
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import (
@@ -155,10 +156,6 @@ class NormalizeResult:
     canonical: bool
     mode: str
 
-    @property
-    def counts(self) -> dict:
-        return {str(p): m for p, m in sum_parts(self.expr)}
-
 
 def _totals(counts: dict) -> tuple[InvariantRecord, TriState]:
     """The (chi, tau, b1) record and the spin flag of the whole sum."""
@@ -216,8 +213,7 @@ def _ready(counts: dict, rules_of: dict, mode: str, wall_n0: int) -> tuple[list,
 def normalize(
     expr: ManifoldExpr,
     rng: Optional[random.Random] = None,
-    wall_n0: int = 1,
-    mode: Optional[str] = None,
+    wall_n0: int = WALL_N0,
 ) -> NormalizeResult:
     """Rewrite to a canonical sum (a CP2 # b CP2b, or p K3 # q S2xS2).
 
@@ -238,8 +234,7 @@ def normalize(
         return NormalizeResult(expr, tuple(trace), False, "blocked")
 
     rules_of = {part: _rules_of(part) for part in counts}
-    if mode is None:
-        mode = _choose_mode(rules_of)
+    mode = _choose_mode(rules_of)
     check, spin0 = _totals(counts)
 
     while True:
@@ -283,9 +278,7 @@ def normalize(
     return NormalizeResult(result, tuple(trace), canonical, mode)
 
 
-def verify_diffeo_claim(
-    lhs: ManifoldExpr, rhs: ManifoldExpr, wall_n0: int = 1
-) -> Certificate:
+def verify_diffeo_claim(lhs: ManifoldExpr, rhs: ManifoldExpr) -> Certificate:
     """Certify that two expressions share a canonical form.
 
     Equal invariants plus identical canonical sums give the verdict
@@ -298,8 +291,7 @@ def verify_diffeo_claim(
             f"(chi, tau, b1) differ: {(lrec.chi, lrec.tau, lrec.b1)} vs "
             f"{(rrec.chi, rrec.tau, rrec.b1)}"
         )
-    left = normalize(lhs, wall_n0=wall_n0)
-    right = normalize(rhs, wall_n0=wall_n0)
+    left, right = normalize(lhs), normalize(rhs)
     steps = [
         Step("chi-equal", "invariant preservation", f"{lrec.chi} == {rrec.chi}"),
         Step("tau-equal", "invariant preservation", f"{lrec.tau} == {rrec.tau}"),

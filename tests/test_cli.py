@@ -124,10 +124,13 @@ class TestNormalizeAndEnumerate:
         assert lines[1] == "2,4,1,einstein_obstructed"
 
     def test_enumerate_free_actions_empty_from_eps_six(self, capsys):
-        for eps in ("6", "13/2"):
+        # eps >= 6 empties the region at any bounds; a huge c empties small ones.
+        for option, value, bounds in (
+            ("--eps", "6", "40,40"), ("--eps", "13/2", "40,40"), ("--c", "100", "8,8"),
+        ):
             code, out, err = run_cli(
-                capsys, "enumerate", "free-actions", "--d", "2", "--eps", eps,
-                "--bounds", "40,40",
+                capsys, "enumerate", "free-actions", "--d", "2", option, value,
+                "--bounds", bounds,
             )
             assert (code, out, err) == (0, "n,m,k,verdict\n", "")
 
@@ -161,23 +164,6 @@ class TestNormalizeAndEnumerate:
             assert code == 2 and out == ""
             assert err.startswith("bad --") and len(err.splitlines()) == 1
 
-    def test_config_override(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "enumerate", "free-actions", "--d", "2", "--bounds", "8,8",
-            "--set", "c_eps=100",
-        )
-        assert code == 0
-        assert out.strip() == "n,m,k,verdict"  # region empty for huge c
-
-    def test_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "fourcalc.cfg"
-        cfg.write_text("# test config\nc_eps = 100\n")
-        code, out, _ = run_cli(
-            capsys, "--config", str(cfg),
-            "enumerate", "free-actions", "--d", "2", "--bounds", "8,8",
-        )
-        assert code == 0 and out.strip() == "n,m,k,verdict"
-
 
 class TestReproduce:
     def test_reproduce_matches_golden(self, capsys):
@@ -194,7 +180,7 @@ class TestReproduce:
         assert data["values"]["normal_form"] == "23 CP2 # 116 CP2b"
 
     def test_failed_self_verification_exit_3(self, monkeypatch, capsys):
-        def broken(config):
+        def broken():
             report = Report("prop1.3")
             report.say("a report whose certificate does not check")
             report.certificates.append(
@@ -211,3 +197,18 @@ class TestReproduce:
     def test_unknown_target_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "thm9.9")
         assert code == 2 and "invalid choice" in err
+
+
+def test_constants_are_not_options(capsys):
+    # The existence constants are fixed; --set and --config are
+    # usage errors wherever they appear.
+    for argv in (
+        ("--set", "eps=1/0", "eval", "K3"),
+        ("eval", "K3", "--set", "eps=1/0"),
+        ("normalize", "X442", "--set", "wall_n0=-1"),
+        ("--config", "fourcalc.cfg", "reproduce", "thm1.5"),
+        ("reproduce", "thm1.5", "--set", "c_eps=200"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: fourcalc")

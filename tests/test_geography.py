@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from fourcalc.certificates import verify_certificate
 from fourcalc.cli import main
-from fourcalc.config import Config
 from fourcalc.errors import BadP, BadParity, InfeasiblePoint
 from fourcalc import geography
 from fourcalc.evaluate import evaluate
@@ -401,7 +400,7 @@ class TestSpinFamilies:
 
     def test_wall_constant_guard(self):
         with pytest.raises(InfeasiblePoint):
-            spin_sum_families(2, 1, 1, Config(wall_n0=2))
+            spin_sum_families(1, 1, 1)  # d <= WALL_N0
 
 
 class TestGroupFamily:
