@@ -5,14 +5,16 @@ Subcommands: ``eval``, ``check ht|einstein|homeo``, ``normalize``,
 invocations produce byte-identical output (sorted keys, fixed ordering).
 
 Exit codes: 0 success; 1 a negative verdict (Hitchin-Thorpe violated or
-not homeomorphic); 2 usage or input errors; 3 internal inconsistency
-(golden mismatch or failed certificate self-verification).
+not homeomorphic); 2 usage or input errors, or stdout closed by its
+reader before the output was written; 3 internal inconsistency (golden
+mismatch or failed certificate self-verification).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import groupby, islice
@@ -336,19 +338,22 @@ def main(argv=None) -> int:
 
     handlers = {
         "eval": cmd_eval,
+        "ht": cmd_check_ht,
+        "einstein": cmd_check_einstein,
+        "homeo": cmd_check_homeo,
         "normalize": cmd_normalize,
         "enumerate": cmd_enumerate,
         "reproduce": cmd_reproduce,
     }
     try:
-        if args.command == "check":
-            kinds = {
-                "ht": cmd_check_ht,
-                "einstein": cmd_check_einstein,
-                "homeo": cmd_check_homeo,
-            }
-            return kinds[args.check_kind](args)
-        return handlers[args.command](args)
+        code = handlers[args.check_kind if args.command == "check" else args.command](args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the final flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed by its reader", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except FourcalcError as exc:

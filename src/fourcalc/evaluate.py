@@ -5,17 +5,19 @@ bundle: exact invariants, structure flags with provenance, remaining
 capability tags and smooth-structure labels.  Evaluation is pure and
 memoized; equal trees give identical results.
 
-Flag inference applies a fixed rule set and leaves everything else
-``unknown``.  In particular, when the fundamental group may contain
-2-torsion the parity of the intersection form is never inferred from
-non-spin-ness alone (there are non-spin manifolds with even forms); only
-the signature rules and odd-order-group rule apply.
+Every flag rule lives here; the registry declares only what the rules
+cannot derive.  Flag inference applies a fixed rule set and leaves
+everything else ``unknown``.  In particular, when the fundamental group
+may contain 2-torsion the parity of the intersection form is never
+inferred from non-spin-ness alone (there are non-spin manifolds with
+even forms); only the signature rules and odd-order-group rule apply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable, Optional
 
 from fourcalc import covers
 from fourcalc.errors import (
@@ -41,6 +43,7 @@ from fourcalc.flags import (
     GroupLabel,
     Parity,
     StructureFlags,
+    TriState,
     W2Type,
 )
 from fourcalc.invariants import InvariantRecord, connected_sum_record, rohlin_compatible
@@ -49,6 +52,8 @@ from fourcalc.registry import ELLIPTIC_FIBER, REGISTRY, genus_cap
 # Primitives whose distinguished fiber/surface has simply connected
 # complement, letting fiber sums kill the fiber's fundamental-group image.
 _SC_COMPLEMENT = {"E", "Y", "K3", "X442", "Xk"}
+# Elliptic surfaces: E(n), K3 = E(2), and Y(j), E(2) with one odd multiple fiber.
+_ELLIPTIC = {"E", "K3", "Y"}
 
 _CITE_ROHLIN = "Rohlin: spin with b1 = 0 forces tau = 0 mod 16"
 _CITE_SUM_SPIN = "w2 is additive under connected sum"
@@ -64,6 +69,11 @@ _CITE_KAEHLER_QUOTIENT = "free holomorphic quotients of minimal general type sta
 _CITE_GOMPF_SUM = "symplectic sum along square-zero surfaces"
 _CITE_FIBER_PI1 = "fiber summand with simply connected fiber complement kills the fiber generators"
 _CITE_LOG = "logarithmic transforms preserve chi, tau and the gauge-theoretic flags"
+_CITE_MULTIPLE_FIBER = "E(n) with multiple fibers is spin iff n is even and all multiplicities odd"
+_CITE_TAUBES = "symplectic with b2+ > 1: SW of the canonical class is +-1"
+_CITE_WITTEN = "Kaehler surfaces of general type have nontrivial SW"
+_CITE_SW_VANISH = "SW vanishes on sums of two pieces with positive b2+"
+_CITE_KMT = "sums with b2+ = 0 pieces keep a nontrivial SW-type invariant"
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,12 @@ class Evaluation:
     capabilities: dict = field(default_factory=dict)
     labels: tuple[str, ...] = ()
     complex_surface: bool = False
+
+
+def _fill(flags: StructureFlags, rule: str, citation: str, **values) -> StructureFlags:
+    """Cite those of ``values`` whose fields are still unknown."""
+    updates = {name: v for name, v in values.items() if getattr(flags, name).value == "unknown"}
+    return flags.cite(rule=rule, citation=citation, **updates) if updates else flags
 
 
 def _finish(
@@ -87,13 +103,7 @@ def _finish(
             )
         flags = flags.cite(spin=NO, rule="rohlin-contrapositive", citation=_CITE_ROHLIN)
     if flags.spin is YES:
-        updates = {}
-        if flags.parity is Parity.UNKNOWN:
-            updates["parity"] = Parity.EVEN
-        if flags.w2type is W2Type.UNKNOWN:
-            updates["w2type"] = W2Type.II
-        if updates:
-            flags = flags.cite(rule="spin-entails", citation=_CITE_SC, **updates)
+        flags = _fill(flags, "spin-entails", _CITE_SC, parity=Parity.EVEN, w2type=W2Type.II)
     if flags.spin is NO:
         if flags.parity is Parity.UNKNOWN and flags.pi1.odd_order is True:
             flags = flags.cite(parity=Parity.ODD, rule="odd-order-pi1", citation=_CITE_ODD_PI1)
@@ -101,24 +111,14 @@ def _finish(
             flags = flags.cite(w2type=W2Type.I, rule="own-cover", citation=_CITE_SC)
     if flags.parity is Parity.UNKNOWN and record.tau % 8 != 0:
         flags = flags.cite(parity=Parity.ODD, rule="signature-mod-8", citation=_CITE_TAU8)
-    # Taubes: a symplectic manifold with b2+ > 1 has SW = +-1 on the
-    # canonical class, which is in particular odd.
-    if (
-        flags.symplectic is YES
-        and record.b2plus is not None
-        and record.b2plus > 1
-    ):
-        updates = {}
-        if flags.sw_nontrivial is UNKNOWN:
-            updates["sw_nontrivial"] = YES
-        if flags.sw_mod2_nontrivial is UNKNOWN:
-            updates["sw_mod2_nontrivial"] = YES
-        if updates:
-            flags = flags.cite(
-                rule="taubes-symplectic",
-                citation="symplectic with b2+ > 1: SW of the canonical class is +-1",
-                **updates,
-            )
+    # Taubes: a symplectic manifold with b2+ > 1 (b2 + tau > 2) has
+    # SW = +-1 on the canonical class, which is in particular odd.
+    if flags.symplectic is YES and record.b2 is not None and record.b2 + record.tau > 2:
+        if flags.minimal_general_type is YES:
+            rule, citation = "general-type", _CITE_WITTEN
+        else:
+            rule, citation = "taubes-symplectic", _CITE_TAUBES
+        flags = _fill(flags, rule, citation, sw_nontrivial=YES, sw_mod2_nontrivial=YES)
     if flags.parity is Parity.EVEN and flags.w2type is W2Type.I and flags.pi1.odd_order is True:
         raise InconsistentFlags("even form with odd-order pi1 but non-spin cover")
     return Evaluation(record=record, flags=flags, **kwargs)
@@ -235,6 +235,37 @@ def _combine_pi1(parts: list[tuple[Evaluation, int]]) -> GroupLabel:
     return GroupLabel.presented(f"free product {names}")
 
 
+def sum_spin(spins: Iterable[TriState]) -> TriState:
+    """The spin flag of a connected sum: w2 is additive, so NO if any
+    summand is NO and YES if all are YES."""
+    spins = set(spins)
+    return NO if NO in spins else YES if spins <= {YES} else UNKNOWN
+
+
+def _cite_sum_sw(flags: StructureFlags, parts: list[tuple[Evaluation, int]]) -> StructureFlags:
+    """Seiberg-Witten nontriviality of a connected sum: it vanishes when
+    two summands have b2+ > 0, and one nontrivial summand beside b2+ = 0
+    pieces keeps it.  Both rules need every summand's b1."""
+    positive = nontrivial = 0
+    others_positive = False
+    for ev, mult in parts:
+        rec = ev.record
+        b2 = rec.b2
+        if b2 is None:
+            return flags
+        sw_yes = ev.flags.sw_nontrivial is YES
+        if sw_yes:
+            nontrivial += mult
+        if b2 + rec.tau > 0:  # b2+ > 0, decided on integers
+            positive += mult
+            others_positive = others_positive or not sw_yes
+    if positive >= 2:
+        return flags.cite(sw_nontrivial=NO, rule="sum-vanishing", citation=_CITE_SW_VANISH)
+    if nontrivial == 1 and not others_positive:
+        return flags.cite(sw_nontrivial=YES, rule="sum-with-null-pieces", citation=_CITE_KMT)
+    return flags
+
+
 def _eval_connected_sum(expr: ConnectedSum) -> Evaluation:
     parts = [(evaluate(sub), mult) for sub, mult in expr.parts]
     record = connected_sum_record((ev.record, mult) for ev, mult in parts)
@@ -243,11 +274,9 @@ def _eval_connected_sum(expr: ConnectedSum) -> Evaluation:
     flags = StructureFlags(pi1=pi1).cite(
         pi1=pi1, rule="sum-pi1", citation="van Kampen: free product of summand groups"
     )
-    spins = [ev.flags.spin for ev, _ in parts]
-    if all(s is YES for s in spins):
-        flags = flags.cite(spin=YES, rule="sum-spin", citation=_CITE_SUM_SPIN)
-    elif any(s is NO for s in spins):
-        flags = flags.cite(spin=NO, rule="sum-spin", citation=_CITE_SUM_SPIN)
+    spin = sum_spin(ev.flags.spin for ev, _ in parts)
+    if spin is not UNKNOWN:
+        flags = flags.cite(spin=spin, rule="sum-spin", citation=_CITE_SUM_SPIN)
     parities = [ev.flags.parity for ev, _ in parts]
     if any(p is Parity.ODD for p in parities):
         flags = flags.cite(
@@ -265,16 +294,31 @@ def _eval_connected_sum(expr: ConnectedSum) -> Evaluation:
         ev.flags.spin is NO and ev.flags.pi1.is_trivial for ev, _ in parts
     ):
         flags = flags.cite(w2type=W2Type.I, rule="cover-non-spin", citation=_CITE_COVER_SPIN)
+    flags = _cite_sum_sw(flags, parts)
     labels = tuple(sorted({lab for ev, _ in parts for lab in ev.labels}))
     return _finish(record, flags, labels=labels)
 
 
-def _offers_sc_complement(sub: ManifoldExpr) -> bool:
-    if isinstance(sub, Primitive):
-        return sub.name in _SC_COMPLEMENT
-    if isinstance(sub, LogTransform):
-        return _offers_sc_complement(sub.inner)
-    return False
+def _named(sub: ManifoldExpr, names: set) -> bool:
+    """Whether ``sub`` is a primitive named in ``names``, possibly under log transforms."""
+    while isinstance(sub, LogTransform):
+        sub = sub.inner
+    return isinstance(sub, Primitive) and sub.name in names
+
+
+def _multiple_fibers(sub: ManifoldExpr) -> Optional[tuple[int, int]]:
+    """How many multiple fibers an elliptic surface E(n), K3 or Y(j) under
+    log transforms has, and how many of even multiplicity (Y(j) has one,
+    of odd multiplicity); None for any other expression."""
+    count = evens = 0
+    while isinstance(sub, LogTransform):
+        if sub.multiplicity > 1:
+            count += 1
+            evens += sub.multiplicity % 2 == 0
+        sub = sub.inner
+    if not _named(sub, _ELLIPTIC):
+        return None
+    return count + (sub.name == "Y"), evens
 
 
 def _carries_group_block(sub: ManifoldExpr) -> bool:
@@ -305,9 +349,9 @@ def _eval_fiber_sum(expr: FiberSum) -> Evaluation:
     if lp.is_trivial and rp.is_trivial:
         pi1 = GroupLabel.trivial()
         b1 = 0
-    elif rp.is_trivial and _offers_sc_complement(expr.right) and _carries_group_block(expr.left):
+    elif rp.is_trivial and _carries_group_block(expr.left) and _named(expr.right, _SC_COMPLEMENT):
         pi1, b1 = lp, left.record.b1
-    elif lp.is_trivial and _offers_sc_complement(expr.left) and _carries_group_block(expr.right):
+    elif lp.is_trivial and _carries_group_block(expr.right) and _named(expr.left, _SC_COMPLEMENT):
         pi1, b1 = rp, right.record.b1
     else:
         pi1, b1 = GroupLabel.unknown(), None
@@ -338,8 +382,10 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
     if expr.multiplicity == 1:
         return inner
     flags = inner.flags
-    if expr.multiplicity % 2 == 0 and flags.spin is not UNKNOWN:
-        # Even-multiplicity transforms can change the spin type.
+    fibers = _multiple_fibers(expr)
+    if flags.spin is not UNKNOWN and (fibers[1] if fibers else expr.multiplicity % 2 == 0):
+        # Once a multiple fiber is even, the spin type depends on all the
+        # multiple fibers: decide it anew at every transform above it.
         flags = StructureFlags(
             pi1=flags.pi1,
             sw_nontrivial=flags.sw_nontrivial,
@@ -347,6 +393,12 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
             symplectic=flags.symplectic,
             provenance=flags.provenance,
         )
+    # The spin verdict needs pi1 of odd order, as the parity and w2 rules
+    # that read it assume: one even fiber beside at most one odd one.  Log
+    # transforms keep the inner pi1 label, which with more fibers can hide
+    # 2-torsion.
+    if fibers in ((1, 1), (2, 1)):
+        flags = flags.cite(spin=NO, rule="even-multiple-fiber", citation=_CITE_MULTIPLE_FIBER)
     flags = flags.cite(
         sw_nontrivial=inner.flags.sw_nontrivial,
         rule="log-transform",

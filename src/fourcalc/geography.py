@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Optional
 
-from fourcalc.config import N1, WALL_N0, eps_prime_of
+from fourcalc.config import C_EPS, EPS, N1, WALL_N0, eps_prime_of
 from fourcalc.certificates import Certificate
 from fourcalc.covers import action_admissibility, ample_canonical
 from fourcalc.errors import BadP, BadParity, InfeasiblePoint
@@ -79,14 +79,12 @@ def _make_blueprint(
     d: int,
     certificates: tuple[Certificate, ...],
     labels: dict,
-    quotient_record: Optional[InvariantRecord] = None,
     cover_normal_form: Optional[NormalizeResult] = None,
 ) -> FamilyBlueprint:
     cover_record = evaluate(cover).record
-    if quotient_record is None:
-        quotient_record = evaluate(quotient).record
-        assert cover_record.chi == d * quotient_record.chi
-        assert cover_record.tau == d * quotient_record.tau
+    quotient_record = evaluate(quotient).record
+    assert cover_record.chi == d * quotient_record.chi
+    assert cover_record.tau == d * quotient_record.tau
     return FamilyBlueprint(
         quotient=quotient,
         cover=cover,
@@ -155,9 +153,8 @@ def build_quotient_blueprint(
     n: int,
     m: int,
     d: int,
-    eps_prime: Fraction = Fraction(3, 4),
-    c_of_eps: Fraction = Fraction(10),
-    j: int = 0,
+    eps_prime: Fraction = eps_prime_of(EPS),
+    c_of_eps: Fraction = C_EPS,
 ) -> FamilyBlueprint:
     """Blueprint for the point (n, m): a symplectic block B with
     c1^2 = floor(3n/2d) + 1 and chi_h = m/d, summed with the homology
@@ -177,7 +174,7 @@ def build_quotient_blueprint(
             f"block (chi_h, c1sq) = ({chi_h_block}, {c1sq_block}) outside the "
             "realizable geography region"
         )
-    block = Primitive("BK", (chi_h_block, c1sq_block, j))
+    block = Primitive("BK", (chi_h_block, c1sq_block, 0))
     k = f + 1 - n // d
     assert k >= 1
     quotient = connected_sum_of((block, 1), (Primitive("Sd", (d,)), 1), (Primitive("CP2b"), k))
@@ -205,7 +202,7 @@ def build_quotient_blueprint(
         cover,
         d,
         certificates=(ht, cert),
-        labels={"n": n, "m": m, "d": d, "k": k, "j": j},
+        labels={"n": n, "m": m, "d": d, "k": k},
         cover_normal_form=nf,
     )
 

@@ -1,5 +1,5 @@
-"""Einstein-metric obstructions, Seiberg-Witten flag propagation and
-homeomorphism keys, all emitting self-verifying certificates.
+"""Einstein-metric obstructions and homeomorphism keys, all emitting
+self-verifying certificates.
 
 The engine decides three obstructions:
 
@@ -26,16 +26,12 @@ from fourcalc.certificates import Certificate, Step
 from fourcalc.errors import NoSplit, UnknownFlag, UnsupportedGroup
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import ManifoldExpr, Primitive, connected_sum_of, sum_parts
-from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel, Parity, TriState, W2Type
+from fourcalc.flags import YES, GroupLabel, Parity, Provenance, W2Type
 from fourcalc.invariants import InvariantRecord
 
 CITE_HT = "Hitchin-Thorpe inequality"
 CITE_LEBRUN = "Seiberg-Witten scalar-curvature estimates on blown-up manifolds"
 CITE_BAUER_FURUTA = "Bauer-Furuta stable-cohomotopy obstruction for connected sums"
-CITE_TAUBES = "Taubes: symplectic manifolds with b2+ > 1 have SW = 1"
-CITE_WITTEN = "Kaehler surfaces of general type have nontrivial SW"
-CITE_KMT = "sums with b2+ = 0 pieces keep a nontrivial SW-type invariant"
-CITE_SW_VANISH = "SW vanishes on sums of two pieces with positive b2+"
 CITE_FREEDMAN = "Freedman: simply connected homeomorphism classification"
 CITE_HAMBLETON_KRECK = "homeomorphism classification for cyclic fundamental groups"
 
@@ -73,73 +69,14 @@ def hitchin_thorpe(rec: InvariantRecord, inputs: Optional[dict] = None) -> Certi
     )
 
 
-@dataclass(frozen=True)
-class SwVerdict:
-    status: TriState
-    rule: str
-    citation: str
-
-
-def sw_status(expr: ManifoldExpr) -> SwVerdict:
-    """Tri-state Seiberg-Witten nontriviality with the rule that decided it.
-
-    Rules: declared block values; Kaehler/symplectic with b2+ > 1 (yes);
-    a sum of one yes-piece with only b2+ = 0 companions (yes); a sum with
-    at least two b2+ > 0 pieces (no).  Everything else stays unknown.
-    """
-    ev = evaluate(expr)
-    parts = sum_parts(expr)
-    if len(parts) > 1 or parts[0][1] > 1:
-        positive = 0
-        all_known = True
-        for part, mult in parts:
-            b2p = evaluate(part).record.b2plus
-            if b2p is None:
-                all_known = False
-            elif b2p > 0:
-                positive += mult
-        if all_known and positive >= 2:
-            return SwVerdict(NO, "sum-vanishing", CITE_SW_VANISH)
-        if all_known:
-            yes_parts = []
-            others_zero = True
-            for part, mult in parts:
-                sub = sw_status(part)
-                b2p = evaluate(part).record.b2plus
-                if sub.status is YES:
-                    yes_parts.extend([part] * mult)
-                elif b2p > 0:
-                    others_zero = False
-            if len(yes_parts) == 1 and others_zero:
-                return SwVerdict(YES, "sum-with-null-pieces", CITE_KMT)
-        return SwVerdict(UNKNOWN, "no-rule", "")
-
-    flags = ev.flags
-    if flags.sw_nontrivial is not UNKNOWN:
-        rule, citation = "declared", "registry block"
-        for prov in flags.provenance:
-            if prov.field == "sw_nontrivial":
-                rule, citation = prov.rule, prov.citation
-        if rule == "taubes-symplectic" and flags.minimal_general_type is YES:
-            rule, citation = "general-type", CITE_WITTEN
-        return SwVerdict(flags.sw_nontrivial, rule, citation)
-    b2p = ev.record.b2plus
-    if b2p is not None and b2p > 1:
-        if flags.minimal_general_type is YES:
-            return SwVerdict(YES, "general-type", CITE_WITTEN)
-        if flags.symplectic is YES:
-            return SwVerdict(YES, "symplectic", CITE_TAUBES)
-    return SwVerdict(UNKNOWN, "no-rule", "")
-
-
 def lebrun_einstein(x_expr: ManifoldExpr, k: int, l: int) -> Certificate:
     """Curvature obstruction for X # k CP2b # l (S1xS3).
 
     Hypotheses: nontrivial SW invariant on X and (2 chi + 3 tau)(X) > 0.
     Obstructed when k + 4l >= (2 chi + 3 tau)(X) / 3, compared exactly.
     """
-    rec = evaluate(x_expr).record
-    sw = sw_status(x_expr)
+    ev = evaluate(x_expr)
+    rec = ev.record
     inputs = {
         "X": str(x_expr),
         "chi": rec.chi,
@@ -148,7 +85,7 @@ def lebrun_einstein(x_expr: ManifoldExpr, k: int, l: int) -> Certificate:
         "l": l,
     }
     steps = []
-    if sw.status is not YES:
+    if ev.flags.sw_nontrivial is not YES:
         steps.append(
             Step(
                 "hypothesis-failed:sw-nontrivial",
@@ -157,7 +94,12 @@ def lebrun_einstein(x_expr: ManifoldExpr, k: int, l: int) -> Certificate:
             )
         )
         return Certificate("no_verdict", tuple(steps), inputs)
-    steps.append(Step(f"sw-nontrivial:{sw.rule}", sw.citation, None))
+    # Flags registered without a record count as declared.
+    why = next(
+        (p for p in reversed(ev.flags.provenance) if p.field == "sw_nontrivial"),
+        Provenance("sw_nontrivial", "declared", "registry block"),
+    )
+    steps.append(Step(f"sw-nontrivial:{why.rule}", why.citation, None))
     total = 2 * rec.chi + 3 * rec.tau
     if total <= 0:
         steps.append(

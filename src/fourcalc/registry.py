@@ -8,9 +8,10 @@ recomputes their geometry.
 
 The registry is populated once at import time and is append-only:
 ``Registry.register_primitive`` adds new names but never overwrites
-existing ones.  Declared flags are validated and stored as given; the
-fields they entail (spin => even form, w2-type II) are filled in by the
-evaluator, which applies every generic flag rule.
+existing ones.  Entries declare only what no flag rule derives: the
+evaluator fills in what the declarations entail (spin => even form and
+w2-type II, Taubes' Seiberg-Witten flags, ...).  Declared flags are
+validated and stored as given.
 """
 
 from __future__ import annotations
@@ -125,14 +126,11 @@ class Registry:
 
 
 def _simply_connected(spin: TriState, **extra) -> StructureFlags:
-    parity = Parity.EVEN if spin is YES else Parity.ODD if spin is NO else Parity.UNKNOWN
-    w2 = W2Type.II if spin is YES else W2Type.I if spin is NO else W2Type.UNKNOWN
-    return StructureFlags(pi1=GroupLabel.trivial()).cite(
+    return StructureFlags().cite(
         rule="declared",
-        citation="simply connected block: w2-type from spin",
+        citation="simply connected block",
+        pi1=GroupLabel.trivial(),
         spin=spin,
-        parity=parity,
-        w2type=w2,
         **extra,
     )
 
@@ -161,8 +159,6 @@ def _install_builtins(reg: Registry) -> None:
         _simply_connected(
             YES,
             symplectic=YES,
-            sw_nontrivial=YES,
-            sw_mod2_nontrivial=YES,
             minimal_general_type=NO,
             acd=YES,
         ),
@@ -172,12 +168,11 @@ def _install_builtins(reg: Registry) -> None:
     reg.register_primitive(
         "S1xS3",
         InvariantRecord(0, 0, 1),
-        StructureFlags(pi1=GroupLabel.presented("Z")).cite(
+        StructureFlags().cite(
             rule="declared",
             citation="product of circle and 3-sphere",
+            pi1=GroupLabel.presented("Z"),
             spin=YES,
-            parity=Parity.EVEN,
-            w2type=W2Type.II,
             symplectic=NO,
             sw_nontrivial=NO,
         ),
@@ -194,8 +189,6 @@ def _install_builtins(reg: Registry) -> None:
         _simply_connected(
             YES,
             symplectic=YES,
-            sw_nontrivial=YES,
-            sw_mod2_nontrivial=YES,
             minimal_general_type=YES,
         ),
         capabilities={GENUS1: 1, GENUS2: 1},
@@ -212,26 +205,25 @@ def _install_builtins(reg: Registry) -> None:
     reg.register_family("BK", _build_geography_block)
 
 
-def _one_int(name: str, params: tuple, minimum: int = 1) -> int:
+def _one_int(name: str, params: tuple) -> int:
     if len(params) != 1 or not isinstance(params[0], int):
         raise InvalidExpr(f"{name} takes one integer parameter, got {params}")
-    if params[0] < minimum:
-        raise InvalidExpr(f"{name} parameter must be >= {minimum}")
+    if params[0] < 1:
+        raise InvalidExpr(f"{name} parameter must be >= 1")
     return params[0]
 
 
 def _build_elliptic(params: tuple) -> PrimitiveInfo:
     """E(n): simply connected elliptic surface without multiple fibers."""
     n = _one_int("E", params)
-    spin = YES if n % 2 == 0 else NO
-    sw = YES if n >= 2 else NO
+    # b2+ = 2n - 1: the evaluator applies Taubes' rule from n = 2 on.
+    sw = {} if n >= 2 else {"sw_nontrivial": NO, "sw_mod2_nontrivial": NO}
     flags = _simply_connected(
-        spin,
+        YES if n % 2 == 0 else NO,
         symplectic=YES,
-        sw_nontrivial=sw,
-        sw_mod2_nontrivial=sw,
         minimal_general_type=NO,
         acd=YES,
+        **sw,
     )
     caps = {GENUS1: 2, ELLIPTIC_FIBER: 1}
     if n == 4:
@@ -252,9 +244,10 @@ def _build_homology_sphere(params: tuple) -> PrimitiveInfo:
     """Sd(d): rational homology sphere, pi1 = Z/d, cover (d-1)(S2xS2)."""
     d = _one_int("Sd", params)
     spin = YES if d == 1 else UNKNOWN
-    flags = StructureFlags(pi1=GroupLabel.cyclic(d)).cite(
+    flags = StructureFlags().cite(
         rule="declared",
         citation="rational homology sphere with cyclic fundamental group",
+        pi1=GroupLabel.cyclic(d),
         spin=spin,
         parity=Parity.EVEN,  # b2 = 0: the trivial form is even
         sw_nontrivial=NO,
@@ -271,7 +264,7 @@ def _build_homology_sphere(params: tuple) -> PrimitiveInfo:
 def _build_gompf_sum(params: tuple) -> PrimitiveInfo:
     """Xk(k): spin symplectic sum of a surface product with 2k+2 copies of E(2)."""
     k = _one_int("Xk", params)
-    flags = _simply_connected(YES, symplectic=YES, sw_nontrivial=YES)
+    flags = _simply_connected(YES, symplectic=YES)
     return PrimitiveInfo(
         name="Xk",
         params=(k,),
@@ -304,17 +297,12 @@ def _build_group_block(params: tuple) -> PrimitiveInfo:
             f"{2 * chi + 3 * tau}, but the construction has c1^2 = 0"
         )
     record = InvariantRecord(chi, tau, b1)
-    sw = UNKNOWN
-    if record.b2plus is not None and record.b2plus > 1:
-        sw = YES  # symplectic with b2+ > 1
-    flags = StructureFlags(pi1=GroupLabel.presented(group)).cite(
+    flags = StructureFlags().cite(
         rule="declared",
         citation="spin symplectic manifold with prescribed fundamental group",
+        pi1=GroupLabel.presented(group),
         spin=YES,
-        parity=Parity.EVEN,
-        w2type=W2Type.II,
         symplectic=YES,
-        sw_nontrivial=sw,
     )
     return PrimitiveInfo(
         name="XG",
@@ -331,8 +319,6 @@ def _build_log_elliptic(params: tuple) -> PrimitiveInfo:
     flags = _simply_connected(
         YES,
         symplectic=YES,
-        sw_nontrivial=YES,
-        sw_mod2_nontrivial=YES,
         minimal_general_type=NO,
     )
     return PrimitiveInfo(
@@ -366,12 +352,11 @@ def _build_surface_product(params: tuple) -> PrimitiveInfo:
     pi1 = GroupLabel.trivial() if g1 == g2 == 0 else GroupLabel.presented(
         f"pi1(F{g1}xF{g2})"
     )
-    flags = StructureFlags(pi1=pi1).cite(
+    flags = StructureFlags().cite(
         rule="declared",
         citation="product of Riemann surfaces",
+        pi1=pi1,
         spin=YES,
-        parity=Parity.EVEN,
-        w2type=W2Type.II,
         symplectic=YES,
     )
     return PrimitiveInfo(
@@ -393,9 +378,10 @@ def _build_geography_block(params: tuple) -> PrimitiveInfo:
     if x < 1 or y < 1 or j < 0:
         raise InvalidExpr("BK needs chi_h >= 1, c1sq >= 1, index >= 0")
     record = InvariantRecord(12 * x - y, y - 8 * x, 0)
-    flags = StructureFlags(pi1=GroupLabel.trivial()).cite(
+    flags = StructureFlags().cite(
         rule="declared",
         citation="symplectic geography: minimal, almost completely decomposable",
+        pi1=GroupLabel.trivial(),
         symplectic=YES,
         sw_nontrivial=YES,
         acd=YES,

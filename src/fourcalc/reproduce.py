@@ -47,18 +47,6 @@ from fourcalc.obstruction import (
 from fourcalc.rewrite import normalize, verify_diffeo_claim
 from fourcalc.surgery import gompf_sum_blueprint, universal_cover
 
-TARGETS = (
-    "prop1.3",
-    "prop1.4",
-    "prop3.12",
-    "thm1.1",
-    "thm1.5",
-    "thm1.6",
-    "thm1.7",
-    "thm1.8",
-)
-
-
 @dataclass
 class Report:
     target: str
@@ -502,6 +490,7 @@ _BUILDERS = {
     "thm1.7": reproduce_thm17,
     "thm1.8": reproduce_thm18,
 }
+TARGETS = tuple(_BUILDERS)
 
 
 def run_target(target: str) -> Report:

@@ -14,8 +14,9 @@ is a new row.
   elliptic surfaces, their odd log transforms and the (4,4,2)
   hypersurface into K3s and quadrics.
 
-A summand with spin rules only puts a sum in spin mode.  CP2, CP2b, or a
-summand other than K3 and S2xS2 with non-spin rules only, puts it in
+A summand with spin rules only puts a sum in spin mode.  A non-spin
+summand (CP2, CP2b, an even log transform of an elliptic surface, ...),
+or one other than K3 and S2xS2 with non-spin rules only, puts it in
 non-spin mode.  A sum with both is rejected; one with neither is in spin
 mode.  E(2n) has rules in both modes.
 
@@ -45,7 +46,7 @@ from typing import Callable, Optional
 from fourcalc.certificates import Certificate, Step
 from fourcalc.config import WALL_N0
 from fourcalc.errors import MismatchedInvariants, MixedRewriteModes
-from fourcalc.evaluate import evaluate
+from fourcalc.evaluate import evaluate, sum_spin
 from fourcalc.expr import (
     LogTransform,
     ManifoldExpr,
@@ -160,8 +161,7 @@ class NormalizeResult:
 def _totals(counts: dict) -> tuple[InvariantRecord, TriState]:
     """The (chi, tau, b1) record and the spin flag of the whole sum."""
     evs = [(evaluate(p), m) for p, m in counts.items()]
-    spins = {ev.flags.spin for ev, _ in evs}
-    spin = NO if NO in spins else YES if spins <= {YES} else UNKNOWN
+    spin = sum_spin(ev.flags.spin for ev, _ in evs)
     return connected_sum_record((ev.record, m) for ev, m in evs), spin
 
 
@@ -186,7 +186,9 @@ def _choose_mode(rules_of: dict) -> str:
         modes = {rule.mode for rule in rules}
         if modes == {"spin"}:
             spin_only = True
-        elif part in CANONICAL["nonspin"] or (modes == {"nonspin"} and part not in CANONICAL["spin"]):
+        elif evaluate(part).flags.spin is NO or (
+            modes == {"nonspin"} and part not in CANONICAL["spin"]
+        ):
             nonspin = True
     if spin_only and nonspin:
         raise MixedRewriteModes("expression mixes spin-mode and non-spin-mode summands")

@@ -1,6 +1,10 @@
 """Command line interface: output shape, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from fourcalc import cli, reproduce
 from fourcalc.certificates import Certificate, Step
@@ -32,6 +36,33 @@ class TestEval:
         assert "(formal)" in out
         _, out, _ = run_cli(capsys, "eval", "K3")
         assert "(formal)" not in out
+
+    def test_sw_of_sums(self, capsys):
+        _, out, _ = run_cli(capsys, "eval", "K3 # K3")
+        assert "SW       = no (mod 2: unknown)" in out
+        _, out, _ = run_cli(capsys, "eval", "--json", "K3 # CP2b")
+        flags = json.loads(out)["flags"]
+        assert flags["sw_nontrivial"] == "yes"
+        rules = [p["rule"] for p in flags["provenance"] if p["field"] == "sw_nontrivial"]
+        assert rules == ["sum-with-null-pieces"]
+
+    def test_even_log_transform_of_elliptic_surface_is_not_spin(self, capsys):
+        for text in ("logt(E(2),2)", "logt(logt(E(2),3),2)", "logt(logt(E(2),2),3)", "logt(Y(1),4)"):
+            _, out, _ = run_cli(capsys, "eval", text)
+            for line in ("spin     = no", "parity   = odd", "w2-type  = I"):
+                assert line in out
+        # Two even multiple fibers, or three fibers, in either order: pi1
+        # can have 2-torsion that its label does not show, so no spin flag
+        # is claimed (E(2)_{2,3,3} has pi1 of order 12 and spin cover E(24)).
+        for text in (
+            "logt(logt(E(2),2),2)",
+            "logt(logt(logt(E(2),3),5),2)",
+            "logt(logt(logt(E(2),2),3),3)",
+            "logt(logt(logt(Y(1),2),3),3)",
+        ):
+            _, out, _ = run_cli(capsys, "eval", text)
+            for line in ("spin     = unknown", "parity   = unknown", "w2-type  = unknown"):
+                assert line in out
 
     def test_syntax_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "Nope(3)")
@@ -109,6 +140,11 @@ class TestNormalizeAndEnumerate:
     def test_normalize_log_transforms(self, capsys):
         code, out, _ = run_cli(capsys, "normalize", "logt(E(2),2) # S2xS2")
         assert (code, out) == (0, "normal form: S2xS2 # (logt(E(2),2))  (partial)\n")
+        code, out, _ = run_cli(capsys, "normalize", "--json", "logt(E(2),2) # S2xS2")
+        data = json.loads(out)
+        assert (code, data["mode"], data["canonical"]) == (0, "nonspin", False)
+        code, _, err = run_cli(capsys, "normalize", "X442 # logt(E(2),2)")
+        assert code == 2 and "mixes spin-mode and non-spin-mode" in err
         code, out, _ = run_cli(capsys, "normalize", "logt(E(3),3)")
         assert (code, out) == (0, "normal form: logt(E(3),3)  (partial)\n")
         code, _, err = run_cli(capsys, "normalize", "logt(E(2),3) # CP2")
@@ -212,3 +248,29 @@ def test_constants_are_not_options(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: fourcalc")
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # The reader leaves after one line of a long listing, as `| head -1`
+    # does, or is gone before a short output is flushed at exit.  Stdout
+    # is block-buffered, as it is for any pipe unless PYTHONUNBUFFERED is set.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    for argv, lines_read in ((["enumerate", "bk", "--bounds", "300,300"], 1), (["eval", "K3"], 0)):
+        read_end, write_end = os.pipe()
+        if not lines_read:
+            os.close(read_end)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fourcalc.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_end)
+        if lines_read:
+            with os.fdopen(read_end, "rb") as reader:
+                assert reader.readline() == b"x,y\n"
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: output closed by its reader\n"

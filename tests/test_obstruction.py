@@ -1,6 +1,7 @@
 """Obstruction engine: Hitchin-Thorpe, curvature and Bauer-Furuta
-obstructions, SW propagation, homeomorphism keys, certificates."""
+obstructions, the SW flags they read, homeomorphism keys, certificates."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -11,14 +12,17 @@ from fourcalc.certificates import verify_certificate
 from fourcalc.errors import NoSplit, UnknownFlag, UnsupportedGroup
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import (
+    BicyclicCover,
     CyclicCover,
     DivisorClass,
+    FiberSum,
+    LogTransform,
     Primitive,
     Quotient,
     connected_sum_of,
     sum_parts,
 )
-from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel, Parity, StructureFlags
+from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel, Parity, StructureFlags, W2Type
 from fourcalc.invariants import InvariantRecord
 from fourcalc.obstruction import (
     Splitting,
@@ -28,9 +32,8 @@ from fourcalc.obstruction import (
     homeo_key,
     lebrun_einstein,
     spin_einstein,
-    sw_status,
 )
-from fourcalc.registry import REGISTRY
+from fourcalc.registry import REGISTRY, Registry
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
@@ -66,18 +69,77 @@ class TestHitchinThorpe:
         assert cert.verdict == "hitchin_thorpe_violated"
 
 
+def reference_sw_status(expr):
+    """(status, rule, citation) of the SW invariant: the rules as the
+    obstruction engine applied them before the evaluator did, kept as the
+    oracle for the evaluator's SW flag."""
+    ev = evaluate(expr)
+    parts = sum_parts(expr)
+    if len(parts) > 1 or parts[0][1] > 1:
+        positive = 0
+        all_known = True
+        for part, mult in parts:
+            b2p = evaluate(part).record.b2plus
+            if b2p is None:
+                all_known = False
+            elif b2p > 0:
+                positive += mult
+        if all_known and positive >= 2:
+            return NO, "sum-vanishing", "SW vanishes on sums of two pieces with positive b2+"
+        if all_known:
+            yes_parts = []
+            others_zero = True
+            for part, mult in parts:
+                sub = reference_sw_status(part)
+                b2p = evaluate(part).record.b2plus
+                if sub[0] is YES:
+                    yes_parts.extend([part] * mult)
+                elif b2p > 0:
+                    others_zero = False
+            if len(yes_parts) == 1 and others_zero:
+                return (
+                    YES,
+                    "sum-with-null-pieces",
+                    "sums with b2+ = 0 pieces keep a nontrivial SW-type invariant",
+                )
+        return UNKNOWN, "no-rule", ""
+
+    flags = ev.flags
+    witten = "Kaehler surfaces of general type have nontrivial SW"
+    if flags.sw_nontrivial is not UNKNOWN:
+        rule, citation = "declared", "registry block"
+        for prov in flags.provenance:
+            if prov.field == "sw_nontrivial":
+                rule, citation = prov.rule, prov.citation
+        if rule == "taubes-symplectic" and flags.minimal_general_type is YES:
+            rule, citation = "general-type", witten
+        return flags.sw_nontrivial, rule, citation
+    b2p = ev.record.b2plus
+    if b2p is not None and b2p > 1:
+        if flags.minimal_general_type is YES:
+            return YES, "general-type", witten
+        if flags.symplectic is YES:
+            return YES, "symplectic", "Taubes: symplectic manifolds with b2+ > 1 have SW = 1"
+    return UNKNOWN, "no-rule", ""
+
+
+def sw_flag(expr):
+    """The SW flag of an expression with the rule and citation that set it last."""
+    flags = evaluate(expr).flags
+    why = [(p.rule, p.citation) for p in flags.provenance if p.field == "sw_nontrivial"]
+    return (flags.sw_nontrivial, *why[-1]) if why else (flags.sw_nontrivial, None, None)
+
+
 class TestSwStatus:
     def test_kaehler_cover_yes(self):
-        verdict = sw_status(OCTIC)
-        assert verdict.status is YES and verdict.rule == "general-type"
+        assert sw_flag(OCTIC)[:2] == (YES, "general-type")
 
     def test_sum_of_positive_pieces_vanishes(self):
-        assert sw_status(connected_sum_of((CP2, 2))).status is NO
+        assert sw_flag(connected_sum_of((CP2, 2)))[:2] == (NO, "sum-vanishing")
 
     def test_sum_with_null_pieces_keeps_invariant(self):
         expr = connected_sum_of((OCTIC, 1), (SPHERE2, 1), (CP2B, 3))
-        verdict = sw_status(expr)
-        assert verdict.status is YES and verdict.rule == "sum-with-null-pieces"
+        assert sw_flag(expr)[:2] == (YES, "sum-with-null-pieces")
 
     def test_rules_never_conflict(self):
         # On any sum from this pool, the vanishing rule and the
@@ -89,15 +151,86 @@ class TestSwStatus:
                 positives = sum(
                     1 for p in combo if evaluate(p).record.b2plus > 0
                 )
-                verdict = sw_status(expr)
-                if verdict.status is NO:
+                status, rule, _ = sw_flag(expr)
+                if status is NO:
                     assert positives >= 2
-                if verdict.rule == "sum-with-null-pieces":
+                if rule == "sum-with-null-pieces":
                     assert positives <= 1
 
     def test_unknown_without_rule(self):
-        assert sw_status(Primitive("S4")).status is NO  # declared
-        assert sw_status(connected_sum_of((SPHERE2, 1), (Primitive("Sd", (3,)), 1))).status is UNKNOWN
+        assert sw_flag(Primitive("S4"))[:2] == (NO, "declared")
+        assert sw_flag(connected_sum_of((SPHERE2, 1), (Primitive("Sd", (3,)), 1)))[0] is UNKNOWN
+
+    def test_sum_needs_every_b1(self):
+        # A fiber sum no pi1 rule resolves has unknown b1: no sum rule applies.
+        torus_product = Primitive("FgProd", (1, 1))
+        unresolved = FiberSum(torus_product, torus_product, 1)
+        assert evaluate(unresolved).record.b1 is None
+        assert sw_flag(connected_sum_of((K3, 2), (unresolved, 1)))[0] is UNKNOWN
+
+
+GROUP_BLOCK = Primitive("XG", (24, -16, "G"))
+# Every built-in primitive, one or more members of each family.
+PRIMITIVES = [
+    CP2, CP2B, Primitive("S2xS2"), K3, S1XS3, Primitive("S4"), Primitive("X442"),
+    Primitive("E", (1,)), Primitive("E", (2,)), Primitive("E", (3,)), Primitive("E", (4,)),
+    Primitive("Sd", (1,)), SPHERE2, Primitive("Sd", (3,)), Primitive("Xk", (1,)),
+    GROUP_BLOCK, Primitive("XG", (48, -32, "H", 2)), Primitive("Y", (2,)),
+    Primitive("FgProd", (0, 0)), Primitive("FgProd", (1, 2)), Primitive("BK", (3, 5, 0)),
+]
+SW_POOL = PRIMITIVES + [
+    OCTIC,
+    Quotient(BicyclicCover(3, 2, 3, 3, 3, 3), 3, "standard"),
+    LogTransform(Primitive("E", (2,)), 2),
+    LogTransform(Primitive("E", (3,)), 3),
+    FiberSum(GROUP_BLOCK, Primitive("E", (4,)), 1),
+    FiberSum(Primitive("FgProd", (1, 1)), Primitive("FgProd", (1, 1)), 1),
+]
+NULL_PIECES = [CP2B, S1XS3, Primitive("S4"), SPHERE2, Primitive("Sd", (3,))]
+PIECES = st.tuples(st.sampled_from(SW_POOL), st.integers(1, 3))
+SUMS = st.one_of(
+    st.lists(PIECES, min_size=1, max_size=4),
+    # One piece beside b2+ = 0 pieces, where the null-pieces rule can fire.
+    st.tuples(
+        st.sampled_from(SW_POOL),
+        st.lists(st.tuples(st.sampled_from(NULL_PIECES), st.integers(1, 3)), max_size=3),
+    ).map(lambda drawn: [(drawn[0], 1), *drawn[1]]),
+).map(lambda pieces: connected_sum_of(*pieces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SUMS)
+def test_evaluator_sw_matches_reference(expr):
+    want, got = reference_sw_status(expr), sw_flag(expr)
+    assert got[0] is want[0]
+    if want[0] is not UNKNOWN:
+        assert got == want
+
+
+def _is_unknown(value):
+    return value in (UNKNOWN, Parity.UNKNOWN, W2Type.UNKNOWN, GroupLabel.unknown())
+
+
+def assert_known_flags_cited(expr):
+    flags = evaluate(expr).flags
+    cited = {p.field for p in flags.provenance}
+    for f in dataclasses.fields(StructureFlags):
+        if f.name != "provenance" and not _is_unknown(getattr(flags, f.name)):
+            assert f.name in cited, f"{expr}: {f.name} has no provenance"
+
+
+def test_primitive_flags_have_provenance():
+    builtins = Registry()
+    assert {p.name for p in PRIMITIVES} == set(builtins._fixed) | set(builtins._families)
+    for primitive in PRIMITIVES:
+        assert_known_flags_cited(primitive)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SUMS)
+def test_sum_flags_have_provenance(expr):
+    # lebrun_einstein names the rule of the last sw_nontrivial record.
+    assert_known_flags_cited(expr)
 
 
 class TestLebrun:
@@ -106,6 +239,17 @@ class TestLebrun:
         cert = certify(lebrun_einstein(x_part, 1, 0))
         assert cert.verdict == "einstein_obstructed"
         assert any("1 + 4*0 >=" in (s.arithmetic or "") for s in cert.steps)
+
+    def test_uncited_declared_sw(self):
+        # The public registry takes flags without provenance records.
+        if "UncitedSwBlock" not in REGISTRY:
+            REGISTRY.register_primitive(
+                "UncitedSwBlock", InvariantRecord(10, 2, 0), StructureFlags(sw_nontrivial=YES)
+            )
+        cert = certify(lebrun_einstein(Primitive("UncitedSwBlock"), 20, 0))
+        assert cert.verdict == "einstein_obstructed"
+        assert cert.steps[0].rule == "sw-nontrivial:declared"
+        assert cert.steps[0].citation == "registry block"
 
     def test_zero_excess_no_verdict(self):
         cert = certify(lebrun_einstein(OCTIC, 0, 0))

@@ -274,15 +274,14 @@ def _reference_mode(counts):
             or _reference_elliptic_halves(part) is not None
         )
 
-    has_planes = any(p in (CP2, CP2B) for p in counts)
+    has_nonspin = any(evaluate(p).flags.spin is NO for p in counts)
     has_nonspin_acd = any(
-        p not in (CP2, CP2B) and not spin_eligible(p) and evaluate(p).flags.acd is YES
-        for p in counts
+        not spin_eligible(p) and evaluate(p).flags.acd is YES for p in counts
     )
     has_spin_only = any(p == Primitive("X442") or _reference_odd_log_e2(p) for p in counts)
-    if has_spin_only and (has_planes or has_nonspin_acd):
+    if has_spin_only and (has_nonspin or has_nonspin_acd):
         raise MixedRewriteModes("expression mixes spin-mode and non-spin-mode summands")
-    return "nonspin" if has_planes or has_nonspin_acd else "spin"
+    return "nonspin" if has_nonspin or has_nonspin_acd else "spin"
 
 
 def _reference_record(counts):
