@@ -285,7 +285,7 @@ def cmd_enumerate(args) -> int:
                             "n": p.n,
                             "m": p.m,
                             "k": p.k,
-                            "verdict": p.blueprint.certificates[-1].verdict,
+                            "verdict": p.verdict,
                         }
                         for p in points
                     ],
@@ -297,7 +297,7 @@ def cmd_enumerate(args) -> int:
     else:
         print("n,m,k,verdict")
         _write_lines(
-            f"{p.n},{p.m},{p.k},{p.blueprint.certificates[-1].verdict}\n" for p in points
+            f"{p.n},{p.m},{p.k},{p.verdict}\n" for p in points
         )
     return 0
 

@@ -74,6 +74,8 @@ _CITE_TAUBES = "symplectic with b2+ > 1: SW of the canonical class is +-1"
 _CITE_WITTEN = "Kaehler surfaces of general type have nontrivial SW"
 _CITE_SW_VANISH = "SW vanishes on sums of two pieces with positive b2+"
 _CITE_KMT = "sums with b2+ = 0 pieces keep a nontrivial SW-type invariant"
+# The flags a log transform keeps once the spin type must be decided anew.
+_LOG_KEPT = ("pi1", "sw_nontrivial", "sw_mod2_nontrivial", "symplectic")
 
 
 @dataclass(frozen=True)
@@ -271,9 +273,11 @@ def _eval_connected_sum(expr: ConnectedSum) -> Evaluation:
     record = connected_sum_record((ev.record, mult) for ev, mult in parts)
 
     pi1 = _combine_pi1(parts)
-    flags = StructureFlags(pi1=pi1).cite(
-        pi1=pi1, rule="sum-pi1", citation="van Kampen: free product of summand groups"
-    )
+    flags = StructureFlags(pi1=pi1)
+    if pi1.kind != "unknown":
+        flags = flags.cite(
+            pi1=pi1, rule="sum-pi1", citation="van Kampen: free product of summand groups"
+        )
     spin = sum_spin(ev.flags.spin for ev, _ in parts)
     if spin is not UNKNOWN:
         flags = flags.cite(spin=spin, rule="sum-spin", citation=_CITE_SUM_SPIN)
@@ -385,13 +389,11 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
     fibers = _multiple_fibers(expr)
     if flags.spin is not UNKNOWN and (fibers[1] if fibers else expr.multiplicity % 2 == 0):
         # Once a multiple fiber is even, the spin type depends on all the
-        # multiple fibers: decide it anew at every transform above it.
+        # multiple fibers: decide it anew at every transform above it, and
+        # keep only the fields, and the records, that the transform keeps.
         flags = StructureFlags(
-            pi1=flags.pi1,
-            sw_nontrivial=flags.sw_nontrivial,
-            sw_mod2_nontrivial=flags.sw_mod2_nontrivial,
-            symplectic=flags.symplectic,
-            provenance=flags.provenance,
+            **{name: getattr(flags, name) for name in _LOG_KEPT},
+            provenance=tuple(p for p in flags.provenance if p.field in _LOG_KEPT),
         )
     # The spin verdict needs pi1 of odd order, as the parity and w2 rules
     # that read it assume: one even fiber beside at most one odd one.  Log
@@ -399,11 +401,12 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
     # 2-torsion.
     if fibers in ((1, 1), (2, 1)):
         flags = flags.cite(spin=NO, rule="even-multiple-fiber", citation=_CITE_MULTIPLE_FIBER)
-    flags = flags.cite(
-        sw_nontrivial=inner.flags.sw_nontrivial,
-        rule="log-transform",
-        citation=_CITE_LOG,
-    )
+    if inner.flags.sw_nontrivial is not UNKNOWN:
+        flags = flags.cite(
+            sw_nontrivial=inner.flags.sw_nontrivial,
+            rule="log-transform",
+            citation=_CITE_LOG,
+        )
     labels = inner.labels + (f"log multiplicity {expr.multiplicity}",)
     return _finish(
         inner.record,

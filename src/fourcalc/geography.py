@@ -5,6 +5,10 @@ expression with finite cyclic (or prescribed) fundamental group, its
 universal-cover expression, pre-verified certificates and bookkeeping
 labels.  Enumerators are deterministic (lexicographic order) and all
 comparisons are exact.
+
+The free-action region checks every point's numbers exactly
+(``quotient_arithmetic``) and builds one oracle blueprint per class
+(d, n mod 2d), which proves what rests on flags and rewrite rules.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from fourcalc.config import C_EPS, EPS, N1, WALL_N0, eps_prime_of
 from fourcalc.certificates import Certificate
@@ -28,9 +32,10 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
-from fourcalc.invariants import InvariantRecord
+from fourcalc.invariants import InvariantRecord, connected_sum_record
 from fourcalc.obstruction import hitchin_thorpe, homeo_equal, lebrun_einstein, spin_einstein
-from fourcalc.rewrite import NormalizeResult, normalize
+from fourcalc.registry import REGISTRY
+from fourcalc.rewrite import CP2, CP2B, NormalizeResult, normalize
 from fourcalc.surgery import log_transform, universal_cover
 
 CITE_GEOGRAPHY = (
@@ -119,16 +124,22 @@ class FreeActionPoint:
     n: int
     m: int
     k: int
-    blueprint: FamilyBlueprint
+    verdict: str
 
 
 def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
     """Admissible lattice points (n, m) with d | n, d | m, n > 0 and
-    n < (6 - eps) m - N(eps), each with its quotient blueprint.
+    n < (6 - eps) m - N(eps), each with the verdict of its quotient.
 
     Every accepted point also satisfies the chained inequality
     floor(3n/2d) + 1 < (9 - eps') m/d - c(eps'), which is what makes the
-    symplectic block exist; this is asserted per point.
+    symplectic block exist, and passes ``quotient_arithmetic``: both are
+    asserted per point.  What rests on flags and rule applicability (the
+    Seiberg-Witten step of LeBrun's certificate, the universal-cover
+    pattern and the normal form of the cover) is proved once per class
+    n mod 2d, by ``build_quotient_blueprint`` at the class's first point;
+    each point has its class's verdict.  On a class floor(3n/2d) is
+    affine in n, so k and every record are affine in (n, m).
     """
     d = query.d
     n_max, m_max = query.bounds
@@ -137,6 +148,7 @@ def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
     points = []
     if six_minus_eps <= 0:
         return points  # (6 - eps) m - N(eps) < 0 < n for every m
+    verdicts: dict[int, str] = {}  # n mod 2d -> verdict of the class's blueprint
     for n in range(d, n_max + 1, d):
         # The least multiple of d with (6 - eps) m > n + N(eps); it is at
         # least d because n + N(eps) > 0.
@@ -144,9 +156,81 @@ def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
         for m in range(m_start, m_max + 1, d):
             chained = Fraction(3 * n, 2 * d) + 1 < slope * Fraction(m, d) - c_of_eps
             assert chained, f"region point ({n},{m}) fails the chained inequality"
-            bp = build_quotient_blueprint(n, m, d, eps_prime=eps_prime, c_of_eps=c_of_eps)
-            points.append(FreeActionPoint(n, m, bp.labels["k"], bp))
+            k = quotient_arithmetic(n, m, d, eps_prime, c_of_eps).k
+            verdict = verdicts.get(n % (2 * d))
+            if verdict is None:
+                bp = build_quotient_blueprint(n, m, d, eps_prime=eps_prime, c_of_eps=c_of_eps)
+                verdict = verdicts[n % (2 * d)] = bp.certificates[-1].verdict
+            points.append(FreeActionPoint(n, m, k, verdict))
     return points
+
+
+class QuotientArithmetic(NamedTuple):
+    block: tuple[int, int]  # (chi_h, c1sq) of the geography block
+    k: int
+    quotient_record: InvariantRecord
+    cover_record: InvariantRecord
+    cover_counts: tuple[int, int]  # (CP2, CP2b) of the cover's normal form
+
+
+def quotient_arithmetic(
+    n: int, m: int, d: int, eps_prime: Fraction, c_of_eps: Fraction
+) -> QuotientArithmetic:
+    """Every numeric fact of the blueprint for (n, m), in integers and
+    Fractions over the registry's records: no expression is built and
+    nothing is evaluated.
+
+    It also asserts each point-dependent predicate that the flag and
+    rewrite rules read on the way to the verdict and the cover's normal
+    form, so that a point whose structure could differ from its class's
+    blueprint raises instead of taking the class's verdict:
+
+    * b2+(BK) >= 1 with b1(BK) known: BK is then the one summand of
+      X = BK # Sd(d) with b2+ > 0, so X keeps BK's Seiberg-Witten flag
+      (``sum-with-null-pieces``), the SW step of LeBrun's certificate;
+    * k >= 1: the quotient and its cover have a CP2b summand, so both,
+      and every sum the rewrite passes through, are non-spin whatever
+      BK's own spin flag reads;
+    * d - 1 >= 1: pi1 = Z/d is nontrivial, so the universal cover is
+      d BK # dk CP2b # (d-1)(S2xS2);
+    * d k >= 1: the cover has the CP2b that quadric-blowup needs beside
+      each S2xS2, which yields the CP2 that decompose needs beside BK.
+
+    BK's other derived flags vary inside a class and nothing on that route
+    reads them: spin (Rohlin rules it out unless tau(BK) = 0 mod 16) and
+    sw_mod2_nontrivial (Taubes' rule needs b2+(BK) > 1, so not at
+    chi_h = 1).  BK's declared flags are one constant, ``BK_FLAGS``.
+    """
+    if n <= 0:
+        raise InfeasiblePoint("need n > 0 (Hitchin-Thorpe side)")
+    if n % d or m % d:
+        raise InfeasiblePoint(f"admissibility: d={d} must divide n={n} and m={m}")
+    f = (3 * n) // (2 * d)  # inputs positive: floor = integer division
+    c1sq_block, chi_h_block = f + 1, m // d
+    if not bk_contains(eps_prime, c_of_eps, chi_h_block, c1sq_block):
+        raise InfeasiblePoint(
+            f"block (chi_h, c1sq) = ({chi_h_block}, {c1sq_block}) outside the "
+            "realizable geography region"
+        )
+    k = f + 1 - n // d
+    block = REGISTRY.instantiate("BK", (chi_h_block, c1sq_block, 0)).record
+    sphere = REGISTRY.instantiate("Sd", (d,)).record
+    assert block.b2 is not None and block.b2 + block.tau > 0, "b2+(BK) >= 1"
+    assert k >= 1 and d - 1 >= 1 and d * k >= 1, f"class predicates: k={k}, d={d}"
+
+    cp2, cp2b = (REGISTRY.instantiate(name).record for name in ("CP2", "CP2b"))
+    qrec = connected_sum_record(((block, 1), (sphere, 1), (cp2b, k)))
+    assert qrec.c1sq == n // d and qrec.chi_h == Fraction(m, d)
+    x_c1sq = connected_sum_record(((block, 1), (sphere, 1))).c1sq
+    assert x_c1sq > 0 and 3 * k >= x_c1sq, "LeBrun: positivity and blow-up excess"
+    assert 3 * k > c1sq_block
+
+    crec = qrec.scaled(d)
+    counts = (2 * m - 1, 10 * m - n - 1)
+    assert min(counts) >= 0
+    assert crec == connected_sum_record(zip((cp2, cp2b), counts))
+    assert crec.c1sq == n and crec.chi_h == m
+    return QuotientArithmetic((chi_h_block, c1sq_block), k, qrec, crec, counts)
 
 
 def build_quotient_blueprint(
@@ -161,48 +245,34 @@ def build_quotient_blueprint(
     sphere Sd(d) and k = floor(3n/2d) + 1 - n/d copies of CP2b.
 
     The quotient satisfies (2 chi + 3 tau) = n/d and chi_h = m/d; its
-    universal cover normalizes to (2m-1) CP2 # (10m-n-1) CP2b.
+    universal cover normalizes to (2m-1) CP2 # (10m-n-1) CP2b.  The
+    numbers are ``quotient_arithmetic``'s; this adds what rests on flags
+    and rules, and checks that evaluation gives the same records.
     """
-    if n <= 0:
-        raise InfeasiblePoint("need n > 0 (Hitchin-Thorpe side)")
-    if n % d or m % d:
-        raise InfeasiblePoint(f"admissibility: d={d} must divide n={n} and m={m}")
-    f = (3 * n) // (2 * d)  # inputs positive: floor = integer division
-    c1sq_block, chi_h_block = f + 1, m // d
-    if not bk_contains(eps_prime, c_of_eps, chi_h_block, c1sq_block):
-        raise InfeasiblePoint(
-            f"block (chi_h, c1sq) = ({chi_h_block}, {c1sq_block}) outside the "
-            "realizable geography region"
-        )
-    block = Primitive("BK", (chi_h_block, c1sq_block, 0))
-    k = f + 1 - n // d
-    assert k >= 1
-    quotient = connected_sum_of((block, 1), (Primitive("Sd", (d,)), 1), (Primitive("CP2b"), k))
-    qrec = evaluate(quotient).record
-    assert qrec.c1sq == n // d and qrec.chi_h == Fraction(m, d)
+    arith = quotient_arithmetic(n, m, d, eps_prime, c_of_eps)
+    block = Primitive("BK", (*arith.block, 0))
+    sphere = Primitive("Sd", (d,))
+    quotient = connected_sum_of((block, 1), (sphere, 1), (CP2B, arith.k))
+    assert evaluate(quotient).record == arith.quotient_record
 
-    x_part = connected_sum_of((block, 1), (Primitive("Sd", (d,)), 1))
-    cert = lebrun_einstein(x_part, k, 0)
+    x_part = connected_sum_of((block, 1), (sphere, 1))
+    cert = lebrun_einstein(x_part, arith.k, 0)
     assert cert.verdict == "einstein_obstructed"
-    assert Fraction(k) > Fraction(c1sq_block, 3)
-    ht = hitchin_thorpe(qrec, inputs={"expr": str(quotient)})
+    ht = hitchin_thorpe(arith.quotient_record, inputs={"expr": str(quotient)})
 
     cover = universal_cover(quotient)
     nf = normalize(cover)
     assert nf.canonical
-    expected = connected_sum_of(
-        (Primitive("CP2"), 2 * m - 1), (Primitive("CP2b"), 10 * m - n - 1)
-    )
+    expected = connected_sum_of(*zip((CP2, CP2B), arith.cover_counts))
     assert nf.expr == expected, f"cover normal form {nf.expr} != {expected}"
-    crec = evaluate(cover).record
-    assert crec.c1sq == n and crec.chi_h == m
+    assert evaluate(cover).record == arith.cover_record
 
     return _make_blueprint(
         quotient,
         cover,
         d,
         certificates=(ht, cert),
-        labels={"n": n, "m": m, "d": d, "k": k},
+        labels={"n": n, "m": m, "d": d, "k": arith.k},
         cover_normal_form=nf,
     )
 
@@ -279,14 +349,18 @@ def ke_corrected_chi_h(d: int, i: int) -> Fraction:
     )
 
 
+def _ke_odd_c1sq(d: int, i: int) -> int:
+    """c1^2 of the odd-d family member, as exact evaluation gives it."""
+    return 4 * (d * (d - 1) + d * i - 2) ** 2
+
+
 def _ke_family_odd(d: int, i: int) -> FamilyBlueprint:
     cover_expr = BicyclicCover(d, 2, d, d, d * i, d * i)
     quotient = Quotient(cover_expr, d, "standard")
     ev = evaluate(quotient)
     rec = ev.record
 
-    c1sq_formula = 4 * (d * (d - 1) + d * i - 2) ** 2
-    assert rec.c1sq == c1sq_formula
+    assert rec.c1sq == _ke_odd_c1sq(d, i)
     assert rec.chi_h == ke_corrected_chi_h(d, i)
     delta = ke_printed_chi_h(d, i) - rec.chi_h
     assert delta == d * (d - 1)
@@ -345,22 +419,49 @@ def _ke_family_even(d: int, i: int) -> FamilyBlueprint:
     )
 
 
+def _ke_margin(d: int, i: int) -> Fraction:
+    """5 chi_h - c1^2 of the i-th family member, up to a positive factor:
+    the member has c1^2 <= 5 chi_h exactly when this is >= 0.  It is a
+    quadratic in i."""
+    if d % 2 == 1:
+        return 5 * ke_corrected_chi_h(d, i) - _ke_odd_c1sq(d, i)
+    # 12 chi_h = c1^2 + c2, and both are positive for i >= 1.
+    c1sq, c2, _ = printed_even_invariants(d, i)
+    return Fraction(5 * (c1sq + c2) - 12 * c1sq)
+
+
 def ke_family_start(d: int) -> int:
-    """Least odd index from which every member has c1^2 <= 5 chi_h
-    (scanning down from the odd index 2001)."""
+    """Least odd index from which every member up to the odd index 2001
+    has c1^2 <= 5 chi_h (2003 when member 2001 has not).
+
+    The margin of ``_ke_margin`` is a quadratic in i with a positive
+    leading coefficient, so the members that fail have consecutive
+    indices, below its larger root: the start is two past the last odd
+    one.  The root is found exactly, in integers.
+    """
     top = 2001
-    start = None
-    for i in range(top, 0, -2):
-        if d % 2 == 1:
-            c1sq = 4 * (d * (d - 1) + d * i - 2) ** 2
-            ok = Fraction(c1sq) <= 5 * ke_corrected_chi_h(d, i)
-        else:
-            c1sq, c2, _ = printed_even_invariants(d, i)
-            ok = Fraction(12 * c1sq, c1sq + c2) <= 5
-        if not ok:
-            return start if start is not None else top + 2
-        start = i
-    return start
+    m0, m1, m2 = (_ke_margin(d, i) for i in (0, 1, 2))
+    a = Fraction(m2 - 2 * m1 + m0, 2)
+    b = m1 - m0 - a
+    assert a > 0 and _ke_margin(d, 3) == 9 * a + 3 * b + m0, "the margin is a convex quadratic"
+    scale = math.lcm(a.denominator, b.denominator, m0.denominator)
+    a, b, c = (int(v * scale) for v in (a, b, m0))
+
+    def fails(i: int) -> bool:
+        return (a * i + b) * i + c < 0
+
+    disc = b * b - 4 * a * c
+    if disc <= 0:
+        return 1
+    # The larger root rounded down, or one less: the last failing index
+    # is one of these three.
+    root = (math.isqrt(disc) - b) // (2 * a)
+    last = next((i for i in (root + 1, root, root - 1) if fails(i)), None)
+    if last is None:
+        return 1
+    last = min(last, top)
+    last -= 1 - last % 2  # the last odd index
+    return last + 2 if last >= 1 and fails(last) else 1
 
 
 def exotic_partner_family(d: int, i: int, j: int) -> FamilyBlueprint:

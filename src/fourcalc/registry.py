@@ -22,7 +22,6 @@ from typing import Callable, Optional
 from fourcalc.errors import DuplicateName, InconsistentFlags, InvalidExpr
 from fourcalc.flags import (
     NO,
-    UNKNOWN,
     YES,
     GroupLabel,
     Parity,
@@ -243,12 +242,11 @@ def _build_elliptic(params: tuple) -> PrimitiveInfo:
 def _build_homology_sphere(params: tuple) -> PrimitiveInfo:
     """Sd(d): rational homology sphere, pi1 = Z/d, cover (d-1)(S2xS2)."""
     d = _one_int("Sd", params)
-    spin = YES if d == 1 else UNKNOWN
     flags = StructureFlags().cite(
         rule="declared",
         citation="rational homology sphere with cyclic fundamental group",
         pi1=GroupLabel.cyclic(d),
-        spin=spin,
+        **({"spin": YES} if d == 1 else {}),
         parity=Parity.EVEN,  # b2 = 0: the trivial form is even
         sw_nontrivial=NO,
     )
@@ -369,6 +367,20 @@ def _build_surface_product(params: tuple) -> PrimitiveInfo:
     )
 
 
+# What BK declares is the same for every (chi_h, c1sq, j): only the
+# record depends on the parameters.  The flags the evaluator derives from
+# it do depend on the record; geography.quotient_arithmetic lists the
+# point-dependent predicates that the free-action certificate reads.
+BK_FLAGS = StructureFlags().cite(
+    rule="declared",
+    citation="symplectic geography: minimal, almost completely decomposable",
+    pi1=GroupLabel.trivial(),
+    symplectic=YES,
+    sw_nontrivial=YES,
+    acd=YES,
+)
+
+
 def _build_geography_block(params: tuple) -> PrimitiveInfo:
     """BK(x, y, j): simply connected minimal symplectic ACD block with
     chi_h = x, c1^2 = y; j is an opaque smooth-structure index."""
@@ -377,20 +389,11 @@ def _build_geography_block(params: tuple) -> PrimitiveInfo:
     x, y, j = params
     if x < 1 or y < 1 or j < 0:
         raise InvalidExpr("BK needs chi_h >= 1, c1sq >= 1, index >= 0")
-    record = InvariantRecord(12 * x - y, y - 8 * x, 0)
-    flags = StructureFlags().cite(
-        rule="declared",
-        citation="symplectic geography: minimal, almost completely decomposable",
-        pi1=GroupLabel.trivial(),
-        symplectic=YES,
-        sw_nontrivial=YES,
-        acd=YES,
-    )
     return PrimitiveInfo(
         name="BK",
         params=(x, y, j),
-        record=record,
-        flags=flags,
+        record=InvariantRecord(12 * x - y, y - 8 * x, 0),
+        flags=BK_FLAGS,
         labels=(f"structure index {j}",),
     )
 

@@ -27,6 +27,7 @@ from fourcalc.expr import (
 )
 from fourcalc.geography import (
     GeographyQuery,
+    build_quotient_blueprint,
     exotic_partner_family,
     fourth_congruence_piece,
     free_action_region,
@@ -282,7 +283,9 @@ def reproduce_thm15() -> Report:
         assert len(points) == THM15_SAMPLE, f"bounds too small for {THM15_SAMPLE} points"
         rows = []
         for pt in points:
-            bp = pt.blueprint
+            bp = build_quotient_blueprint(
+                pt.n, pt.m, d, eps_prime=query.eps_prime, c_of_eps=query.c_of_eps
+            )
             qrec = bp.quotient_record
             crec = bp.cover_record
             assert qrec.c1sq * d == pt.n and qrec.chi_h * d == pt.m

@@ -1,6 +1,7 @@
 """Region enumerators and the named family generators."""
 
 import contextlib
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -18,6 +19,8 @@ from fourcalc import geography
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import Primitive
 from fourcalc.flags import Parity, W2Type
+from fourcalc.invariants import InvariantRecord
+from fourcalc.registry import REGISTRY
 from fourcalc.geography import (
     CITE_GEOGRAPHY,
     GeographyQuery,
@@ -32,6 +35,7 @@ from fourcalc.geography import (
     ke_printed_chi_h,
     ke_quotient_family,
     printed_even_invariants,
+    quotient_arithmetic,
     spin_sum_families,
 )
 
@@ -138,9 +142,10 @@ def test_enumerate_bk_json_empty_and_single_point():
 
 
 def reference_free_action_region(query):
-    """The double loop free_action_region replaced: every (n, m) of the
-    grid tested against the region, the query's properties rebuilt for
-    every point."""
+    """The per-point oracle free_action_region replaced: every (n, m) of
+    the grid tested against the region, the query's properties rebuilt
+    for every point, and every point's verdict read off its own
+    blueprint."""
     d = query.d
     n_max, m_max = query.bounds
     points = []
@@ -155,30 +160,42 @@ def reference_free_action_region(query):
             bp = geography.build_quotient_blueprint(
                 n, m, d, eps_prime=query.eps_prime, c_of_eps=query.c_of_eps
             )
-            points.append(geography.FreeActionPoint(n, m, bp.labels["k"], bp))
+            points.append(
+                geography.FreeActionPoint(n, m, bp.labels["k"], bp.certificates[-1].verdict)
+            )
     points.sort(key=lambda p: (p.n, p.m))
     return points
 
 
+def _closed_form_k(n, d):
+    return (3 * n) // (2 * d) + 1 - n // d
+
+
 def _stub_blueprint(n, m, d, eps_prime, c_of_eps):
-    """Stands in for the per-point blueprint: the m-range oracle is about
-    which points are visited, in which order, with which constants."""
-    k = (3 * n) // (2 * d) + 1 - n // d
-    return SimpleNamespace(labels={"k": k}, args=(n, m, d, eps_prime, c_of_eps))
+    """Stands in for the blueprint: the m-range oracle is about which
+    points are visited, in which order, with which constants.  The
+    verdict names the constants, which every point of a query shares."""
+    verdict = SimpleNamespace(verdict=f"d={d} eps'={eps_prime} c={c_of_eps}")
+    return SimpleNamespace(labels={"k": _closed_form_k(n, d)}, certificates=[verdict])
+
+
+def _outcome(enumerate_region, query):
+    """(n, m, k, verdict) of every point, or the assertion raised."""
+    try:
+        points = enumerate_region(query)
+    except AssertionError as exc:
+        # The first line: pytest appends its own rewriting of the assert.
+        return "AssertionError", str(exc).splitlines()[0]
+    return [(p.n, p.m, p.k, p.verdict) for p in points]
 
 
 def _region_outcome(enumerate_region, query, n_scale):
-    """(n, m, k, call arguments) of every point, or the assertion raised.
-    ``n_scale`` shrinks N(eps), so that the chained assert can fail."""
+    """``_outcome`` with the blueprint stubbed.  ``n_scale`` shrinks
+    N(eps), so that the chained assert can fail."""
     n_of_eps = property(lambda q: n_scale * Fraction(2 * q.d, 3) * (q.c_of_eps + 1))
     with mock.patch.object(geography, "build_quotient_blueprint", _stub_blueprint), \
             mock.patch.object(GeographyQuery, "n_of_eps", n_of_eps):
-        try:
-            points = enumerate_region(query)
-        except AssertionError as exc:
-            # The first line: pytest appends its own rewriting of the assert.
-            return "AssertionError", str(exc).splitlines()[0]
-    return [(p.n, p.m, p.k, p.blueprint.args) for p in points]
+        return _outcome(enumerate_region, query)
 
 
 EPS = st.fractions(min_value=Fraction(1, 12), max_value=7, max_denominator=12)
@@ -221,20 +238,120 @@ def test_free_action_m_range_integral_threshold(params, n_max_extra):
     assert column == list(range(t + d, 61, d))
 
 
+# Small eps and c admit the class boundary m = d, where the block has
+# chi_h = 1 and b2+ = 1.
+SMALL = st.fractions(min_value=Fraction(1, 12), max_value=1, max_denominator=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(2, 7),
+    st.one_of(st.tuples(EPS, C_EPS), st.tuples(SMALL, SMALL)),
+    st.tuples(st.integers(0, 40), st.integers(0, 40)),
+)
+def test_free_action_region_matches_per_point_blueprints(d, eps_c, bounds):
+    query = GeographyQuery(d, *eps_c, bounds)
+    got = _outcome(free_action_region, query)
+    assert got == _outcome(reference_free_action_region, query)
+    if isinstance(got, list):
+        assert [k for _, _, k, _ in got] == [_closed_form_k(n, d) for n, _, _, _ in got]
+
+
+def test_free_action_region_reaches_chi_h_one():
+    query = GeographyQuery(2, Fraction(1, 12), Fraction(1, 12), (40, 8))
+    points = _outcome(free_action_region, query)
+    assert {m for _, m, _, _ in points} == {2, 4, 6, 8}
+    assert points == _outcome(reference_free_action_region, query)
+
+
 def test_free_action_region_matches_reference_blueprints():
     for query in (
         GeographyQuery(2, Fraction(1, 2), Fraction(10), (24, 30)),
         GeographyQuery(3, Fraction(3, 2), Fraction(5, 3), (30, 30)),
         GeographyQuery(5, Fraction(5), Fraction(1, 4), (40, 40)),
     ):
-        got, want = free_action_region(query), reference_free_action_region(query)
-        assert got and [(p.n, p.m, p.k) for p in got] == [(p.n, p.m, p.k) for p in want]
-        assert [p.blueprint.cover_normal_form for p in got] == [
-            p.blueprint.cover_normal_form for p in want
-        ]
-        assert [p.blueprint.certificates for p in got] == [
-            p.blueprint.certificates for p in want
-        ]
+        got = _outcome(free_action_region, query)
+        assert got and got == _outcome(reference_free_action_region, query)
+
+
+def test_one_oracle_blueprint_per_class():
+    # Two queries of one d, with another d between them: no class is
+    # shared across calls or across d.
+    queries = [
+        GeographyQuery(2, Fraction(1, 2), Fraction(10), (24, 30)),
+        GeographyQuery(3, Fraction(1, 2), Fraction(10), (36, 36)),
+        GeographyQuery(2, Fraction(1, 2), Fraction(10), (24, 30)),
+        GeographyQuery(5, Fraction(5), Fraction(1, 4), (40, 40)),
+    ]
+    calls = []
+    real = geography.build_quotient_blueprint
+
+    def recording(n, m, d, **kwargs):
+        bp = real(n, m, d, **kwargs)
+        calls.append((n, m, d, bp))
+        return bp
+
+    for query in queries:
+        del calls[:]
+        with mock.patch.object(geography, "build_quotient_blueprint", recording):
+            points = free_action_region(query)
+        d = query.d
+        first = {}
+        for p in points:
+            first.setdefault(p.n % (2 * d), (p.n, p.m))
+        assert len(first) == 2
+        assert [(n, m) for n, m, _, _ in calls] == list(first.values())
+        for n, m, call_d, bp in calls:
+            assert call_d == d and bp.labels["k"] == _closed_form_k(n, d)
+            assert [c.verdict for c in bp.certificates] == [
+                "hitchin_thorpe_ok", "einstein_obstructed",
+            ]
+            for cert in bp.certificates:
+                assert verify_certificate(cert) == []
+
+
+def test_broken_block_record_raises_at_its_point():
+    # The last point is no class's first: only its own arithmetic sees it.
+    query = GeographyQuery(2, Fraction(1, 2), Fraction(10), (24, 30))
+    last = free_action_region(query)[-1]
+    broken_params = (last.m // 2, (3 * last.n) // 4 + 1, 0)
+    build = REGISTRY._families["BK"]
+
+    def broken(params):
+        info = build(params)
+        if params != broken_params:
+            return info
+        rec = info.record
+        return dataclasses.replace(info, record=InvariantRecord(rec.chi + 4, rec.tau, rec.b1))
+
+    with mock.patch.dict(REGISTRY._families, {"BK": broken}):
+        with pytest.raises(AssertionError):
+            free_action_region(query)
+    assert free_action_region(query)[-1] == last
+
+
+def test_point_leaving_its_class_raises():
+    # d = 1: pi1 is trivial, the cover pattern and the CP2 stock of the
+    # rewrite are gone.  The arithmetic holds there; the class predicate
+    # d - 1 >= 1 does not, and the blueprint fails as well.
+    assert quotient_arithmetic(2, 4, 2, Fraction(1, 2), Fraction(1, 2)).k == 1
+    with pytest.raises(AssertionError, match="class predicates"):
+        quotient_arithmetic(2, 4, 1, Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(AssertionError):
+        build_quotient_blueprint(2, 4, 1, c_of_eps=Fraction(1, 2))
+
+
+def _evaluate_cache_after(*argv):
+    evaluate.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["enumerate", "free-actions", *argv]) == 0
+    return evaluate.cache_info().currsize
+
+
+def test_evaluate_cache_does_not_grow_with_the_region():
+    large = _evaluate_cache_after("--d", "2", "--bounds", "76,62")
+    small = _evaluate_cache_after("--d", "2", "--bounds", "38,30")
+    assert large == small < 32
 
 
 class TestFreeActionRegion:
@@ -259,8 +376,12 @@ class TestFreeActionRegion:
 
     def test_certificates_verify(self):
         query = GeographyQuery(3, Fraction(1, 2), Fraction(10), (12, 12))
-        for point in free_action_region(query):
-            for cert in point.blueprint.certificates:
+        points = free_action_region(query)
+        assert points
+        for point in points:
+            bp = build_quotient_blueprint(point.n, point.m, 3)
+            assert point.verdict == bp.certificates[-1].verdict
+            for cert in bp.certificates:
                 assert verify_certificate(cert) == []
 
 
@@ -358,6 +479,29 @@ class TestKeQuotientFamily:
         c1, c2, _ = printed_even_invariants(2, i)
         even_ratio = Fraction(12 * c1, c1 + c2)
         assert abs(even_ratio - Fraction(24, 5)) < Fraction(1, 100)
+
+
+def reference_ke_family_start(d):
+    """The scan ke_family_start replaced: down from the odd index 2001,
+    the last index before the first member with c1^2 > 5 chi_h."""
+    top = 2001
+    start = None
+    for i in range(top, 0, -2):
+        if d % 2 == 1:
+            c1sq = 4 * (d * (d - 1) + d * i - 2) ** 2
+            ok = Fraction(c1sq) <= 5 * ke_corrected_chi_h(d, i)
+        else:
+            c1sq, c2, _ = printed_even_invariants(d, i)
+            ok = Fraction(12 * c1sq, c1sq + c2) <= 5
+        if not ok:
+            return start if start is not None else top + 2
+        start = i
+    return start
+
+
+def test_ke_family_start_matches_scan():
+    for d in range(2, 16):
+        assert ke_family_start(d) == reference_ke_family_start(d), d
 
 
 class TestExoticPartners:

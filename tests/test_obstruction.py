@@ -185,6 +185,8 @@ SW_POOL = PRIMITIVES + [
     LogTransform(Primitive("E", (3,)), 3),
     FiberSum(GROUP_BLOCK, Primitive("E", (4,)), 1),
     FiberSum(Primitive("FgProd", (1, 1)), Primitive("FgProd", (1, 1)), 1),
+    # No rule resolves pi1, b1 or SW of the fiber sum under the transform.
+    LogTransform(FiberSum(Primitive("FgProd", (1, 1)), Primitive("E", (2,)), 1), 3),
 ]
 NULL_PIECES = [CP2B, S1XS3, Primitive("S4"), SPHERE2, Primitive("Sd", (3,))]
 PIECES = st.tuples(st.sampled_from(SW_POOL), st.integers(1, 3))
@@ -211,26 +213,36 @@ def _is_unknown(value):
     return value in (UNKNOWN, Parity.UNKNOWN, W2Type.UNKNOWN, GroupLabel.unknown())
 
 
-def assert_known_flags_cited(expr):
+def assert_cited_iff_known(expr):
+    """Every known flag has a provenance record, and every record names a
+    flag that is known."""
     flags = evaluate(expr).flags
     cited = {p.field for p in flags.provenance}
     for f in dataclasses.fields(StructureFlags):
         if f.name != "provenance" and not _is_unknown(getattr(flags, f.name)):
             assert f.name in cited, f"{expr}: {f.name} has no provenance"
+    for name in cited:
+        assert not _is_unknown(getattr(flags, name)), f"{expr}: a record names unknown {name}"
 
 
 def test_primitive_flags_have_provenance():
     builtins = Registry()
     assert {p.name for p in PRIMITIVES} == set(builtins._fixed) | set(builtins._families)
     for primitive in PRIMITIVES:
-        assert_known_flags_cited(primitive)
+        assert_cited_iff_known(primitive)
+
+
+def test_pool_flags_have_provenance():
+    # Among them logt(E(2),2), which decides spin anew and forgets acd.
+    for expr in SW_POOL:
+        assert_cited_iff_known(expr)
 
 
 @settings(max_examples=200, deadline=None)
 @given(SUMS)
 def test_sum_flags_have_provenance(expr):
     # lebrun_einstein names the rule of the last sw_nontrivial record.
-    assert_known_flags_cited(expr)
+    assert_cited_iff_known(expr)
 
 
 class TestLebrun:
