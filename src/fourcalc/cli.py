@@ -17,13 +17,12 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import groupby, islice
-from operator import itemgetter
+from itertools import islice
 
 from fourcalc.config import C_EPS, EPS, eps_prime_of
 from fourcalc.errors import DslSyntaxError, FourcalcError, NoSplit
 from fourcalc.evaluate import evaluate
-from fourcalc.geography import CITE_GEOGRAPHY, GeographyQuery, bk_region, free_action_region
+from fourcalc.geography import CITE_GEOGRAPHY, GeographyQuery, bk_columns, bk_region, free_action_region
 from fourcalc.obstruction import decompose_for_obstruction, hitchin_thorpe, homeo_equal
 from fourcalc.parser import parse_dsl
 from fourcalc.reproduce import TARGETS, compare_with_golden, golden_path, run_target
@@ -236,19 +235,13 @@ def _write_lines(lines) -> None:
         write(chunk)
 
 
-def _bk_csv_columns(points):
-    """The CSV lines of a bk listing, one string per run of points with equal x."""
-    for x, column in groupby(points, itemgetter(0)):
-        head = f"{x},"
-        yield head + ("\n" + head).join([str(y) for _, y in column]) + "\n"
-
-
 def cmd_enumerate(args) -> int:
     if args.region == "bk":
         eps_prime = _parse_fraction(args.eps_prime, "--eps-prime", eps_prime_of(EPS))
         c = _parse_fraction(args.c, "--c", C_EPS)
-        points = bk_region(eps_prime, c, _parse_bounds(args.bounds))
+        bounds = _parse_bounds(args.bounds)
         if args.json:
+            points = bk_region(eps_prime, c, bounds)
             print(
                 json.dumps(
                     {
@@ -264,8 +257,10 @@ def cmd_enumerate(args) -> int:
                 )
             )
         else:
+            columns = bk_columns(eps_prime, c, bounds)
+            ys = [str(y) for y in range(1, max((top for _, top in columns), default=0) + 1)]
             print("x,y")
-            _write_lines(_bk_csv_columns(points))
+            _write_lines(f"{x}," + f"\n{x},".join(ys[:top]) + "\n" for x, top in columns)
         return 0
     eps = _parse_fraction(args.eps, "--eps", EPS)
     c = _parse_fraction(args.c, "--c", C_EPS)

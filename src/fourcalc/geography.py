@@ -4,7 +4,8 @@ Every family generator returns a :class:`FamilyBlueprint`: a quotient
 expression with finite cyclic (or prescribed) fundamental group, its
 universal-cover expression, pre-verified certificates and bookkeeping
 labels.  Enumerators are deterministic (lexicographic order) and all
-comparisons are exact.
+comparisons are exact: the region predicates compare integers, each
+inequality multiplied through by its positive denominators.
 
 The free-action region checks every point's numbers exactly
 (``quotient_arithmetic``) and builds one oracle blueprint per class
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 from fourcalc.config import C_EPS, EPS, N1, WALL_N0, eps_prime_of
@@ -101,22 +101,29 @@ def _make_blueprint(
     )
 
 
-def bk_region(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[tuple[int, int]]:
-    """Integer points (x, y) with 0 < y <= (9 - eps') x - c inside the
-    bounds, column by column.  Each column's top is one exact floor."""
+def bk_columns(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[tuple[int, int]]:
+    """The region 0 < y <= (9 - eps') x - c inside the bounds, as columns
+    (x, top): the column at x holds y = 1..top.  Each top is one exact
+    floor, clipped at YMAX; columns with no point are left out."""
     if eps_prime <= 0 or c <= 0:
         raise InfeasiblePoint("eps' and c must be positive")
     x_max, y_max = bounds
     slope = 9 - eps_prime
-    points = []
-    for x in range(1, x_max + 1):
-        top = min(y_max, math.floor(slope * x - c))
-        points.extend(zip(repeat(x), range(1, top + 1)))
-    return points
+    tops = ((x, min(y_max, math.floor(slope * x - c))) for x in range(1, x_max + 1))
+    return [(x, top) for x, top in tops if top >= 1]
 
 
-def bk_contains(eps_prime: Fraction, c: Fraction, x, y) -> bool:
-    return 0 < y and Fraction(y) <= (9 - eps_prime) * Fraction(x) - c
+def bk_region(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[tuple[int, int]]:
+    """The integer points (x, y) of ``bk_columns``, column by column."""
+    columns = bk_columns(eps_prime, c, bounds)
+    return [(x, y) for x, top in columns for y in range(1, top + 1)]
+
+
+def bk_contains(eps_prime: Fraction, c: Fraction, x: int, y: int) -> bool:
+    """0 < y <= (9 - eps') x - c, with both sides times the denominators
+    of eps' and c."""
+    (e_num, e_den), (c_num, c_den) = eps_prime.as_integer_ratio(), c.as_integer_ratio()
+    return 0 < y and y * e_den * c_den <= (9 * e_den - e_num) * c_den * x - c_num * e_den
 
 
 @dataclass(frozen=True)
@@ -132,30 +139,35 @@ def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
     n < (6 - eps) m - N(eps), each with the verdict of its quotient.
 
     Every accepted point also satisfies the chained inequality
-    floor(3n/2d) + 1 < (9 - eps') m/d - c(eps'), which is what makes the
+    3n/2d + 1 < (9 - eps') m/d - c(eps'), which is what makes the
     symplectic block exist, and passes ``quotient_arithmetic``: both are
-    asserted per point.  What rests on flags and rule applicability (the
-    Seiberg-Witten step of LeBrun's certificate, the universal-cover
-    pattern and the normal form of the cover) is proved once per class
-    n mod 2d, by ``build_quotient_blueprint`` at the class's first point;
+    asserted per point, in integers.  What rests on flags and rule
+    applicability (the Seiberg-Witten step of LeBrun's certificate, the
+    universal-cover pattern and the normal form of the cover) is proved
+    once per class n mod 2d, by ``build_quotient_blueprint`` at the class's first point;
     each point has its class's verdict.  On a class floor(3n/2d) is
     affine in n, so k and every record are affine in (n, m).
     """
     d = query.d
     n_max, m_max = query.bounds
     eps_prime, c_of_eps, n_of_eps = query.eps_prime, query.c_of_eps, query.n_of_eps
-    six_minus_eps, slope = 6 - query.epsilon, 9 - eps_prime
+    six_minus_eps = 6 - query.epsilon
     points = []
     if six_minus_eps <= 0:
         return points  # (6 - eps) m - N(eps) < 0 < n for every m
+    # The chained inequality times 2d and the denominators of eps' and
+    # c(eps'): n_coef n + shift < m_coef m.
+    (e_num, e_den), (c_num, c_den) = eps_prime.as_integer_ratio(), c_of_eps.as_integer_ratio()
+    n_coef, m_coef = 3 * e_den * c_den, 2 * (9 * e_den - e_num) * c_den
+    shift = 2 * d * e_den * (c_den + c_num)
     verdicts: dict[int, str] = {}  # n mod 2d -> verdict of the class's blueprint
     for n in range(d, n_max + 1, d):
         # The least multiple of d with (6 - eps) m > n + N(eps); it is at
         # least d because n + N(eps) > 0.
         m_start = d * ((n + n_of_eps) // (six_minus_eps * d) + 1)
+        lhs = n_coef * n + shift
         for m in range(m_start, m_max + 1, d):
-            chained = Fraction(3 * n, 2 * d) + 1 < slope * Fraction(m, d) - c_of_eps
-            assert chained, f"region point ({n},{m}) fails the chained inequality"
+            assert lhs < m_coef * m, f"region point ({n},{m}) fails the chained inequality"
             k = quotient_arithmetic(n, m, d, eps_prime, c_of_eps).k
             verdict = verdicts.get(n % (2 * d))
             if verdict is None:
@@ -176,9 +188,9 @@ class QuotientArithmetic(NamedTuple):
 def quotient_arithmetic(
     n: int, m: int, d: int, eps_prime: Fraction, c_of_eps: Fraction
 ) -> QuotientArithmetic:
-    """Every numeric fact of the blueprint for (n, m), in integers and
-    Fractions over the registry's records: no expression is built and
-    nothing is evaluated.
+    """Every numeric fact of the blueprint for (n, m), in integers over
+    the registry's records: no expression is built and nothing is
+    evaluated.
 
     It also asserts each point-dependent predicate that the flag and
     rewrite rules read on the way to the verdict and the cover's normal
@@ -220,7 +232,7 @@ def quotient_arithmetic(
 
     cp2, cp2b = (REGISTRY.instantiate(name).record for name in ("CP2", "CP2b"))
     qrec = connected_sum_record(((block, 1), (sphere, 1), (cp2b, k)))
-    assert qrec.c1sq == n // d and qrec.chi_h == Fraction(m, d)
+    assert qrec.c1sq == n // d and d * (qrec.chi + qrec.tau) == 4 * m  # chi_h = m/d
     x_c1sq = connected_sum_record(((block, 1), (sphere, 1))).c1sq
     assert x_c1sq > 0 and 3 * k >= x_c1sq, "LeBrun: positivity and blow-up excess"
     assert 3 * k > c1sq_block
@@ -229,7 +241,7 @@ def quotient_arithmetic(
     counts = (2 * m - 1, 10 * m - n - 1)
     assert min(counts) >= 0
     assert crec == connected_sum_record(zip((cp2, cp2b), counts))
-    assert crec.c1sq == n and crec.chi_h == m
+    assert crec.c1sq == n and crec.chi + crec.tau == 4 * m  # chi_h = m
     return QuotientArithmetic((chi_h_block, c1sq_block), k, qrec, crec, counts)
 
 

@@ -17,6 +17,7 @@ validated and stored as given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 from fourcalc.errors import DuplicateName, InconsistentFlags, InvalidExpr
@@ -239,6 +240,9 @@ def _build_elliptic(params: tuple) -> PrimitiveInfo:
     )
 
 
+# Sd(d) depends on d alone, and the free-action region reads it at every
+# point: one build per d.  Exceptions are not cached.
+@lru_cache(maxsize=64)
 def _build_homology_sphere(params: tuple) -> PrimitiveInfo:
     """Sd(d): rational homology sphere, pi1 = Z/d, cover (d-1)(S2xS2)."""
     d = _one_int("Sd", params)

@@ -181,13 +181,16 @@ class TestNormalizeAndEnumerate:
         assert "13,4" in rows and "13,18" not in rows
 
     def test_bk_csv_columns_write_the_points_given(self, monkeypatch, capsys):
-        # Columns that do not start at y = 1, skip a y, or come back to an
-        # earlier x: each line is the point as bk_region listed it.
-        points = [(1, 2), (1, 5), (3, 1), (3, 2), (1, 7)]
-        monkeypatch.setattr(cli, "bk_region", lambda *args: points)
-        code, out, _ = run_cli(capsys, "enumerate", "bk", "--bounds", "3,7")
+        # Columns (x, top) that skip x = 2, have top 1 at x = 3, and are
+        # clipped at Y = 7 at x = 4: column x holds the lines x,1 .. x,top.
+        columns = [(1, 3), (3, 1), (4, 7)]
+        monkeypatch.setattr(cli, "bk_columns", lambda *args: columns)
+        code, out, _ = run_cli(capsys, "enumerate", "bk", "--bounds", "4,7")
         assert code == 0
-        assert out == "x,y\n1,2\n1,5\n3,1\n3,2\n1,7\n"
+        assert out == "x,y\n1,1\n1,2\n1,3\n3,1\n" + "".join(f"4,{y}\n" for y in range(1, 8))
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "enumerate", "bk", "--bounds", "0,0")
+        assert (code, out) == (0, "x,y\n")
 
     def test_enumerate_bad_fraction_exit_2(self, capsys):
         for argv in (

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from fourcalc.certificates import verify_certificate
 from fourcalc.cli import main
-from fourcalc.errors import BadP, BadParity, InfeasiblePoint
-from fourcalc import geography
+from fourcalc.errors import BadP, BadParity, InfeasiblePoint, InvalidExpr
+from fourcalc import geography, registry
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import Primitive
 from fourcalc.flags import Parity, W2Type
@@ -24,6 +24,7 @@ from fourcalc.registry import REGISTRY
 from fourcalc.geography import (
     CITE_GEOGRAPHY,
     GeographyQuery,
+    bk_columns,
     bk_contains,
     bk_region,
     build_quotient_blueprint,
@@ -91,6 +92,29 @@ def integral_column(draw):
 @given(POSITIVE, POSITIVE, BOUNDS)
 def test_bk_region_matches_reference(eps_prime, c, bounds):
     assert bk_region(eps_prime, c, bounds) == reference_bk_region(eps_prime, c, bounds)
+    assert all(top >= 1 for _, top in bk_columns(eps_prime, c, bounds))
+
+
+def reference_bk_contains(eps_prime, c, x, y):
+    """Membership as one Fraction comparison, y <= (9 - eps') x - c."""
+    return 0 < y and Fraction(y) <= (9 - eps_prime) * x - c
+
+
+# Slopes 9 - eps' down to -11: eps' >= 9 leaves no point.
+EPS_PRIME_ANY = st.fractions(min_value=Fraction(1, 12), max_value=20, max_denominator=12)
+
+
+@given(EPS_PRIME_ANY, POSITIVE, st.integers(-5, 60), st.integers(-5, 500))
+def test_bk_contains_matches_reference(eps_prime, c, x, y):
+    assert bk_contains(eps_prime, c, x, y) == reference_bk_contains(eps_prime, c, x, y)
+
+
+@given(integral_column(), st.integers(-2, 2))
+def test_bk_contains_on_the_line(params, offset):
+    eps_prime, c, x0, y0 = params
+    y = y0 + offset
+    assert bk_contains(eps_prime, c, x0, y) == reference_bk_contains(eps_prime, c, x0, y)
+    assert bk_contains(eps_prime, c, x0, y) == (0 < y <= y0)
 
 
 @given(integral_column(), BOUNDS)
@@ -352,6 +376,26 @@ def test_evaluate_cache_does_not_grow_with_the_region():
     large = _evaluate_cache_after("--d", "2", "--bounds", "76,62")
     small = _evaluate_cache_after("--d", "2", "--bounds", "38,30")
     assert large == small < 32
+
+
+def test_homology_sphere_built_once_per_d():
+    build = registry._build_homology_sphere
+    build.cache_clear()
+    reads = 0
+    for d, bounds in ((2, (24, 30)), (3, (36, 36))):
+        points = free_action_region(GeographyQuery(d, Fraction(1, 2), Fraction(10), bounds))
+        assert len(points) > 1
+        reads += len(points)  # one Sd(d) read per point
+    info = build.cache_info()
+    assert info.misses == 2 and info.hits >= reads - 2
+    fresh = build.__wrapped__((3,))
+    for _ in range(2):
+        cached = REGISTRY.instantiate("Sd", (3,))
+        assert (cached.record, cached.flags) == (fresh.record, fresh.flags)
+    for call in range(1, 3):  # a failed build is not cached: it runs and raises again
+        with pytest.raises(InvalidExpr):
+            REGISTRY.instantiate("Sd", (0,))
+        assert build.cache_info().misses == 2 + call
 
 
 class TestFreeActionRegion:
