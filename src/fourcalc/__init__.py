@@ -18,7 +18,7 @@ for every derived quantity.  On top of the evaluator sit
 * a small DSL plus a command line interface.
 """
 
-from fourcalc.invariants import InvariantRecord, derive_betti
+from fourcalc.invariants import InvariantRecord
 from fourcalc.flags import StructureFlags, TriState, GroupLabel
 from fourcalc.expr import (
     BicyclicCover,
@@ -45,7 +45,6 @@ __all__ = [
     "Quotient",
     "StructureFlags",
     "TriState",
-    "derive_betti",
     "eval_invariants",
     "infer_flags",
 ]

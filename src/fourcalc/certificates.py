@@ -9,14 +9,13 @@ and re-evaluates every step over exact rationals, entirely independently
 of the code that produced the certificate; every step must state a true
 fact, including in negative verdicts.
 
-Certificates serialize to JSON as
+``Certificate.as_dict`` gives the JSON shape the CLI prints:
 ``{"verdict": ..., "steps": [{"rule", "citation", "arithmetic"}], "inputs": ...}``.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
@@ -59,9 +58,6 @@ class Certificate:
             "steps": [s.as_dict() for s in self.steps],
             "inputs": self.inputs,
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
 class CertificateError(Exception):
@@ -149,10 +145,3 @@ def verify_certificate(cert: Certificate) -> list[str]:
             )
     return failures
 
-
-def certificate_from_json(text: str) -> Certificate:
-    data = json.loads(text)
-    steps = tuple(
-        Step(s["rule"], s.get("citation", ""), s.get("arithmetic")) for s in data["steps"]
-    )
-    return Certificate(verdict=data["verdict"], steps=steps, inputs=data.get("inputs", {}))

@@ -98,10 +98,6 @@ def _emit(data: dict, as_json: bool, lines: list[str]):
             print(line)
 
 
-def _frac(value) -> str:
-    return str(value)
-
-
 def cmd_eval(args) -> int:
     expr = _parse_expr_or_exit(args.expr)
     ev = evaluate(expr)
@@ -113,11 +109,11 @@ def cmd_eval(args) -> int:
         "b1": rec.b1,
         "c1sq": rec.c1sq,
         "c2": rec.c2,
-        "chi_h": _frac(rec.chi_h),
+        "chi_h": str(rec.chi_h),
         "chi_h_formal": not ev.complex_surface,
         "b2": rec.b2,
-        "b2plus": _frac(rec.b2plus) if rec.b2plus is not None else None,
-        "b2minus": _frac(rec.b2minus) if rec.b2minus is not None else None,
+        "b2plus": str(rec.b2plus) if rec.b2plus is not None else None,
+        "b2minus": str(rec.b2minus) if rec.b2minus is not None else None,
         "flags": ev.flags.as_dict(),
         "labels": list(ev.labels),
     }
@@ -241,21 +237,11 @@ def cmd_enumerate(args) -> int:
         c = _parse_fraction(args.c, "--c", C_EPS)
         bounds = _parse_bounds(args.bounds)
         if args.json:
-            points = bk_region(eps_prime, c, bounds)
-            print(
-                json.dumps(
-                    {
-                        "eps_prime": str(eps_prime),
-                        "c": str(c),
-                        "points": [
-                            {"x": x, "y": y, "annotation": CITE_GEOGRAPHY}
-                            for x, y in points
-                        ],
-                    },
-                    sort_keys=True,
-                    indent=2,
-                )
-            )
+            points = [
+                {"x": x, "y": y, "annotation": CITE_GEOGRAPHY}
+                for x, y in bk_region(eps_prime, c, bounds)
+            ]
+            _emit({"eps_prime": str(eps_prime), "c": str(c), "points": points}, True, [])
         else:
             columns = bk_columns(eps_prime, c, bounds)
             ys = [str(y) for y in range(1, max((top for _, top in columns), default=0) + 1)]
@@ -269,26 +255,8 @@ def cmd_enumerate(args) -> int:
     )
     points = free_action_region(query)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "d": args.d,
-                    "eps": str(eps),
-                    "c": str(c),
-                    "points": [
-                        {
-                            "n": p.n,
-                            "m": p.m,
-                            "k": p.k,
-                            "verdict": p.verdict,
-                        }
-                        for p in points
-                    ],
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        rows = [{"n": p.n, "m": p.m, "k": p.k, "verdict": p.verdict} for p in points]
+        _emit({"d": args.d, "eps": str(eps), "c": str(c), "points": rows}, True, [])
     else:
         print("n,m,k,verdict")
         _write_lines(
@@ -309,11 +277,7 @@ def cmd_reproduce(args) -> int:
             handle.write("\n")
         print(f"golden file updated: {path}")
         return 0
-    if args.json:
-        print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
-    else:
-        for line in report.lines:
-            print(line)
+    _emit(report.as_dict(), args.json, report.lines)
     diffs = compare_with_golden(report)
     if diffs:
         for diff in diffs:

@@ -6,11 +6,13 @@ and the quadric CP1xCP1 with bidegree classes.  The intersection pairing
 is hardcoded per base (k * k' on CP2, (p,q)*(p',q') = p q' + q p' on the
 quadric).  Signed classes (e.g. first Chern classes of covers) are plain
 integer tuples; effective branch divisors use :class:`DivisorClass`.
+
+Free actions are admitted by gcd conditions; ``action_admissibility``
+returns the text of each failing condition, so an empty result means free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from fourcalc.errors import InvalidExpr, NegativeDegree, NonIntegralQuotient
@@ -82,14 +84,6 @@ def cyclic_cover_invariants(
     return InvariantRecord(chi=c2, tau=tau, b1=0)
 
 
-def proper_transform_euler(d: int, chi_d: int, c_dot_d: int) -> int:
-    """Euler characteristic of the proper transform of the second branch
-    curve inside the first cover: d*chi(D) - (d-1)(C.D)."""
-    if d < 1:
-        raise NegativeDegree("cover degree must be >= 1")
-    return d * chi_d - (d - 1) * c_dot_d
-
-
 def bicyclic_invariants(d: int, p: int, a: int, b: int, m: int, n: int) -> InvariantRecord:
     """Invariants of the type-(d, p) bi-cyclic cover of the quadric
     branched along transversal curves of bidegrees (d a, d b), (p m, p n).
@@ -115,38 +109,14 @@ def bicyclic_invariants(d: int, p: int, a: int, b: int, m: int, n: int) -> Invar
     return InvariantRecord(chi=c2, tau=tau, b1=0)
 
 
-@dataclass(frozen=True)
-class GcdCheck:
-    label: str
-    value: int
-    modulus: int
-
-    @property
-    def passed(self) -> bool:
-        return gcd(self.value, self.modulus) == 1
-
-    @property
-    def witness(self) -> str:
-        return f"gcd({self.label}={self.value}, d={self.modulus}) = {gcd(self.value, self.modulus)}"
-
-
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    checks: tuple[GcdCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[GcdCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def action_admissibility(d: int, a: int, b: int, action: str = "standard") -> AdmissibilityResult:
+def action_admissibility(d: int, a: int, b: int, action: str = "standard") -> tuple[str, ...]:
     """gcd conditions for the cyclic weight-(a, b) line-bundle action to
     restrict freely: standard needs a+1, b+1, a+b+1 coprime to d; the
-    weighted variant needs a+1, 2b+1, a+2b+1 coprime to d."""
+    weighted variant needs a+1, 2b+1, a+2b+1 coprime to d.
+
+    Returns the failing conditions as witnesses such as
+    ``"gcd(a+1=2, d=2) = 2"``; the tuple is empty when the action is free.
+    """
     if d < 2:
         raise InvalidExpr("admissibility is about actions of order >= 2")
     if action == "standard":
@@ -155,7 +125,11 @@ def action_admissibility(d: int, a: int, b: int, action: str = "standard") -> Ad
         triples = (("a+1", a + 1), ("2b+1", 2 * b + 1), ("a+2b+1", a + 2 * b + 1))
     else:
         raise InvalidExpr(f"unknown action {action!r}")
-    return AdmissibilityResult(tuple(GcdCheck(label, value, d) for label, value in triples))
+    return tuple(
+        f"gcd({label}={value}, d={d}) = {gcd(value, d)}"
+        for label, value in triples
+        if gcd(value, d) != 1
+    )
 
 
 def quotient_invariants(inner: InvariantRecord, d: int) -> InvariantRecord:

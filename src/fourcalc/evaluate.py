@@ -55,7 +55,7 @@ _SC_COMPLEMENT = {"E", "Y", "K3", "X442", "Xk"}
 # Elliptic surfaces: E(n), K3 = E(2), and Y(j), E(2) with one odd multiple fiber.
 _ELLIPTIC = {"E", "K3", "Y"}
 
-_CITE_ROHLIN = "Rohlin: spin with b1 = 0 forces tau = 0 mod 16"
+_CITE_ROHLIN = "Rohlin: spin forces tau = 0 mod 16"
 _CITE_SUM_SPIN = "w2 is additive under connected sum"
 _CITE_ODD_PI1 = "no 2-torsion in pi1: non-spin forces an odd intersection form"
 _CITE_TAU8 = "smooth even intersection forms have signature divisible by 8"
@@ -98,11 +98,9 @@ def _finish(
 ) -> Evaluation:
     """Apply the generic flag rules that depend only on (record, flags)."""
     # Rohlin: declared spin must satisfy it; otherwise it rules spin out.
-    if flags.spin is not NO and not rohlin_compatible(record.chi, record.tau, record.b1):
+    if flags.spin is not NO and not rohlin_compatible(record.tau):
         if flags.spin is YES:
-            raise InconsistentFlags(
-                f"spin with b1=0 but tau={record.tau} not divisible by 16"
-            )
+            raise InconsistentFlags(f"spin but tau={record.tau} not divisible by 16")
         flags = flags.cite(spin=NO, rule="rohlin-contrapositive", citation=_CITE_ROHLIN)
     if flags.spin is YES:
         flags = _fill(flags, "spin-entails", _CITE_SC, parity=Parity.EVEN, w2type=W2Type.II)
@@ -192,11 +190,9 @@ def _eval_quotient(expr: Quotient) -> Evaluation:
         raise AdmissibilityFail(
             "no free cyclic action rule for this inner expression"
         )
-    adm = covers.action_admissibility(expr.d, a, b, expr.action)
-    if not adm.passed:
-        raise AdmissibilityFail(
-            "; ".join(c.witness for c in adm.failures)
-        )
+    failures = covers.action_admissibility(expr.d, a, b, expr.action)
+    if failures:
+        raise AdmissibilityFail("; ".join(failures))
     if second is not None and not second.divisible_by(expr.d):
         raise AdmissibilityFail(
             f"second branch {second} is not invariant under Z/{expr.d}"

@@ -377,8 +377,7 @@ def _ke_family_odd(d: int, i: int) -> FamilyBlueprint:
     delta = ke_printed_chi_h(d, i) - rec.chi_h
     assert delta == d * (d - 1)
     assert ample_canonical(d, 2, d, d, d * i, d * i)
-    adm = action_admissibility(d, d, d, "standard")
-    assert adm.passed
+    assert not action_admissibility(d, d, d, "standard")
 
     ht = hitchin_thorpe(rec, inputs={"expr": str(quotient)})
     return _make_blueprint(
@@ -404,8 +403,9 @@ def _ke_family_even(d: int, i: int) -> FamilyBlueprint:
     rec = InvariantRecord(chi=c2, tau=tau, b1=0)
     assert rec.c1sq == c1sq
 
-    adm = action_admissibility(d, a, b, "weighted")
-    assert adm.passed, "weighted-action gcd conditions hold for these degrees"
+    assert not action_admissibility(d, a, b, "weighted"), (
+        "weighted-action gcd conditions hold for these degrees"
+    )
     congruence = (-6 * (d - 1) * formula_dd * i) % 4
     assert tau % 4 == congruence
     assert tau % 8 != 0  # odd i: the intersection form is odd

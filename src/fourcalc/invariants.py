@@ -72,41 +72,6 @@ class InvariantRecord:
         """Invariants of a free d-fold cover (chi and tau multiply)."""
         return InvariantRecord(chi=self.chi * d, tau=self.tau * d, b1=self.b1)
 
-    def consistency_warnings(self) -> list[str]:
-        """Soft sanity checks; violations signal inconsistent inputs."""
-        warnings = []
-        b2 = self.b2
-        if b2 is None:
-            return warnings
-        if b2 < abs(self.tau):
-            warnings.append(f"b2={b2} is smaller than |tau|={abs(self.tau)}")
-        if (self.chi + self.tau) % 2 != 0:
-            warnings.append("chi + tau is odd; no closed oriented 4-manifold")
-        for name, value in (("b2plus", self.b2plus), ("b2minus", self.b2minus)):
-            if value is not None and value.denominator == 1 and value < 0:
-                warnings.append(f"{name}={value} is negative")
-        return warnings
-
-
-def derive_betti(rec: InvariantRecord) -> tuple[Fraction, Fraction, list[str]]:
-    """Return (b2plus, b2minus, warnings) for a record with known b1.
-
-    Non-integrality is reported as a warning rather than an error: it
-    means the (chi, tau, b1) inputs cannot belong to an actual manifold,
-    which some imported formula families are allowed to produce.
-    """
-    if rec.b1 is None:
-        raise ValueError("b1 unknown; cannot derive b2+/b2-")
-    b2p, b2m = rec.b2plus, rec.b2minus
-    warnings = []
-    if b2p.denominator != 1 or b2m.denominator != 1:
-        warnings.append(
-            f"non-integral b2+/b2- ({b2p}, {b2m}); inputs are not realizable"
-        )
-    warnings.extend(rec.consistency_warnings())
-    assert b2p - b2m == rec.tau
-    return b2p, b2m, warnings
-
 
 def connected_sum_record(parts: Iterable[tuple[InvariantRecord, int]]) -> InvariantRecord:
     """Invariants of the connected sum of (record, multiplicity) pairs.
@@ -124,8 +89,7 @@ def connected_sum_record(parts: Iterable[tuple[InvariantRecord, int]]) -> Invari
     return InvariantRecord(chi=chi - 2 * (total - 1), tau=tau, b1=b1)
 
 
-def rohlin_compatible(chi: int, tau: int, b1: Optional[int]) -> bool:
-    """Whether invariants allow a spin structure: b1=0 forces tau = 0 mod 16."""
-    if b1 == 0 and tau % 16 != 0:
-        return False
-    return True
+def rohlin_compatible(tau: int) -> bool:
+    """Whether tau allows a spin structure: Rohlin's theorem forces tau = 0 mod 16
+    on every smooth closed spin 4-manifold, whatever its b1."""
+    return tau % 16 == 0

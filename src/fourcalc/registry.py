@@ -61,10 +61,9 @@ def _validate(name: str, record: InvariantRecord, flags: StructureFlags) -> None
     if record.b1 is not None and record.b2 is not None and record.b2 < abs(record.tau):
         raise InconsistentFlags(f"{name}: b2 < |tau|")
     if flags.spin is YES:
-        if not rohlin_compatible(record.chi, record.tau, record.b1):
+        if not rohlin_compatible(record.tau):
             raise InconsistentFlags(
-                f"{name}: declared spin with b1=0 and tau={record.tau} "
-                "not divisible by 16 (Rohlin)"
+                f"{name}: declared spin with tau={record.tau} not divisible by 16 (Rohlin)"
             )
         if flags.parity is Parity.ODD:
             raise InconsistentFlags(f"{name}: spin forces even intersection form")
@@ -280,7 +279,7 @@ def _build_gompf_sum(params: tuple) -> PrimitiveInfo:
 
 
 def _build_group_block(params: tuple) -> PrimitiveInfo:
-    """XG(chi, tau, name[, b1]): spin symplectic block with prescribed pi1.
+    """XG(chi, tau, name[, b1 >= 0]): spin symplectic block with prescribed pi1.
 
     The numerical invariants depend on the chosen presentation, so they
     are caller-supplied; c1^2 = 0 is enforced as a consistency check.
@@ -291,6 +290,8 @@ def _build_group_block(params: tuple) -> PrimitiveInfo:
     b1 = params[3] if len(params) == 4 else 0
     if not isinstance(chi, int) or not isinstance(tau, int) or not isinstance(b1, int):
         raise InvalidExpr("XG invariants must be integers")
+    if b1 < 0:
+        raise InvalidExpr("XG b1 must be >= 0")
     if not isinstance(group, str):
         raise InvalidExpr("XG group label must be a name")
     if 2 * chi + 3 * tau != 0:

@@ -27,6 +27,7 @@ from fourcalc.expr import (
 )
 from fourcalc.geography import (
     GeographyQuery,
+    _ke_odd_c1sq,
     build_quotient_blueprint,
     exotic_partner_family,
     fourth_congruence_piece,
@@ -158,7 +159,7 @@ def reproduce_prop312() -> Report:
                 "d": d,
                 "i": i,
                 "c1sq": rec.c1sq,
-                "c1sq_formula": 4 * (d * (d - 1) + d * i - 2) ** 2,
+                "c1sq_formula": _ke_odd_c1sq(d, i),
                 "chi_h": _json_safe(rec.chi_h),
                 "chi_h_formula": _json_safe(ke_corrected_chi_h(d, i)),
                 "printed_chi_h": _json_safe(printed),

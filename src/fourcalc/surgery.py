@@ -1,9 +1,9 @@
 """Surgery operations at the expression level.
 
-``fiber_sum`` and ``log_transform`` build expressions and validate them
-eagerly (the evaluator transports invariants and flags; connected sums
-are built with ``expr.connected_sum_of``); ``universal_cover`` expands
-the two covering patterns the engine supports:
+``log_transform`` builds a log transform and validates it eagerly (the
+evaluator transports invariants and flags; fiber sums and connected sums
+are built as ``expr.FiberSum`` and with ``expr.connected_sum_of``);
+``universal_cover`` expands the two covering patterns the engine supports:
 
 * ``Quotient(N, d)``  ->  ``N``;
 * a connected sum with exactly one rational-homology-sphere summand
@@ -28,12 +28,6 @@ from fourcalc.expr import (
 )
 
 S2XS2 = Primitive("S2xS2")
-
-
-def fiber_sum(left: ManifoldExpr, right: ManifoldExpr, genus: int) -> ManifoldExpr:
-    expr = FiberSum(left, right, genus)
-    evaluate(expr)  # validates capabilities eagerly
-    return expr
 
 
 def log_transform(expr: ManifoldExpr, multiplicity: int) -> ManifoldExpr:

@@ -91,6 +91,18 @@ class TestEval:
         assert code == 2 and out == ""
         assert "syntax error" in err and "multiplicity" in err
 
+    def test_group_block_negative_b1_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "XG(24,-16,G,-1)")
+        assert (code, out) == (2, "")
+        assert err == "syntax error: XG b1 must be >= 0 (line 1, column 1)\n"
+
+    def test_rohlin_holds_at_positive_b1(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "XG(12,-8,G,1)")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "Rohlin" in err
+        _, out, _ = run_cli(capsys, "eval", "fibersum(FgProd(1,1),E(1),g=1)")
+        assert "b1       = unknown\n" in out and "spin     = no\n" in out
+
 
 class TestChecks:
     def test_ht_ok(self, capsys):

@@ -15,6 +15,12 @@ from fourcalc.invariants import InvariantRecord
 QUADRIC = "CP1xCP1"
 
 
+def proper_transform_euler(d: int, chi_d: int, c_dot_d: int) -> int:
+    """Euler characteristic of the proper transform of the second branch
+    curve inside the first cover: d*chi(D) - (d-1)(C.D)."""
+    return d * chi_d - (d - 1) * c_dot_d
+
+
 def two_step_composition(d, p, a, b, m, n) -> InvariantRecord:
     """Cover along (da, db) first, then along the proper transform of the
     (pm, pn) curve, using only the single-cover operations."""
@@ -26,7 +32,7 @@ def two_step_composition(d, p, a, b, m, n) -> InvariantRecord:
     )
     chi_d = covers.branch_curve_euler(DivisorClass(QUADRIC, (p * m, p * n)))
     c_dot_d = covers.pairing(QUADRIC, (d * a, d * b), (p * m, p * n))
-    chi_transform = covers.proper_transform_euler(d, chi_d, c_dot_d)
+    chi_transform = proper_transform_euler(d, chi_d, c_dot_d)
     c2 = p * step_one.c2 - (p - 1) * chi_transform
     # The second cover's classes are pullbacks from the quadric, so their
     # self-intersections scale by the first cover's degree d.
@@ -34,6 +40,26 @@ def two_step_composition(d, p, a, b, m, n) -> InvariantRecord:
     c1sq = p * d * covers.self_intersection(QUADRIC, shifted)
     assert (c1sq - 2 * c2) % 3 == 0
     return InvariantRecord(chi=c2, tau=(c1sq - 2 * c2) // 3, b1=0)
+
+
+class TestProperTransform:
+    def test_degree_one(self):
+        assert proper_transform_euler(1, -7, 100) == -7
+
+    def test_direct_substitution(self):
+        # C = D = (2,2): C.D = 2*2 + 2*2 = 8, chi(D) = 0.
+        c_dot_d = covers.pairing(QUADRIC, (2, 2), (2, 2))
+        assert c_dot_d == 8
+        assert proper_transform_euler(2, 0, 8) == -8
+
+    def test_symbolic_form(self):
+        # p d (2(m+n-pmn) - (d-1)(an+bm)) at (d,p,a,b,m,n) = (2,2,1,1,1,1).
+        d, p, a, b, m, n = 2, 2, 1, 1, 1, 1
+        chi_d = covers.branch_curve_euler(DivisorClass(QUADRIC, (p * m, p * n)))
+        c_dot_d = covers.pairing(QUADRIC, (d * a, d * b), (p * m, p * n))
+        value = proper_transform_euler(d, chi_d, c_dot_d)
+        assert value == p * d * (2 * (m + n - p * m * n) - (d - 1) * (a * n + b * m))
+        assert value == -8
 
 
 def doubled_cross_term_c2(d, p, a, b, m, n) -> int:

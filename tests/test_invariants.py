@@ -2,13 +2,11 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from fourcalc.invariants import (
     InvariantRecord,
     connected_sum_record,
-    derive_betti,
     rohlin_compatible,
 )
 
@@ -22,14 +20,13 @@ def test_chern_identities():
 
 
 def test_betti_from_octic_cover_values():
-    b2p, b2m, warnings = derive_betti(InvariantRecord(46, -30, 0))
-    assert (b2p, b2m) == (7, 37)
-    assert warnings == []
+    rec = InvariantRecord(46, -30, 0)
+    assert (rec.b2plus, rec.b2minus) == (7, 37)
 
 
 def test_betti_quadric():
-    b2p, b2m, _ = derive_betti(InvariantRecord(4, 0, 0))
-    assert (b2p, b2m) == (1, 1)
+    rec = InvariantRecord(4, 0, 0)
+    assert (rec.b2plus, rec.b2minus) == (1, 1)
 
 
 def test_betti_elliptic_family_oracle():
@@ -38,33 +35,29 @@ def test_betti_elliptic_family_oracle():
         chi, tau = 12 * n, -8 * n
         b2 = chi - 2
         expected_plus = Fraction(b2 + tau, 2)
-        b2p, b2m, _ = derive_betti(InvariantRecord(chi, tau, 0))
-        assert b2p == expected_plus == 2 * n - 1
-        assert b2m == Fraction(b2 - tau, 2) == 10 * n - 1
-
-
-def test_betti_nonintegral_warns_not_raises():
-    b2p, b2m, warnings = derive_betti(InvariantRecord(213, -106, 0))
-    assert b2p.denominator == 2
-    assert any("non-integral" in w for w in warnings)
+        rec = InvariantRecord(chi, tau, 0)
+        assert rec.b2plus == expected_plus == 2 * n - 1
+        assert rec.b2minus == Fraction(b2 - tau, 2) == 10 * n - 1
 
 
 def test_betti_b1_positive():
     rec = InvariantRecord(0, 0, 1)  # S1 x S3
     assert rec.b2 == 0
-    b2p, b2m, _ = derive_betti(rec)
-    assert (b2p, b2m) == (0, 0)
+    assert (rec.b2plus, rec.b2minus) == (0, 0)
 
 
 def test_betti_unknown_b1_rejected():
-    with pytest.raises(ValueError):
-        derive_betti(InvariantRecord(10, 2, None))
+    # Without b1 there is no b2, so b2+ and b2- are not derived.
+    rec = InvariantRecord(10, 2, None)
+    assert rec.b2 is None
+    assert rec.b2plus is None and rec.b2minus is None
 
 
 def test_rohlin_compatibility():
-    assert rohlin_compatible(24, -16, 0)
-    assert not rohlin_compatible(46, -30, 0)
-    assert rohlin_compatible(46, -30, 1)  # b1 > 0: no constraint imposed
+    assert rohlin_compatible(-16)
+    # Rohlin's theorem has no b1 hypothesis: tau = -30 rules out spin for
+    # (46, -30, 1) as much as for (46, -30, 0).
+    assert not rohlin_compatible(-30)
 
 
 def test_connected_sum_record():

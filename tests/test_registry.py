@@ -118,8 +118,19 @@ def test_register_duplicate_rejected():
 def test_register_rohlin_violation_rejected():
     reg = Registry()
     bad = StructureFlags().cite(spin=YES, rule="declared", citation="bogus")
-    with pytest.raises(InconsistentFlags):
-        reg.register_primitive("Bad", InvariantRecord(46, -30, 0), bad)
+    # Rohlin's theorem holds whatever b1 is.
+    for record in (InvariantRecord(46, -30, 0), InvariantRecord(46, -30, 1)):
+        with pytest.raises(InconsistentFlags, match="Rohlin"):
+            reg.register_primitive("Bad", record, bad)
+
+
+def test_unrealizable_records_rejected():
+    # chi + tau odd makes b2+ and b2- half-integral.
+    with pytest.raises(InconsistentFlags, match="chi \\+ tau must be even"):
+        Registry().register_primitive("Odd", InvariantRecord(213, -106, 0), StructureFlags())
+    # b2 < |tau| makes b2+ or b2- negative.
+    with pytest.raises(InconsistentFlags, match="b2 < \\|tau\\|"):
+        REGISTRY.instantiate("BK", (1, 100, 0))
 
 
 def test_register_w2type_spin_coherence():
