@@ -126,7 +126,7 @@ def cmd_eval(args) -> int:
         f"c2       = {rec.c2}",
         f"chi_h    = {rec.chi_h}{formal}",
         f"b2       = {rec.b2 if rec.b2 is not None else 'unknown'}",
-        f"b2+/b2-  = {data['b2plus']}/{data['b2minus']}",
+        f"b2+/b2-  = {data['b2plus'] or 'unknown'}/{data['b2minus'] or 'unknown'}",
         f"spin     = {ev.flags.spin.value}",
         f"parity   = {ev.flags.parity.value}",
         f"w2-type  = {ev.flags.w2type.value}",

@@ -121,8 +121,6 @@ class CyclicCover:
     branch: DivisorClass
 
     def __post_init__(self):
-        if self.base not in COVER_BASES:
-            raise InvalidExpr(f"unsupported cover base {self.base!r}")
         if self.d < 1:
             raise NegativeDegree("cover degree must be >= 1")
         if self.branch.base != self.base:

@@ -69,6 +69,15 @@ def hitchin_thorpe(rec: InvariantRecord, inputs: Optional[dict] = None) -> Certi
     )
 
 
+def _no_verdict(
+    steps: list[Step], hypothesis: str, citation: str, inputs: dict, arithmetic: Optional[str] = None
+) -> Certificate:
+    """The certificate of a failed hypothesis: the steps so far, then the
+    failing condition named."""
+    steps.append(Step(f"hypothesis-failed:{hypothesis}", citation, arithmetic))
+    return Certificate("no_verdict", tuple(steps), inputs)
+
+
 def lebrun_einstein(x_expr: ManifoldExpr, k: int, l: int) -> Certificate:
     """Curvature obstruction for X # k CP2b # l (S1xS3).
 
@@ -86,14 +95,7 @@ def lebrun_einstein(x_expr: ManifoldExpr, k: int, l: int) -> Certificate:
     }
     steps = []
     if ev.flags.sw_nontrivial is not YES:
-        steps.append(
-            Step(
-                "hypothesis-failed:sw-nontrivial",
-                CITE_LEBRUN,
-                None,
-            )
-        )
-        return Certificate("no_verdict", tuple(steps), inputs)
+        return _no_verdict(steps, "sw-nontrivial", CITE_LEBRUN, inputs)
     # Flags registered without a record count as declared.
     why = next(
         (p for p in reversed(ev.flags.provenance) if p.field == "sw_nontrivial"),
@@ -102,14 +104,9 @@ def lebrun_einstein(x_expr: ManifoldExpr, k: int, l: int) -> Certificate:
     steps.append(Step(f"sw-nontrivial:{why.rule}", why.citation, None))
     total = 2 * rec.chi + 3 * rec.tau
     if total <= 0:
-        steps.append(
-            Step(
-                "hypothesis-failed:positivity",
-                CITE_LEBRUN,
-                f"{_two_chi_three_tau(rec)} == {_fmt(total)} <= 0",
-            )
+        return _no_verdict(
+            steps, "positivity", CITE_LEBRUN, inputs, f"{_two_chi_three_tau(rec)} == {_fmt(total)} <= 0"
         )
-        return Certificate("no_verdict", tuple(steps), inputs)
     steps.append(
         Step("positivity", CITE_LEBRUN, f"{_two_chi_three_tau(rec)} == {_fmt(total)} > 0")
     )
@@ -183,57 +180,37 @@ def spin_einstein(
     if assumption:
         steps.append(Step("fourth-piece-assumption", assumption, None))
     if len(pieces) != 4 or m not in (2, 3, 4):
-        steps.append(Step("hypothesis-failed:shape", CITE_BAUER_FURUTA, None))
-        return Certificate("no_verdict", tuple(steps), inputs)
+        return _no_verdict(steps, "shape", CITE_BAUER_FURUTA, inputs)
 
     b2ps = []
     for j, piece in enumerate(pieces):
         ev = evaluate(piece)
         rec, flags = ev.record, ev.flags
+        piece_no = f"(piece {j + 1})"
         if flags.sw_mod2_nontrivial is not YES:
-            steps.append(
-                Step(f"hypothesis-failed:mod2-sw(piece {j + 1})", CITE_BAUER_FURUTA, None)
-            )
-            return Certificate("no_verdict", tuple(steps), inputs)
+            return _no_verdict(steps, f"mod2-sw{piece_no}", CITE_BAUER_FURUTA, inputs)
         if rec.b1 != 0:
-            steps.append(
-                Step(f"hypothesis-failed:b1(piece {j + 1})", CITE_BAUER_FURUTA, None)
-            )
-            return Certificate("no_verdict", tuple(steps), inputs)
+            return _no_verdict(steps, f"b1{piece_no}", CITE_BAUER_FURUTA, inputs)
         b2p = rec.b2plus
         if b2p is None or b2p.denominator != 1:
-            steps.append(
-                Step(f"hypothesis-failed:b2plus-known(piece {j + 1})", CITE_BAUER_FURUTA, None)
-            )
-            return Certificate("no_verdict", tuple(steps), inputs)
+            return _no_verdict(steps, f"b2plus-known{piece_no}", CITE_BAUER_FURUTA, inputs)
         b2p = int(b2p)
         b2ps.append(b2p)
         if b2p % 4 != 3:
-            steps.append(
-                Step(
-                    f"hypothesis-failed:b2plus-congruence(piece {j + 1})",
-                    CITE_BAUER_FURUTA,
-                    f"mod({b2p}, 4) != 3",
-                )
+            return _no_verdict(
+                steps, f"b2plus-congruence{piece_no}", CITE_BAUER_FURUTA, inputs, f"mod({b2p}, 4) != 3"
             )
-            return Certificate("no_verdict", tuple(steps), inputs)
-        steps.append(
-            Step(f"b2plus-congruence(piece {j + 1})", CITE_BAUER_FURUTA, f"mod({b2p}, 4) == 3")
-        )
+        steps.append(Step(f"b2plus-congruence{piece_no}", CITE_BAUER_FURUTA, f"mod({b2p}, 4) == 3"))
     total_b2p = sum(b2ps)
     sum_text = " + ".join(str(v) for v in b2ps)
     if total_b2p % 8 != 4:
-        steps.append(
-            Step("hypothesis-failed:sum-congruence", CITE_BAUER_FURUTA, f"mod({sum_text}, 8) != 4")
-        )
-        return Certificate("no_verdict", tuple(steps), inputs)
+        return _no_verdict(steps, "sum-congruence", CITE_BAUER_FURUTA, inputs, f"mod({sum_text}, 8) != 4")
     steps.append(Step("sum-congruence", CITE_BAUER_FURUTA, f"mod({sum_text}, 8) == 4"))
 
     n_rec = evaluate(n_expr).record
     n_b2p = n_rec.b2plus
     if n_b2p is None or n_b2p != 0:
-        steps.append(Step("hypothesis-failed:N-b2plus", CITE_BAUER_FURUTA, None))
-        return Certificate("no_verdict", tuple(steps), inputs)
+        return _no_verdict(steps, "N-b2plus", CITE_BAUER_FURUTA, inputs)
     steps.append(Step("N-b2plus-zero", CITE_BAUER_FURUTA, f"{_fmt(int(n_b2p))} == 0"))
 
     c1sqs = [evaluate(p).record.c1sq for p in pieces[:m]]

@@ -47,50 +47,36 @@ _COVER_BASES = {"CP2": "CP2", "CP1xCP1": "CP1xCP1", "S2xS2": "CP1xCP1"}
 class _Token(NamedTuple):
     kind: str  # "int" | "name" | "sym" | "end"
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``; counted only for an error."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
-    """Split text into tokens with 1-based line and column positions.
-
-    Positions are tracked incrementally: ``line`` counts the newlines
-    before ``pos`` and ``newline`` is the index of the last of them (-1
-    on the first line), so each character is scanned a bounded number of
-    times.  Tokens never contain a newline; only the whitespace skipped
-    in front of a token (or of a character no token begins with) can.
-    """
+    """Split text into tokens, each with its offset in the text."""
     tokens = []
     pos = 0
-    line, newline = 1, -1
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            start = len(text) - len(rest)  # the character no token begins with
-        else:
-            kind = match.lastgroup
-            start = match.start(kind)
-        skipped = text.count("\n", pos, start)
-        if skipped:
-            line += skipped
-            newline = text.rfind("\n", pos, start)
-        if match is None:
-            raise DslSyntaxError(f"unexpected character {rest[0]!r}", line, start - newline)
-        tokens.append(_Token(kind, match.group(kind), line, start - newline))
+            bad = len(text) - len(rest)  # the character no token begins with
+            raise DslSyntaxError(f"unexpected character {rest[0]!r}", *_position(text, bad))
+        kind = match.lastgroup
+        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
         pos = match.end()
-    skipped = text.count("\n", pos)
-    if skipped:
-        line += skipped
-        newline = text.rfind("\n", pos)
-    tokens.append(_Token("end", "", line, len(text) - newline))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -98,9 +84,11 @@ class _Parser:
     def current(self) -> _Token:
         return self.tokens[self.pos]
 
+    def position(self, tok: _Token) -> tuple[int, int]:
+        return _position(self.text, tok.offset)
+
     def error(self, message: str):
-        tok = self.current
-        raise DslSyntaxError(message, tok.line, tok.column)
+        raise DslSyntaxError(message, *self.position(self.current))
 
     def advance(self) -> _Token:
         tok = self.current
@@ -186,7 +174,7 @@ class _Parser:
                 return self.finish_fibersum()
             return self.finish_logt()
         except InvalidExpr as exc:
-            raise DslSyntaxError(str(exc), head.line, head.column) from exc
+            raise DslSyntaxError(str(exc), *self.position(head)) from exc
 
     def finish_cover(self) -> ManifoldExpr:
         base_name = self.expect_name("a cover base (CP2 or CP1xCP1)")
@@ -252,9 +240,7 @@ class _Parser:
         at = self.current
         mult = self.expect_int()
         if mult < 1:
-            raise DslSyntaxError(
-                f"logt multiplicity must be >= 1, found {mult}", at.line, at.column
-            )
+            raise DslSyntaxError(f"logt multiplicity must be >= 1, found {mult}", *self.position(at))
         self.expect_sym(")")
         return LogTransform(inner, mult) if mult > 1 else inner
 
@@ -262,7 +248,7 @@ class _Parser:
         tok = self.advance()
         name = tok.text
         if name not in REGISTRY:
-            raise UnknownPrimitive(f"unknown primitive {name!r}", tok.line, tok.column)
+            raise UnknownPrimitive(f"unknown primitive {name!r}", *self.position(tok))
         params: list = []
         if self.at_sym("("):
             self.advance()
@@ -275,7 +261,7 @@ class _Parser:
         try:
             REGISTRY.instantiate(name, tuple(params))
         except InvalidExpr as exc:
-            raise DslSyntaxError(str(exc), tok.line, tok.column) from exc
+            raise DslSyntaxError(str(exc), *self.position(tok)) from exc
         return expr
 
     def parse_arg(self):

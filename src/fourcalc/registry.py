@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from fourcalc.errors import DuplicateName, InconsistentFlags, InvalidExpr
+from fourcalc.expr import Primitive
 from fourcalc.flags import (
     NO,
     YES,
@@ -45,8 +46,6 @@ def genus_cap(g: int) -> str:
 class PrimitiveInfo:
     """A fully instantiated primitive: invariants, flags, capabilities."""
 
-    name: str
-    params: tuple
     record: InvariantRecord
     flags: StructureFlags
     capabilities: dict = field(default_factory=dict)
@@ -54,8 +53,9 @@ class PrimitiveInfo:
     labels: tuple[str, ...] = ()
 
 
-def _validate(name: str, record: InvariantRecord, flags: StructureFlags) -> None:
-    """Reject internally impossible declarations before they enter the registry."""
+def _validate(name: str | Primitive, record: InvariantRecord, flags: StructureFlags) -> None:
+    """Reject internally impossible declarations before they enter the
+    registry.  ``name`` is formatted only when a declaration is rejected."""
     if (record.chi + record.tau) % 2 != 0:
         raise InconsistentFlags(f"{name}: chi + tau must be even")
     if record.b1 is not None and record.b2 is not None and record.b2 < abs(record.tau):
@@ -96,8 +96,6 @@ class Registry:
             raise DuplicateName(f"primitive {name!r} already registered")
         _validate(name, record, flags)
         info = PrimitiveInfo(
-            name=name,
-            params=(),
             record=record,
             flags=flags,
             capabilities=dict(capabilities or {}),
@@ -119,7 +117,7 @@ class Registry:
             return self._fixed[name]
         if name in self._families:
             info = self._families[name](params)
-            _validate(f"{name}{params}", info.record, info.flags)
+            _validate(Primitive(name, params), info.record, info.flags)
             return info
         raise InvalidExpr(f"unknown primitive {name!r}")
 
@@ -230,8 +228,6 @@ def _build_elliptic(params: tuple) -> PrimitiveInfo:
         # disjoint, both of square zero, with simply connected complement.
         caps[GENUS2] = 1
     return PrimitiveInfo(
-        name="E",
-        params=(n,),
         record=InvariantRecord(12 * n, -8 * n, 0),
         flags=flags,
         capabilities=caps,
@@ -254,8 +250,6 @@ def _build_homology_sphere(params: tuple) -> PrimitiveInfo:
         sw_nontrivial=NO,
     )
     return PrimitiveInfo(
-        name="Sd",
-        params=(d,),
         record=InvariantRecord(2, 0, 0),
         flags=flags,
         labels=(f"universal cover {d - 1}(S2xS2)",),
@@ -267,8 +261,6 @@ def _build_gompf_sum(params: tuple) -> PrimitiveInfo:
     k = _one_int("Xk", params)
     flags = _simply_connected(YES, symplectic=YES)
     return PrimitiveInfo(
-        name="Xk",
-        params=(k,),
         record=InvariantRecord(52 * k + 48, -32 * (k + 1), 0),
         flags=flags,
         # Generic {pt} x F2 fibers survive the torus sums and parallel
@@ -308,8 +300,6 @@ def _build_group_block(params: tuple) -> PrimitiveInfo:
         symplectic=YES,
     )
     return PrimitiveInfo(
-        name="XG",
-        params=tuple(params),
         record=record,
         flags=flags,
         capabilities={GENUS1: 1},
@@ -325,8 +315,6 @@ def _build_log_elliptic(params: tuple) -> PrimitiveInfo:
         minimal_general_type=NO,
     )
     return PrimitiveInfo(
-        name="Y",
-        params=(j,),
         record=InvariantRecord(24, -16, 0),
         flags=flags,
         capabilities={GENUS1: 1, ELLIPTIC_FIBER: 1},
@@ -363,8 +351,6 @@ def _build_surface_product(params: tuple) -> PrimitiveInfo:
         symplectic=YES,
     )
     return PrimitiveInfo(
-        name="FgProd",
-        params=(g1, g2),
         record=record,
         flags=flags,
         capabilities=caps,
@@ -395,8 +381,6 @@ def _build_geography_block(params: tuple) -> PrimitiveInfo:
     if x < 1 or y < 1 or j < 0:
         raise InvalidExpr("BK needs chi_h >= 1, c1sq >= 1, index >= 0")
     return PrimitiveInfo(
-        name="BK",
-        params=(x, y, j),
         record=InvariantRecord(12 * x - y, y - 8 * x, 0),
         flags=BK_FLAGS,
         labels=(f"structure index {j}",),

@@ -100,8 +100,10 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", "XG(12,-8,G,1)")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "Rohlin" in err
+        assert err.startswith("error: XG(12,-8,G,1): declared spin")
         _, out, _ = run_cli(capsys, "eval", "fibersum(FgProd(1,1),E(1),g=1)")
         assert "b1       = unknown\n" in out and "spin     = no\n" in out
+        assert "b2+/b2-  = unknown/unknown\n" in out
 
 
 class TestChecks:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fourcalc import expr as expr_module
+from fourcalc.errors import InvalidExpr, NegativeDegree
 from fourcalc.expr import (
     BicyclicCover,
     ConnectedSum,
@@ -33,6 +34,44 @@ LEAVES = [
     CyclicCover("CP2", 2, DivisorClass("CP2", (8,))),
     BicyclicCover(3, 2, 3, 3, 3, 3),
 ]
+
+
+CP2_OCTIC = DivisorClass("CP2", (8,))
+BICYCLIC = (3, 2, 3, 3, 3, 3)
+
+# Each node constructor is the one home of its parameter checks: the
+# cover formulas trust the nodes they are given.
+REJECTED = [
+    *(
+        (f"bicyclic parameter {i} at 0", NegativeDegree,
+         lambda i=i: BicyclicCover(*BICYCLIC[:i], 0, *BICYCLIC[i + 1:]))
+        for i in range(6)
+    ),
+    ("cover degree 0", NegativeDegree, lambda: CyclicCover("CP2", 0, CP2_OCTIC)),
+    ("branch on another base", InvalidExpr,
+     lambda: CyclicCover("CP2", 2, DivisorClass("CP1xCP1", (2, 2)))),
+    ("divisor base", InvalidExpr, lambda: DivisorClass("CP3", (1, 1))),
+    ("divisor arity", InvalidExpr, lambda: DivisorClass("CP2", (1, 2))),
+    ("negative divisor degree", NegativeDegree, lambda: DivisorClass("CP2", (-1,))),
+    ("quotient degree 0", NegativeDegree, lambda: Quotient(BicyclicCover(*BICYCLIC), 0)),
+    ("unknown action", InvalidExpr,
+     lambda: Quotient(BicyclicCover(*BICYCLIC), 3, "twisted")),
+    ("fiber-sum genus -1", NegativeDegree,
+     lambda: FiberSum(Primitive("K3"), Primitive("K3"), -1)),
+    ("log multiplicity 0", NegativeDegree, lambda: LogTransform(Primitive("K3"), 0)),
+    ("empty sum", InvalidExpr, lambda: ConnectedSum(())),
+    ("zero multiplicity", InvalidExpr, lambda: ConnectedSum(((Primitive("K3"), 0),))),
+    ("nested sum", InvalidExpr,
+     lambda: ConnectedSum(((ConnectedSum(((Primitive("K3"), 2),)), 1),))),
+]
+
+
+@pytest.mark.parametrize("build, error", [(b, e) for _, e, b in REJECTED],
+                         ids=[name for name, _, _ in REJECTED])
+def test_constructors_reject_out_of_range_parameters(build, error):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error
 
 
 def _build(recipe):

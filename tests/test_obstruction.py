@@ -451,6 +451,36 @@ class TestSpinEinstein:
         cert = certify(spin_einstein(pieces, 3, CP2))
         assert cert.verdict == "no_verdict"
 
+    @pytest.mark.parametrize(
+        "first, n_expr, steps",
+        [
+            (None, SPHERE2, [("hypothesis-failed:shape", None)]),
+            (CP2, SPHERE2, [("hypothesis-failed:mod2-sw(piece 1)", None)]),
+            (Primitive("FgProd", (1, 1)), SPHERE2, [("hypothesis-failed:b1(piece 1)", None)]),
+            (
+                Primitive("E", (3,)),
+                SPHERE2,
+                [("hypothesis-failed:b2plus-congruence(piece 1)", "mod(5, 4) != 3")],
+            ),
+            (
+                K3,
+                CP2,
+                [
+                    *((f"b2plus-congruence(piece {j})", "mod(3, 4) == 3") for j in range(1, 5)),
+                    ("sum-congruence", "mod(3 + 3 + 3 + 3, 8) == 4"),
+                    ("hypothesis-failed:N-b2plus", None),
+                ],
+            ),
+        ],
+        ids=["shape", "mod2-sw", "b1", "b2plus-congruence", "N-b2plus"],
+    )
+    def test_each_failed_hypothesis_ends_the_certificate(self, first, n_expr, steps):
+        # [K3]*3 has the wrong shape; otherwise ``first`` leads three K3s.
+        pieces = [K3] * 3 if first is None else [first, K3, K3, K3]
+        cert = certify(spin_einstein(pieces, 3, n_expr))
+        assert cert.verdict == "no_verdict"
+        assert [(s.rule, s.arithmetic) for s in cert.steps] == steps
+
 
 class TestHomeo:
     def test_planes_differ(self):

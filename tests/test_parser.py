@@ -15,7 +15,7 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
-from fourcalc.parser import _TOKEN_RE, _tokenize, parse_dsl
+from fourcalc.parser import _TOKEN_RE, _Token, _position, _tokenize, parse_dsl
 
 
 class TestGrammar:
@@ -161,10 +161,16 @@ def reference_tokenize(text):
 
 
 def _tokens_or_error(tokenize, text):
+    """(kind, text, line, column) per token, or the error and its position.
+    The tokenizer's offsets are placed by the parser's ``_position``."""
     try:
-        return [tuple(tok) for tok in tokenize(text)]
+        tokens = tokenize(text)
     except DslSyntaxError as exc:
         return str(exc), exc.line, exc.column
+    return [
+        (tok.kind, tok.text, *_position(text, tok.offset)) if isinstance(tok, _Token) else tok
+        for tok in tokens
+    ]
 
 
 # Pieces of DSL text: tokens, runs of spaces, tabs and newlines (blank
