@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the manifold DSL.
+"""Parser for the manifold DSL.
 
 Grammar::
 
@@ -17,12 +17,19 @@ Grammar::
 Parsing is total: every input yields an expression or a positioned
 syntax error.  Printing an expression with ``str`` re-parses to an
 identical tree.
+
+One regex scan splits the text into tokens.  A parenthesised group is
+not a level of recursion: its parts go straight into the enclosing sum,
+with multiplicities multiplied, so sums nest to any depth.  Only the
+constructors (``quotient``, ``fibersum``, ``logt``) recurse into ``expr``.
+Each distinct primitive ``(name, params)`` is validated once per parse,
+at its first occurrence, and its occurrences share one node.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from fourcalc.errors import DslSyntaxError, InvalidExpr, UnknownPrimitive
 from fourcalc.expr import (
@@ -35,10 +42,15 @@ from fourcalc.expr import (
     Primitive,
     Quotient,
     connected_sum_of,
+    sum_parts,
 )
 from fourcalc.registry import REGISTRY
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[#*(),;=\-]))")
+# One token per match.  ``bad`` matches a character no token begins with;
+# the tokenizer reports the first one.
+_TOKEN_RE = re.compile(
+    r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[#*(),;=\-])|(?P<bad>\S)"
+)
 
 _CONSTRUCTORS = ("cover", "bicyclic", "quotient", "fibersum", "logt")
 _COVER_BASES = {"CP2": "CP2", "CP1xCP1": "CP1xCP1", "S2xS2": "CP1xCP1"}
@@ -55,69 +67,68 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _found(tok: _Token) -> str:
+    return repr(tok.text or "end of input")
+
+
 def _tokenize(text: str) -> list[_Token]:
     """Split text into tokens, each with its offset in the text."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            bad = len(text) - len(rest)  # the character no token begins with
-            raise DslSyntaxError(f"unexpected character {rest[0]!r}", *_position(text, bad))
-        kind = match.lastgroup
-        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
-        pos = match.end()
+    # tuple.__new__ builds each token without the Python-level __new__
+    # that NamedTuple generates.
+    tokens = [
+        tuple.__new__(_Token, (m.lastgroup, m.group(), m.start())) for m in _TOKEN_RE.finditer(text)
+    ]
+    for tok in tokens:
+        if tok.kind == "bad":
+            raise DslSyntaxError(f"unexpected character {tok.text!r}", *_position(text, tok.offset))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Reads ``tokens`` by index.  A symbol is recognised by its text
+    alone: no int, name or end token has the text of one."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        # Each distinct (name, params) is validated once; its occurrences
+        # share one node.
+        self.primitives: dict[tuple[str, tuple], Primitive] = {}
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, tok: _Token | None = None) -> NoReturn:
+        """Raise a syntax error at ``tok``, by default the current token."""
+        if tok is None:
+            tok = self.tokens[self.pos]
+        raise DslSyntaxError(message, *_position(self.text, tok.offset))
 
-    def position(self, tok: _Token) -> tuple[int, int]:
-        return _position(self.text, tok.offset)
+    def accept(self, sym: str) -> bool:
+        """Consume the current token if it is ``sym``."""
+        if self.tokens[self.pos].text == sym:
+            self.pos += 1
+            return True
+        return False
 
-    def error(self, message: str):
-        raise DslSyntaxError(message, *self.position(self.current))
-
-    def advance(self) -> _Token:
-        tok = self.current
-        self.pos += 1
-        return tok
-
-    def expect_sym(self, sym: str) -> _Token:
-        tok = self.current
-        if tok.kind != "sym" or tok.text != sym:
-            self.error(f"expected {sym!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+    def expect_sym(self, sym: str) -> None:
+        if not self.accept(sym):
+            self.error(f"expected {sym!r}, found {_found(self.tokens[self.pos])}")
 
     def expect_int(self) -> int:
-        negative = False
-        if self.current.kind == "sym" and self.current.text == "-":
-            negative = True
-            self.advance()
-        tok = self.current
+        negative = self.accept("-")
+        tok = self.tokens[self.pos]
         if tok.kind != "int":
-            self.error(f"expected an integer, found {tok.text or 'end of input'!r}")
-        self.advance()
+            self.error(f"expected an integer, found {_found(tok)}")
+        self.pos += 1
         value = int(tok.text)
         return -value if negative else value
 
     def expect_name(self, what: str = "a name") -> str:
-        tok = self.current
+        tok = self.tokens[self.pos]
         if tok.kind != "name":
-            self.error(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.advance().text
+            self.error(f"expected {what}, found {_found(tok)}")
+        self.pos += 1
+        return tok.text
 
     def expect_keyword_assignment(self, keyword: str) -> int:
         name = self.expect_name(f"'{keyword}='")
@@ -126,42 +137,63 @@ class _Parser:
         self.expect_sym("=")
         return self.expect_int()
 
-    def at_sym(self, sym: str) -> bool:
-        return self.current.kind == "sym" and self.current.text == sym
-
     # grammar rules ----------------------------------------------------
 
     def parse_expr(self) -> ManifoldExpr:
-        pieces = [self.parse_term()]
-        while self.at_sym("#"):
-            self.advance()
-            pieces.append(self.parse_term())
-        return connected_sum_of(*pieces)
-
-    def parse_term(self) -> tuple[ManifoldExpr, int]:
-        mult = 1
-        if self.current.kind == "int":
-            mult = int(self.advance().text)
-            if mult < 1:
-                self.error("multiplicity must be >= 1")
-            self.expect_sym("*")
-        return self.parse_atom(), mult
-
-    def parse_atom(self) -> ManifoldExpr:
-        tok = self.current
-        if self.at_sym("("):
-            self.advance()
-            inner = self.parse_expr()
-            self.expect_sym(")")
-            return inner
-        if tok.kind != "name":
-            self.error(f"expected a manifold, found {tok.text or 'end of input'!r}")
-        if tok.text in _CONSTRUCTORS:
-            return self.parse_constructor()
-        return self.parse_primitive()
+        """A sum, with each parenthesised group flattened into it as it is
+        read.  An open group is only the multiplicity factor outside it, on
+        ``outside``, so groups nest without recursion and build no sum of
+        their own.  Parts keep the order of their first occurrence, as in
+        ``connected_sum_of``."""
+        tokens = self.tokens
+        pos = self.pos
+        counts: dict[ManifoldExpr, int] = {}
+        outside: list[int] = []
+        factor = 1
+        while True:
+            tok = tokens[pos]
+            mult = factor
+            if tok.kind == "int":
+                value = int(tok.text)
+                if value < 1:
+                    self.error(f"multiplicity must be >= 1, found {value}", tok)
+                pos += 1
+                if tokens[pos].text != "*":
+                    self.error(f"expected '*', found {_found(tokens[pos])}", tokens[pos])
+                pos += 1
+                tok = tokens[pos]
+                mult = factor * value
+            if tok.text == "(":
+                outside.append(factor)
+                factor = mult
+                pos += 1
+                continue
+            if tok.kind != "name":
+                self.error(f"expected a manifold, found {_found(tok)}", tok)
+            self.pos = pos
+            if tok.text in _CONSTRUCTORS:
+                # logt(sum, 1) is the sum itself, so a constructor may give parts.
+                for part, submult in sum_parts(self.parse_constructor()):
+                    counts[part] = counts.get(part, 0) + submult * mult
+            else:
+                part = self.parse_primitive()
+                counts[part] = counts.get(part, 0) + mult
+            pos = self.pos
+            tok = tokens[pos]
+            while tok.text != "#":
+                if not outside:
+                    self.pos = pos
+                    return connected_sum_of(*counts.items())
+                if tok.text != ")":
+                    self.error(f"expected ')', found {_found(tok)}", tok)
+                factor = outside.pop()
+                pos += 1
+                tok = tokens[pos]
+            pos += 1
 
     def parse_constructor(self) -> ManifoldExpr:
-        head = self.advance()
+        head = self.tokens[self.pos]
+        self.pos += 1
         self.expect_sym("(")
         try:
             if head.text == "cover":
@@ -174,7 +206,7 @@ class _Parser:
                 return self.finish_fibersum()
             return self.finish_logt()
         except InvalidExpr as exc:
-            raise DslSyntaxError(str(exc), *self.position(head)) from exc
+            self.error(str(exc), head)
 
     def finish_cover(self) -> ManifoldExpr:
         base_name = self.expect_name("a cover base (CP2 or CP1xCP1)")
@@ -188,8 +220,7 @@ class _Parser:
         if name != "branch":
             self.error(f"expected 'branch=', found {name!r}")
         self.expect_sym("=")
-        if self.at_sym("("):
-            self.advance()
+        if self.accept("("):
             p = self.expect_int()
             self.expect_sym(",")
             q = self.expect_int()
@@ -217,8 +248,7 @@ class _Parser:
         self.expect_sym(",")
         d = self.expect_int()
         action = "standard"
-        if self.at_sym(","):
-            self.advance()
+        if self.accept(","):
             action = self.expect_name("an action kind")
             if action not in ("standard", "weighted"):
                 self.error(f"unknown action {action!r}")
@@ -237,43 +267,60 @@ class _Parser:
     def finish_logt(self) -> ManifoldExpr:
         inner = self.parse_expr()
         self.expect_sym(",")
-        at = self.current
+        at = self.tokens[self.pos]
         mult = self.expect_int()
         if mult < 1:
-            raise DslSyntaxError(f"logt multiplicity must be >= 1, found {mult}", *self.position(at))
+            self.error(f"logt multiplicity must be >= 1, found {mult}", at)
         self.expect_sym(")")
         return LogTransform(inner, mult) if mult > 1 else inner
 
-    def parse_primitive(self) -> ManifoldExpr:
-        tok = self.advance()
+    def parse_primitive(self) -> Primitive:
+        """NAME ['(' args ')'], read by index: one node per distinct
+        (name, params), validated when it first occurs."""
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
         name = tok.text
         if name not in REGISTRY:
-            raise UnknownPrimitive(f"unknown primitive {name!r}", *self.position(tok))
+            raise UnknownPrimitive(f"unknown primitive {name!r}", *_position(self.text, tok.offset))
+        pos += 1
         params: list = []
-        if self.at_sym("("):
-            self.advance()
-            params.append(self.parse_arg())
-            while self.at_sym(","):
-                self.advance()
-                params.append(self.parse_arg())
-            self.expect_sym(")")
-        expr = Primitive(name, tuple(params))
-        try:
-            REGISTRY.instantiate(name, tuple(params))
-        except InvalidExpr as exc:
-            raise DslSyntaxError(str(exc), *self.position(tok)) from exc
-        return expr
-
-    def parse_arg(self):
-        if self.current.kind == "name":
-            return self.advance().text
-        return self.expect_int()
+        if tokens[pos].text == "(":
+            sep = ","
+            while sep == ",":
+                pos += 1
+                arg = tokens[pos]
+                if arg.kind == "int":
+                    params.append(int(arg.text))
+                    pos += 1
+                elif arg.kind == "name":
+                    params.append(arg.text)
+                    pos += 1
+                else:  # a negative integer, or an error
+                    self.pos = pos
+                    params.append(self.expect_int())
+                    pos = self.pos
+                sep = tokens[pos].text
+            if sep != ")":
+                self.error(f"expected ')', found {_found(tokens[pos])}", tokens[pos])
+            pos += 1
+        self.pos = pos
+        key = (name, tuple(params))
+        node = self.primitives.get(key)
+        if node is None:
+            try:
+                REGISTRY.instantiate(*key)
+            except InvalidExpr as exc:
+                self.error(str(exc), tok)
+            node = self.primitives[key] = Primitive(*key)
+        return node
 
 
 def parse_dsl(text: str) -> ManifoldExpr:
     """Parse DSL text into an expression; raises positioned errors."""
     parser = _Parser(text)
     expr = parser.parse_expr()
-    if parser.current.kind != "end":
-        parser.error(f"unexpected trailing input {parser.current.text!r}")
+    tok = parser.tokens[parser.pos]
+    if tok.kind != "end":
+        parser.error(f"unexpected trailing input {tok.text!r}")
     return expr

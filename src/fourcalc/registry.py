@@ -204,7 +204,7 @@ def _install_builtins(reg: Registry) -> None:
 
 def _one_int(name: str, params: tuple) -> int:
     if len(params) != 1 or not isinstance(params[0], int):
-        raise InvalidExpr(f"{name} takes one integer parameter, got {params}")
+        raise InvalidExpr(f"{name} takes one integer parameter, got {Primitive(name, params)}")
     if params[0] < 1:
         raise InvalidExpr(f"{name} parameter must be >= 1")
     return params[0]

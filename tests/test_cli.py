@@ -80,6 +80,30 @@ class TestEval:
             assert code == 2 and out == ""
             assert err == f"syntax error: unexpected character '@' ({position})\n"
 
+    def test_multiplicity_below_one_position_and_value(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "0*CP2")
+        assert (code, out) == (2, "")
+        assert err == "syntax error: multiplicity must be >= 1, found 0 (line 1, column 1)\n"
+
+    def test_primitive_parameter_errors_name_the_block(self, capsys):
+        for text in ("E(2,3)", "E(G)"):
+            code, out, err = run_cli(capsys, "eval", text)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"syntax error: E takes one integer parameter, got {text} (line 1, column 1)\n"
+            )
+
+    def test_sums_in_deeply_nested_parentheses(self, capsys):
+        for depth in (600, 5000):
+            text = "K3"
+            for i in range(depth):
+                text = f"({'CP2' if i % 3 == 0 else 'CP2b'} # {text})"
+            code, out, _ = run_cli(capsys, "eval", text, "--json")
+            assert code == 0
+            cp2 = (depth + 2) // 3
+            data = json.loads(out)
+            assert (data["chi"], data["tau"]) == (24 + depth, -16 + cp2 - (depth - cp2))
+
     def test_cover_with_zero_branch_exit_2(self, capsys):
         for d in (1, 2):
             code, out, err = run_cli(capsys, "eval", f"cover(CP2, d={d}, branch=0)")

@@ -1,7 +1,9 @@
 """DSL parsing: grammar, positioned errors, print/parse round trips."""
 
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fourcalc.errors import DslSyntaxError, UnknownPrimitive
 from fourcalc.expr import (
@@ -15,7 +17,8 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
-from fourcalc.parser import _TOKEN_RE, _Token, _position, _tokenize, parse_dsl
+from fourcalc.parser import _Token, _position, _tokenize, parse_dsl
+from fourcalc.registry import Registry
 
 
 class TestGrammar:
@@ -99,6 +102,61 @@ class TestErrors:
     def test_logt_multiplicity_one_is_the_inner_expression(self):
         assert parse_dsl("logt(E(2),1)") == Primitive("E", (2,))
 
+    def test_multiplicity_below_one_points_at_the_integer(self):
+        for text, column in (("0*CP2", 1), ("2*(CP2 # 0*K3)", 10)):
+            with pytest.raises(DslSyntaxError) as err:
+                parse_dsl(text)
+            assert err.value.message == "multiplicity must be >= 1, found 0"
+            assert (err.value.line, err.value.column) == (1, column)
+
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("CP2 # (K3", "expected ')', found 'end of input'", 1, 10),
+            ("()", "expected a manifold, found ')'", 1, 2),
+            ("CP2)", "unexpected trailing input ')'", 1, 4),
+            ("2*", "expected a manifold, found 'end of input'", 1, 3),
+            ("(CP2, K3)", "expected ')', found ','", 1, 5),
+            ("2*(CP2 # (K3", "expected ')', found 'end of input'", 1, 13),
+        ],
+    )
+    def test_group_errors(self, text, message, line, column):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_dsl(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+
+class TestPrimitiveChecks:
+    @pytest.fixture
+    def instantiations(self, monkeypatch):
+        calls = []
+        instantiate = Registry.instantiate
+
+        def counting(registry, name, params=()):
+            calls.append((name, params))
+            return instantiate(registry, name, params)
+
+        monkeypatch.setattr(Registry, "instantiate", counting)
+        return calls
+
+    def test_each_distinct_primitive_is_checked_once_per_parse(self, instantiations):
+        text = "E(2) # CP2 # 2*(E(2) # K3 # (CP2 # E(3))) # logt(E(2),1) # E(2)"
+        distinct = [("E", (2,)), ("CP2", ()), ("K3", ()), ("E", (3,))]
+        expr = parse_dsl(text)
+        assert instantiations == distinct
+        assert expr == connected_sum_of(
+            (Primitive("E", (2,)), 5), (Primitive("CP2"), 3), (Primitive("K3"), 2),
+            (Primitive("E", (3,)), 2),
+        )
+        parse_dsl(text)
+        assert instantiations == distinct * 2
+
+    def test_an_invalid_primitive_fails_at_its_first_occurrence(self, instantiations):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_dsl("CP2 # BK(0,0,0) # BK(0,0,0)")
+        assert (err.value.line, err.value.column) == (1, 7)
+        assert instantiations == [("CP2", ()), ("BK", (0, 0, 0))]
+
 
 ATOMS = st.sampled_from(
     [
@@ -132,13 +190,56 @@ def test_round_trip(expr):
     assert parse_dsl(str(expr)) == expr
 
 
+TERMS = st.lists(st.tuples(ATOMS, st.integers(1, 3)), max_size=2)
+
+
+@st.composite
+def nested_recipes(draw):
+    """The summands of a core sum, then per level of nesting the terms
+    before the inner group, its multiplicity and the terms after it.  The
+    levels repeat a few drawn ones, so that the depth reaches 5,000 from
+    little drawn data."""
+    core = draw(st.lists(st.tuples(ATOMS, st.integers(1, 3)), min_size=1, max_size=3))
+    shapes = draw(st.lists(st.tuples(TERMS, st.integers(1, 3), TERMS), min_size=1, max_size=4))
+    depth = draw(st.integers(0, 5000))
+    return core, [shapes[i % len(shapes)] for i in range(depth)]
+
+
+def _term(atom, mult):
+    return str(atom) if mult == 1 else f"{mult}*{atom}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(nested_recipes())
+@example(([(Primitive("K3"), 1)], [([(Primitive("CP2b"), 1)], 2, [])] * 5000))
+def test_nested_groups_parse_to_the_flattened_sum(recipe):
+    # Text and expected tree are both built from the inside out, without
+    # recursion.
+    core, levels = recipe
+    text = " # ".join(_term(atom, mult) for atom, mult in core)
+    expected = connected_sum_of(*core)
+    for before, mult, after in levels:
+        group = f"({text})" if mult == 1 else f"{mult}*({text})"
+        text = " # ".join([*(_term(*t) for t in before), group, *(_term(*t) for t in after)])
+        expected = connected_sum_of(*before, (expected, mult), *after)
+    assert parse_dsl(text) == expected
+
+
+# The token pattern of the reference tokenizer, kept here so that the
+# reference does not share the pattern it is checked against.
+REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[#*(),;=\-]))"
+)
+
+
 def reference_tokenize(text):
-    """The tokenizer _tokenize replaced: each token's line and column
-    recounted from the start of the text."""
+    """A tokenizer that matches one token at a time from the current
+    position and recounts each token's line and column from the start of
+    the text."""
     tokens = []
     pos = 0
     while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
+        match = REFERENCE_TOKEN_RE.match(text, pos)
         if match is None or match.end() == pos:
             rest = text[pos:].lstrip()
             if not rest:
