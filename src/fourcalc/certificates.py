@@ -5,9 +5,13 @@ Each step carries a rule name, a citation and (when the rule is
 arithmetic) one exact comparison written in a tiny expression language:
 integer literals, ``+ - * / ( )``, ``floor(x)`` and ``mod(a, b)``,
 joined by ``== != <= >= < >`` (chains allowed).  The checker re-parses
-and re-evaluates every step over exact rationals, entirely independently
-of the code that produced the certificate; every step must state a true
-fact, including in negative verdicts.
+and re-evaluates every step exactly, entirely independently of the code
+that produced the certificate; every step must state a true fact,
+including in negative verdicts.  It computes in integers until a
+division, and over exact rationals from there on.  Within one
+verification pass (``Report.self_verify``, or one
+``verify_certificate`` call) each distinct step text is checked once,
+and its outcome holds for every step that states it.
 
 ``Certificate.as_dict`` gives the JSON shape the CLI prints:
 ``{"verdict": ..., "steps": [{"rule", "citation", "arithmetic"}], "inputs": ...}``.
@@ -64,13 +68,6 @@ class CertificateError(Exception):
     pass
 
 
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-}
-
 _CMPOPS = {
     ast.Eq: lambda a, b: a == b,
     ast.NotEq: lambda a, b: a != b,
@@ -81,32 +78,45 @@ _CMPOPS = {
 }
 
 
-def _eval_node(node: ast.AST) -> Fraction:
+def _eval_node(node: ast.AST) -> int | Fraction:
+    """Exact value of one term: an ``int`` until a division makes it a
+    ``Fraction``."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
-            return Fraction(node.value)
+            return node.value
         raise CertificateError(f"non-integer literal {node.value!r}")
+    if isinstance(node, ast.BinOp):
+        op = type(node.op)
+        if op is ast.Add:
+            return _eval_node(node.left) + _eval_node(node.right)
+        if op is ast.Sub:
+            return _eval_node(node.left) - _eval_node(node.right)
+        if op is ast.Mult:
+            return _eval_node(node.left) * _eval_node(node.right)
+        if op is ast.Div:
+            left, right = _eval_node(node.left), _eval_node(node.right)
+            if right == 0:
+                raise CertificateError("division by zero")
+            return Fraction(left, right)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return -_eval_node(node.operand)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
         return _eval_node(node.operand)
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return _BINOPS[type(node.op)](_eval_node(node.left), _eval_node(node.right))
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         args = [_eval_node(a) for a in node.args]
         if node.func.id == "floor" and len(args) == 1:
-            return Fraction(floor(args[0]))
+            return floor(args[0])
         if node.func.id == "mod" and len(args) == 2:
             a, b = args
             if a.denominator != 1 or b.denominator != 1 or b == 0:
                 raise CertificateError("mod needs integers and nonzero modulus")
-            return Fraction(a.numerator % b.numerator)
+            return a.numerator % b.numerator
         raise CertificateError(f"unknown function {node.func.id!r}")
     raise CertificateError(f"unsupported syntax: {ast.dump(node)}")
 
 
 def check_arithmetic(text: str) -> bool:
-    """Evaluate one comparison chain over exact rationals."""
+    """Evaluate one comparison chain exactly."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -125,23 +135,32 @@ def check_arithmetic(text: str) -> bool:
     return True
 
 
-def verify_certificate(cert: Certificate) -> list[str]:
+def verify_certificate(cert: Certificate, checked: dict | None = None) -> list[str]:
     """Re-evaluate every arithmetic step; returns human-readable failures
-    (empty list means the certificate is self-consistent)."""
+    (empty list means the certificate is self-consistent).
+
+    ``checked`` maps the step texts already checked in this pass to their
+    outcome (``True``, ``False`` or the ``CertificateError``); each new
+    text is checked once and added to it.  A failing text is reported at
+    every step that states it."""
+    if checked is None:
+        checked = {}
     failures = []
     if cert.verdict not in VERDICTS:
         failures.append(f"unknown verdict {cert.verdict!r}")
     for i, step in enumerate(cert.steps):
-        if step.arithmetic is None:
+        text = step.arithmetic
+        if text is None:
             continue
-        try:
-            ok = check_arithmetic(step.arithmetic)
-        except CertificateError as exc:
-            failures.append(f"step {i} ({step.rule}): {exc}")
-            continue
-        if not ok:
-            failures.append(
-                f"step {i} ({step.rule}): arithmetic is false: {step.arithmetic}"
-            )
+        outcome = checked.get(text)
+        if outcome is None:
+            try:
+                outcome = check_arithmetic(text)
+            except CertificateError as exc:
+                outcome = exc
+            checked[text] = outcome
+        if outcome is False:
+            failures.append(f"step {i} ({step.rule}): arithmetic is false: {text}")
+        elif outcome is not True:
+            failures.append(f"step {i} ({step.rule}): {outcome}")
     return failures
-

@@ -269,16 +269,17 @@ def cmd_reproduce(args) -> int:
     # run_target raises AssertionError (exit 3) when a certificate fails
     # self-verification.
     report = run_target(args.target)
+    data = report.as_dict()
     if args.update_golden:
         path = golden_path(args.target)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(str(path), "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, sort_keys=True, indent=2)
+            json.dump(data, handle, sort_keys=True, indent=2)
             handle.write("\n")
         print(f"golden file updated: {path}")
         return 0
-    _emit(report.as_dict(), args.json, report.lines)
-    diffs = compare_with_golden(report)
+    _emit(data, args.json, report.lines)
+    diffs = compare_with_golden(args.target, data)
     if diffs:
         for diff in diffs:
             print(f"golden mismatch: {diff}", file=sys.stderr)

@@ -29,9 +29,10 @@ at its first occurrence, and its occurrences share one node.
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple, NoReturn
 
-from fourcalc.errors import DslSyntaxError, InvalidExpr, UnknownPrimitive
+from fourcalc.errors import DslSyntaxError, InconsistentFlags, InvalidExpr, UnknownPrimitive
 from fourcalc.expr import (
     BicyclicCover,
     CyclicCover,
@@ -310,7 +311,7 @@ class _Parser:
         if node is None:
             try:
                 REGISTRY.instantiate(*key)
-            except InvalidExpr as exc:
+            except (InvalidExpr, InconsistentFlags) as exc:
                 self.error(str(exc), tok)
             node = self.primitives[key] = Primitive(*key)
         return node
@@ -319,7 +320,19 @@ class _Parser:
 def parse_dsl(text: str) -> ManifoldExpr:
     """Parse DSL text into an expression; raises positioned errors."""
     parser = _Parser(text)
-    expr = parser.parse_expr()
+    try:
+        expr = parser.parse_expr()
+    except ValueError:
+        # int() refuses a literal past the interpreter's int/str digit
+        # limit.  The parser converts every integer it consumes, in order,
+        # so the first literal over the limit is the one refused.
+        limit = sys.get_int_max_str_digits()
+        for tok in parser.tokens:
+            if tok.kind == "int" and 0 < limit < len(tok.text):
+                parser.error(
+                    f"integer literal of {len(tok.text)} digits exceeds the limit of {limit}", tok
+                )
+        raise
     tok = parser.tokens[parser.pos]
     if tok.kind != "end":
         parser.error(f"unexpected trailing input {tok.text!r}")

@@ -93,6 +93,22 @@ class TestEval:
                 f"syntax error: E takes one integer parameter, got {text} (line 1, column 1)\n"
             )
 
+    def test_block_outside_its_realizable_range_is_positioned(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "CP2 # BK(10,203,1)")
+        assert (code, out) == (2, "")
+        assert err == "syntax error: BK(10,203,1): b2 < |tau| (line 1, column 7)\n"
+
+    def test_integer_literal_past_the_digit_limit_is_positioned(self, capsys):
+        nines = "9" * 5000
+        limit = sys.get_int_max_str_digits()
+        for text, column in ((f"{nines}*CP2", 1), (f"E({nines})", 3)):
+            code, out, err = run_cli(capsys, "eval", text)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"syntax error: integer literal of 5000 digits exceeds the limit of {limit} "
+                f"(line 1, column {column})\n"
+            )
+
     def test_sums_in_deeply_nested_parentheses(self, capsys):
         for depth in (600, 5000):
             text = "K3"
@@ -123,8 +139,10 @@ class TestEval:
     def test_rohlin_holds_at_positive_b1(self, capsys):
         code, out, err = run_cli(capsys, "eval", "XG(12,-8,G,1)")
         assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and "Rohlin" in err
-        assert err.startswith("error: XG(12,-8,G,1): declared spin")
+        assert err == (
+            "syntax error: XG(12,-8,G,1): declared spin with tau=-8 not divisible by 16 "
+            "(Rohlin) (line 1, column 1)\n"
+        )
         _, out, _ = run_cli(capsys, "eval", "fibersum(FgProd(1,1),E(1),g=1)")
         assert "b1       = unknown\n" in out and "spin     = no\n" in out
         assert "b2+/b2-  = unknown/unknown\n" in out
@@ -248,6 +266,15 @@ class TestReproduce:
         assert code == 0
         assert "normal form: 15 CP2 # 77 CP2b" in out
         assert "golden: ok" in out
+
+    def test_reproduce_prints_the_golden_bytes(self, capsys):
+        for target in reproduce.TARGETS:
+            golden = reproduce.golden_path(target).read_text(encoding="utf-8")
+            code, out, _ = run_cli(capsys, "reproduce", target, "--json")
+            assert (code, out) == (0, golden), target
+            code, out, _ = run_cli(capsys, "reproduce", target)
+            lines = json.loads(golden)["lines"] + ["golden: ok"]
+            assert (code, out) == (0, "".join(line + "\n" for line in lines)), target
 
     def test_reproduce_json_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "reproduce", "prop1.4", "--json")
