@@ -85,6 +85,16 @@ class Evaluation:
     capabilities: dict = field(default_factory=dict)
     labels: tuple[str, ...] = ()
     complex_surface: bool = False
+    # Facts the fiber-sum and log-transform rules read, each set from the
+    # direct children: the primitive at the bottom of a log-transform
+    # tower; for E(n), K3 and Y(j) under log transforms, how many multiple
+    # fibers there are and how many of them have even multiplicity (Y(j)
+    # brings one, of odd multiplicity); whether the node is built on the
+    # prescribed-group block XG, whose distinguished torus has trivial
+    # image in pi1, through fiber sums and log transforms.
+    tower_base: Optional[str] = None
+    fibers: Optional[tuple[int, int]] = None
+    group_block: bool = False
 
 
 def _fill(flags: StructureFlags, rule: str, citation: str, **values) -> StructureFlags:
@@ -132,6 +142,9 @@ def _eval_primitive(expr: Primitive) -> Evaluation:
         capabilities=dict(info.capabilities),
         labels=info.labels,
         complex_surface=info.complex_surface,
+        tower_base=expr.name,
+        fibers=(int(expr.name == "Y"), 0) if expr.name in _ELLIPTIC else None,
+        group_block=expr.name == "XG",
     )
 
 
@@ -299,41 +312,6 @@ def _eval_connected_sum(expr: ConnectedSum) -> Evaluation:
     return _finish(record, flags, labels=labels)
 
 
-def _named(sub: ManifoldExpr, names: set) -> bool:
-    """Whether ``sub`` is a primitive named in ``names``, possibly under log transforms."""
-    while isinstance(sub, LogTransform):
-        sub = sub.inner
-    return isinstance(sub, Primitive) and sub.name in names
-
-
-def _multiple_fibers(sub: ManifoldExpr) -> Optional[tuple[int, int]]:
-    """How many multiple fibers an elliptic surface E(n), K3 or Y(j) under
-    log transforms has, and how many of even multiplicity (Y(j) has one,
-    of odd multiplicity); None for any other expression."""
-    count = evens = 0
-    while isinstance(sub, LogTransform):
-        if sub.multiplicity > 1:
-            count += 1
-            evens += sub.multiplicity % 2 == 0
-        sub = sub.inner
-    if not _named(sub, _ELLIPTIC):
-        return None
-    return count + (sub.name == "Y"), evens
-
-
-def _carries_group_block(sub: ManifoldExpr) -> bool:
-    """Whether the expression is built on the prescribed-group block XG,
-    whose distinguished torus has trivial image in pi1.  Only then does a
-    fiber sum along a simply connected partner preserve the group."""
-    if isinstance(sub, Primitive):
-        return sub.name == "XG"
-    if isinstance(sub, FiberSum):
-        return _carries_group_block(sub.left) or _carries_group_block(sub.right)
-    if isinstance(sub, LogTransform):
-        return _carries_group_block(sub.inner)
-    return False
-
-
 def _eval_fiber_sum(expr: FiberSum) -> Evaluation:
     left, right = evaluate(expr.left), evaluate(expr.right)
     cap = genus_cap(expr.genus)
@@ -346,12 +324,14 @@ def _eval_fiber_sum(expr: FiberSum) -> Evaluation:
     tau = left.record.tau + right.record.tau
 
     lp, rp = left.flags.pi1, right.flags.pi1
+    # Along a partner whose fiber has simply connected complement, the XG
+    # block keeps its group.
     if lp.is_trivial and rp.is_trivial:
         pi1 = GroupLabel.trivial()
         b1 = 0
-    elif rp.is_trivial and _carries_group_block(expr.left) and _named(expr.right, _SC_COMPLEMENT):
+    elif rp.is_trivial and left.group_block and right.tower_base in _SC_COMPLEMENT:
         pi1, b1 = lp, left.record.b1
-    elif lp.is_trivial and _carries_group_block(expr.right) and _named(expr.left, _SC_COMPLEMENT):
+    elif lp.is_trivial and right.group_block and left.tower_base in _SC_COMPLEMENT:
         pi1, b1 = rp, right.record.b1
     else:
         pi1, b1 = GroupLabel.unknown(), None
@@ -372,7 +352,10 @@ def _eval_fiber_sum(expr: FiberSum) -> Evaluation:
     merged[cap] -= 2
     merged = {k: v for k, v in merged.items() if v > 0}
     labels = tuple(sorted(set(left.labels) | set(right.labels)))
-    return _finish(record, flags, capabilities=merged, labels=labels)
+    return _finish(
+        record, flags, capabilities=merged, labels=labels,
+        group_block=left.group_block or right.group_block,
+    )
 
 
 def _eval_log_transform(expr: LogTransform) -> Evaluation:
@@ -382,8 +365,9 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
     if expr.multiplicity == 1:
         return inner
     flags = inner.flags
-    fibers = _multiple_fibers(expr)
-    if flags.spin is not UNKNOWN and (fibers[1] if fibers else expr.multiplicity % 2 == 0):
+    even = expr.multiplicity % 2 == 0
+    fibers = inner.fibers and (inner.fibers[0] + 1, inner.fibers[1] + even)
+    if flags.spin is not UNKNOWN and (fibers[1] if fibers else even):
         # Once a multiple fiber is even, the spin type depends on all the
         # multiple fibers: decide it anew at every transform above it, and
         # keep only the fields, and the records, that the transform keeps.
@@ -410,6 +394,9 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
         capabilities=dict(inner.capabilities),
         labels=labels,
         complex_surface=inner.complex_surface,
+        tower_base=inner.tower_base,
+        fibers=fibers,
+        group_block=inner.group_block,
     )
 
 
