@@ -7,7 +7,8 @@ invocations produce byte-identical output (sorted keys, fixed ordering).
 Exit codes: 0 success; 1 a negative verdict (Hitchin-Thorpe violated or
 not homeomorphic); 2 usage or input errors, or stdout closed by its
 reader before the output was written; 3 internal inconsistency (golden
-mismatch or failed certificate self-verification).
+mismatch or failed certificate self-verification) or any other failure
+of the program, reported on one line of stderr, never as a traceback.
 """
 
 from __future__ import annotations
@@ -321,6 +322,9 @@ def main(argv=None) -> int:
         return 2
     except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

@@ -5,6 +5,15 @@ bundle: exact invariants, structure flags with provenance, remaining
 capability tags and smooth-structure labels.  Evaluation is pure and
 memoized; equal trees give identical results.
 
+The rules of a node read only its direct children's evaluations.  The
+facts that span several levels (the primitive at the bottom of a
+log-transform tower, the tower's multiple fibers, whether a fiber-sum
+chain is built on the XG block) travel up as :class:`Evaluation` fields,
+so a tower or a chain costs work linear in its depth.  The fundamental
+group of E(n) with k multiple fibers is the orbifold group of the base
+sphere: trivial for k <= 1, Z/gcd(p, q) for k = 2 and a presented group
+for k >= 3.
+
 Every flag rule lives here; the registry declares only what the rules
 cannot derive.  Flag inference applies a fixed rule set and leaves
 everything else ``unknown``.  In particular, when the fundamental group
@@ -15,9 +24,10 @@ even forms); only the signature rules and odd-order-group rule apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Optional
+from math import gcd
+from typing import Iterable, NamedTuple, Optional
 
 from fourcalc import covers
 from fourcalc.errors import (
@@ -70,12 +80,24 @@ _CITE_GOMPF_SUM = "symplectic sum along square-zero surfaces"
 _CITE_FIBER_PI1 = "fiber summand with simply connected fiber complement kills the fiber generators"
 _CITE_LOG = "logarithmic transforms preserve chi, tau and the gauge-theoretic flags"
 _CITE_MULTIPLE_FIBER = "E(n) with multiple fibers is spin iff n is even and all multiplicities odd"
+_CITE_ORBIFOLD = "E(n) with multiple fibers has the orbifold fundamental group of its base"
 _CITE_TAUBES = "symplectic with b2+ > 1: SW of the canonical class is +-1"
 _CITE_WITTEN = "Kaehler surfaces of general type have nontrivial SW"
 _CITE_SW_VANISH = "SW vanishes on sums of two pieces with positive b2+"
 _CITE_KMT = "sums with b2+ = 0 pieces keep a nontrivial SW-type invariant"
-# The flags a log transform keeps once the spin type must be decided anew.
-_LOG_KEPT = ("pi1", "sw_nontrivial", "sw_mod2_nontrivial", "symplectic")
+# The flags a log transform forgets once the spin type must be decided
+# anew, and those it forgets where the Seiberg-Witten flags may change.
+_LOG_DECIDED_ANEW = ("spin", "parity", "w2type", "minimal_general_type", "acd")
+_SW_FIELDS = ("sw_nontrivial", "sw_mod2_nontrivial")
+_ALL_UNKNOWN = StructureFlags()
+
+
+class Fibers(NamedTuple):
+    """The multiple fibers of E(n), K3 or Y(j) under log transforms."""
+
+    count: int
+    evens: int  # how many have even multiplicity
+    gcd: int  # of the multiplicities; 0 when there are none
 
 
 @dataclass(frozen=True)
@@ -87,13 +109,12 @@ class Evaluation:
     complex_surface: bool = False
     # Facts the fiber-sum and log-transform rules read, each set from the
     # direct children: the primitive at the bottom of a log-transform
-    # tower; for E(n), K3 and Y(j) under log transforms, how many multiple
-    # fibers there are and how many of them have even multiplicity (Y(j)
-    # brings one, of odd multiplicity); whether the node is built on the
-    # prescribed-group block XG, whose distinguished torus has trivial
-    # image in pi1, through fiber sums and log transforms.
+    # tower; the multiple fibers of E(n), K3 and Y(j) under log transforms
+    # (Y(j) is E(2) with one fiber of multiplicity 2j+1); whether the node
+    # is built on the prescribed-group block XG, whose distinguished torus
+    # has trivial image in pi1, through fiber sums and log transforms.
     tower_base: Optional[str] = None
-    fibers: Optional[tuple[int, int]] = None
+    fibers: Optional[Fibers] = None
     group_block: bool = False
 
 
@@ -136,6 +157,9 @@ def _finish(
 
 def _eval_primitive(expr: Primitive) -> Evaluation:
     info = REGISTRY.instantiate(expr.name, expr.params)
+    fibers = None
+    if expr.name in _ELLIPTIC:
+        fibers = Fibers(1, 0, 2 * expr.params[0] + 1) if expr.name == "Y" else Fibers(0, 0, 0)
     return _finish(
         info.record,
         info.flags,
@@ -143,7 +167,7 @@ def _eval_primitive(expr: Primitive) -> Evaluation:
         labels=info.labels,
         complex_surface=info.complex_surface,
         tower_base=expr.name,
-        fibers=(int(expr.name == "Y"), 0) if expr.name in _ELLIPTIC else None,
+        fibers=fibers,
         group_block=expr.name == "XG",
     )
 
@@ -362,34 +386,53 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
     inner = evaluate(expr.inner)
     if inner.capabilities.get(ELLIPTIC_FIBER, 0) < 1:
         raise MissingCapability("log transforms need an elliptic fiber")
-    if expr.multiplicity == 1:
+    m = expr.multiplicity
+    if m == 1:
         return inner
-    flags = inner.flags
-    even = expr.multiplicity % 2 == 0
-    fibers = inner.fibers and (inner.fibers[0] + 1, inner.fibers[1] + even)
-    if flags.spin is not UNKNOWN and (fibers[1] if fibers else even):
+    fibers, flags, rec = inner.fibers, inner.flags, inner.record
+    if fibers is not None:
+        fibers = Fibers(fibers.count + 1, fibers.evens + (m % 2 == 0), gcd(fibers.gcd, m))
+    forget = ()
+    if flags.spin is not UNKNOWN and (fibers.evens if fibers else m % 2 == 0):
         # Once a multiple fiber is even, the spin type depends on all the
-        # multiple fibers: decide it anew at every transform above it, and
-        # keep only the fields, and the records, that the transform keeps.
-        flags = StructureFlags(
-            **{name: getattr(flags, name) for name in _LOG_KEPT},
-            provenance=tuple(p for p in flags.provenance if p.field in _LOG_KEPT),
+        # multiple fibers: decide it anew at every transform above it.
+        forget = _LOG_DECIDED_ANEW
+    # SW survives the transform at b2+ > 1, and E(1)_p is E(1).  At
+    # b2+ = 1 it depends on the chamber: the Dolgachev surface E(1)_{2,3}
+    # is homeomorphic but not diffeomorphic to E(1).
+    sw_kept = (rec.b2 is not None and rec.b2 + rec.tau > 2) or (
+        fibers is not None and fibers.count <= 1
+    )
+    if not sw_kept and (flags.sw_nontrivial, flags.sw_mod2_nontrivial) != (UNKNOWN, UNKNOWN):
+        forget += _SW_FIELDS
+    if forget:
+        # Keep only the fields, and the records, that the transform keeps.
+        flags = replace(
+            flags,
+            **{name: getattr(_ALL_UNKNOWN, name) for name in forget},
+            provenance=tuple(p for p in flags.provenance if p.field not in forget),
         )
-    # The spin verdict needs pi1 of odd order, as the parity and w2 rules
-    # that read it assume: one even fiber beside at most one odd one.  Log
-    # transforms keep the inner pi1 label, which with more fibers can hide
-    # 2-torsion.
-    if fibers in ((1, 1), (2, 1)):
+    if fibers is not None and fibers.count >= 2:
+        # The orbifold group of the base sphere, <x_1..x_k | x_i^p_i, x_1...x_k>.
+        k = fibers.count
+        pi1 = GroupLabel.cyclic(fibers.gcd) if k == 2 else GroupLabel.presented(
+            f"orbifold group of S2 with {k} cone points"
+        )
+        flags = flags.cite(pi1=pi1, rule="multiple-fiber-pi1", citation=_CITE_ORBIFOLD)
+    # The spin verdict is claimed where pi1 has odd order: one even fiber
+    # beside at most one odd one.  With two even fibers, or three or more
+    # fibers, the rule holds too, but no verdict is claimed yet.
+    if fibers is not None and fibers.evens and flags.pi1.odd_order is True:
         flags = flags.cite(spin=NO, rule="even-multiple-fiber", citation=_CITE_MULTIPLE_FIBER)
-    if inner.flags.sw_nontrivial is not UNKNOWN:
+    if sw_kept and inner.flags.sw_nontrivial is not UNKNOWN:
         flags = flags.cite(
             sw_nontrivial=inner.flags.sw_nontrivial,
             rule="log-transform",
             citation=_CITE_LOG,
         )
-    labels = inner.labels + (f"log multiplicity {expr.multiplicity}",)
+    labels = inner.labels + (f"log multiplicity {m}",)
     return _finish(
-        inner.record,
+        rec,
         flags,
         capabilities=dict(inner.capabilities),
         labels=labels,

@@ -53,24 +53,24 @@ class PrimitiveInfo:
     labels: tuple[str, ...] = ()
 
 
-def _validate(name: str | Primitive, record: InvariantRecord, flags: StructureFlags) -> None:
-    """Reject internally impossible declarations before they enter the
-    registry.  ``name`` is formatted only when a declaration is rejected."""
+def _rejection(record: InvariantRecord, flags: StructureFlags) -> Optional[str]:
+    """Why a declaration is internally impossible, or None if it is not.
+    Callers prefix the primitive's name, so that it is formatted only
+    when a declaration is rejected."""
     if (record.chi + record.tau) % 2 != 0:
-        raise InconsistentFlags(f"{name}: chi + tau must be even")
+        return "chi + tau must be even"
     if record.b1 is not None and record.b2 is not None and record.b2 < abs(record.tau):
-        raise InconsistentFlags(f"{name}: b2 < |tau|")
+        return "b2 < |tau|"
     if flags.spin is YES:
         if not rohlin_compatible(record.tau):
-            raise InconsistentFlags(
-                f"{name}: declared spin with tau={record.tau} not divisible by 16 (Rohlin)"
-            )
+            return f"declared spin with tau={record.tau} not divisible by 16 (Rohlin)"
         if flags.parity is Parity.ODD:
-            raise InconsistentFlags(f"{name}: spin forces even intersection form")
+            return "spin forces even intersection form"
         if flags.w2type in (W2Type.I, W2Type.III):
-            raise InconsistentFlags(f"{name}: spin means w2-type II")
+            return "spin means w2-type II"
     if flags.w2type is W2Type.II and flags.spin is NO:
-        raise InconsistentFlags(f"{name}: w2-type II means spin")
+        return "w2-type II means spin"
+    return None
 
 
 class Registry:
@@ -94,7 +94,9 @@ class Registry:
         """Add a fixed primitive; raises on duplicate names or bad flags."""
         if name in self:
             raise DuplicateName(f"primitive {name!r} already registered")
-        _validate(name, record, flags)
+        problem = _rejection(record, flags)
+        if problem:
+            raise InconsistentFlags(f"{name}: {problem}")
         info = PrimitiveInfo(
             record=record,
             flags=flags,
@@ -117,7 +119,9 @@ class Registry:
             return self._fixed[name]
         if name in self._families:
             info = self._families[name](params)
-            _validate(Primitive(name, params), info.record, info.flags)
+            problem = _rejection(info.record, info.flags)
+            if problem:
+                raise InconsistentFlags(f"{Primitive(name, params)}: {problem}")
             return info
         raise InvalidExpr(f"unknown primitive {name!r}")
 

@@ -148,6 +148,35 @@ class TestEval:
         assert "b2+/b2-  = unknown/unknown\n" in out
 
 
+    def test_fiber_sum_reads_quotient_by_one_as_its_inner(self, capsys):
+        for partner in ("K3", "quotient(K3,1)", "logt(quotient(K3,1),1)"):
+            _, out, _ = run_cli(capsys, "eval", f"fibersum(XG(24,-16,G),{partner},g=1)")
+            assert "pi1      = G\n" in out and "b1       = 0\n" in out
+        _, out, _ = run_cli(capsys, "eval", "fibersum(quotient(XG(24,-16,G),1),E(2),g=1)")
+        assert "pi1      = G\n" in out
+
+    def test_log_transform_towers(self, capsys):
+        for text, group in (
+            ("logt(logt(E(1),2),2)", "Z/2"),
+            ("logt(logt(E(1),2),3)", "1"),
+            ("logt(logt(E(2),3),3)", "Z/3"),
+            ("logt(Y(1),3)", "Z/3"),
+        ):
+            _, out, _ = run_cli(capsys, "eval", text)
+            assert f"pi1      = {group}\n" in out
+        _, out, _ = run_cli(capsys, "eval", "logt(logt(E(1),2),3)")
+        assert "SW       = unknown (mod 2: unknown)\n" in out
+        _, out, _ = run_cli(capsys, "eval", "logt(E(1),5)")
+        assert "SW       = no (mod 2: no)\n" in out
+        _, out, _ = run_cli(capsys, "eval", "logt(logt(E(2),2),3)")
+        assert "SW       = yes (mod 2: yes)\n" in out
+
+    def test_a_crash_exits_3_on_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "logt(" * 400 + "E(2)" + ",3)" * 400)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: RecursionError(") and err.count("\n") == 1
+
+
 class TestChecks:
     def test_ht_ok(self, capsys):
         code, out, _ = run_cli(capsys, "check", "ht", "K3")
@@ -173,6 +202,18 @@ class TestChecks:
         assert code == 0 and "homeomorphic" in out
         code, _, _ = run_cli(capsys, "check", "homeo", "CP2", "CP2b")
         assert code == 1
+
+    def test_homeo_of_log_transform_towers_reads_their_pi1(self, capsys):
+        for left, right, group in (
+            ("logt(logt(E(1),2),2)", "CP2 # 9*CP2b", "Z/2"),
+            ("logt(logt(E(2),3),3)", "K3", "Z/3"),
+            ("logt(Y(1),3)", "K3", "Z/3"),
+        ):
+            code, out, err = run_cli(capsys, "check", "homeo", left, right)
+            assert (code, err) == (1, "")
+            lines = out.splitlines()
+            assert lines[0] == "verdict: not_homeomorphic"
+            assert f"  pi1: {group} vs 1" in lines
 
     def test_homeo_known_mismatch_with_unknown_w2_exit_1(self, capsys):
         # Parity and b2- differ; the right side's w2-type is unknown.

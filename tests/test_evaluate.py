@@ -1,17 +1,21 @@
 """The facts an Evaluation carries for the fiber-sum and log-transform
 rules: each node sets them from its direct children, so they agree with
 the syntax-tree walkers that used to recompute them, and a tower or a
-chain costs work linear in its depth."""
+chain costs work linear in its depth.  The fundamental group and the
+Seiberg-Witten flags of log-transform towers read those facts."""
 
 import sys
+from math import gcd
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fourcalc.evaluate as evaluate_module
 from fourcalc.errors import FourcalcError
 from fourcalc.evaluate import _ELLIPTIC, _SC_COMPLEMENT, evaluate
 from fourcalc.expr import FiberSum, LogTransform, Primitive, Quotient
+from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel
 
 # Reference: the walkers the evaluator used before the facts moved into
 # Evaluation, kept verbatim.
@@ -45,6 +49,15 @@ def _carries_group_block(sub):
     return False
 
 
+def _fiber_gcd(sub):
+    """The gcd of the multiplicities of the multiple fibers; Y(j) is E(2)_{2j+1}."""
+    value = 0
+    while isinstance(sub, LogTransform):
+        value = gcd(value, sub.multiplicity) if sub.multiplicity > 1 else value
+        sub = sub.inner
+    return gcd(value, 2 * sub.params[0] + 1) if sub.name == "Y" else value
+
+
 LEAVES = [
     Primitive("E", (1,)),
     Primitive("E", (2,)),
@@ -55,24 +68,23 @@ LEAVES = [
     Primitive("XG", (24, -16, "G")),
     Primitive("X442"),
     Primitive("FgProd", (1, 1)),
-    Primitive("CP2"),
 ]
 
 LEAF = st.integers(0, len(LEAVES) - 1)
-# A fiber-sum partner: a leaf under up to two log transforms.
+# A partner of a fiber sum along a torus: a leaf under up to two log
+# transforms.
 PARTNER = st.tuples(LEAF, st.lists(st.integers(1, 5), max_size=2))
 STEP = st.one_of(
     st.tuples(st.just("logt"), st.integers(1, 6)),
-    st.tuples(st.just("fibersum"), st.booleans(), PARTNER, st.integers(1, 2)),
+    st.tuples(st.just("fibersum"), st.booleans(), PARTNER),
     st.tuples(st.just("quotient1")),
 )
 
 
-def _tower(leaf, multiplicities):
-    tree = LEAVES[leaf]
+def _tower(base, multiplicities):
     for m in multiplicities:
-        tree = LogTransform(tree, m)
-    return tree
+        base = LogTransform(base, m)
+    return base
 
 
 def _apply(step, tree, wrap):
@@ -81,15 +93,17 @@ def _apply(step, tree, wrap):
         return LogTransform(tree, step[1])
     if step[0] == "quotient1":
         return Quotient(tree, 1) if wrap else tree
-    _, on_left, (leaf, mults), genus = step
-    partner = _tower(leaf, mults)
+    _, on_left, (leaf, mults) = step
+    partner = _tower(LEAVES[leaf], mults)
     if wrap:
         partner = Quotient(partner, 1)
-    return FiberSum(tree, partner, genus) if on_left else FiberSum(partner, tree, genus)
+    return FiberSum(tree, partner, 1) if on_left else FiberSum(partner, tree, 1)
 
 
 @settings(max_examples=400, deadline=None)
 @given(LEAF, st.lists(STEP, max_size=8))
+# The XG block under a log transform, summed with a transformed K3.
+@example(6, [("fibersum", True, (1, [])), ("logt", 3), ("fibersum", False, (3, [2]))])
 def test_carried_facts_agree_with_the_tree_walkers(leaf, steps):
     # The tree with quotient(X,1) levels is evaluated, and the walkers read
     # the same tree without them: quotient(X,1) evaluates as X.
@@ -103,7 +117,9 @@ def test_carried_facts_agree_with_the_tree_walkers(leaf, steps):
             return  # e.g. a missing capability: nothing above it evaluates
         for names in (_ELLIPTIC, _SC_COMPLEMENT):
             assert (ev.tower_base in names) == _named(plain, names)
-        assert (ev.fibers and tuple(ev.fibers[:2])) == _multiple_fibers(plain)
+        assert (ev.fibers and ev.fibers[:2]) == _multiple_fibers(plain)
+        if ev.fibers is not None:
+            assert ev.fibers.gcd == _fiber_gcd(plain)
         assert ev.group_block == _carries_group_block(plain)
 
 
@@ -150,3 +166,63 @@ def test_towers_and_chains_cost_linear_work():
     for build in (_log_tower, _fiber_chain):
         ratio = _line_events(build(200)) / _line_events(build(100))
         assert ratio < 2.3, (build.__name__, ratio)
+
+
+def _elliptic(n, *multiplicities):
+    return _tower(Primitive("E", (n,)), multiplicities)
+
+
+# Named surfaces with their fundamental groups from the literature: the
+# orbifold group of the base sphere, <x_1..x_k | x_i^p_i, x_1...x_k>.
+PI1_ORACLE = [
+    ("Enriques surface E(1)_{2,2}", _elliptic(1, 2, 2), GroupLabel.cyclic(2)),
+    ("Dolgachev surface E(1)_{2,3}", _elliptic(1, 2, 3), GroupLabel.trivial()),
+    ("E(2)_{3,3}", _elliptic(2, 3, 3), GroupLabel.cyclic(3)),
+    ("Y(1) = E(2)_3, transformed again", _tower(Primitive("Y", (1,)), [3]),
+     GroupLabel.cyclic(3)),
+    ("Y(2) = E(2)_5 with a fiber of multiplicity 10", _tower(Primitive("Y", (2,)), [10]),
+     GroupLabel.cyclic(5)),
+    ("E(2)_p", _elliptic(2, 7), GroupLabel.trivial()),
+    ("multiplicity one is no multiple fiber", _elliptic(3, 1, 4, 1, 6), GroupLabel.cyclic(2)),
+] + [
+    (f"E({n})_{{{p},{q}}}", _elliptic(n, p, q), GroupLabel.cyclic(gcd(p, q)))
+    for n in (1, 2, 3, 4) for p, q in ((2, 4), (4, 6), (3, 5), (6, 9), (5, 5))
+]
+
+
+@pytest.mark.parametrize("expr,group", [(e, g) for _, e, g in PI1_ORACLE],
+                         ids=[name for name, _, _ in PI1_ORACLE])
+def test_pi1_of_elliptic_surfaces_with_multiple_fibers(expr, group):
+    flags = evaluate(expr).flags
+    assert flags.pi1 == group
+    assert any(p.field == "pi1" for p in flags.provenance)
+
+
+def test_three_or_more_multiple_fibers_give_a_presented_group():
+    for expr, k in ((_elliptic(2, 2, 3, 5), 3), (_tower(Primitive("Y", (1,)), [2, 3, 3]), 4)):
+        pi1 = evaluate(expr).flags.pi1
+        assert pi1 == GroupLabel.presented(f"orbifold group of S2 with {k} cone points")
+        assert pi1.odd_order is None
+
+
+def test_enriques_surface_keeps_no_false_parity_or_w2_type():
+    # The Enriques surface has an even form and w2-type III.
+    flags = evaluate(_elliptic(1, 2, 2)).flags
+    assert flags.spin is NO  # Rohlin: tau = -8
+    assert (flags.parity.value, flags.w2type.value) == ("unknown", "unknown")
+
+
+@pytest.mark.parametrize("expr,sw", [
+    (_elliptic(1, 2, 3), UNKNOWN),  # Dolgachev: b2+ = 1, two multiple fibers
+    (_elliptic(1, 3, 3, 5), UNKNOWN),
+    (_elliptic(1, 5), NO),  # E(1)_p is E(1)
+    (_elliptic(1, 2), NO),
+    (_elliptic(2, 2, 3), YES),  # b2+ = 3
+    (_elliptic(3, 2, 2, 5), YES),
+])
+def test_sw_of_log_transforms_at_b2_plus_one(expr, sw):
+    flags = evaluate(expr).flags
+    assert (flags.sw_nontrivial, flags.sw_mod2_nontrivial) == (sw, sw)
+    if sw is UNKNOWN:
+        fields = {p.field for p in flags.provenance}
+        assert not fields & {"sw_nontrivial", "sw_mod2_nontrivial"}

@@ -133,6 +133,26 @@ def test_unrealizable_records_rejected():
         REGISTRY.instantiate("BK", (1, 100, 0))
 
 
+def test_instantiation_names_a_block_only_to_reject_it(monkeypatch):
+    import fourcalc.registry as registry
+
+    built = []
+
+    class CountingPrimitive(Primitive):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(registry, "Primitive", CountingPrimitive)
+    for name, params in (("E", (3,)), ("XG", (24, -16, "G", 2)), ("BK", (10, 20, 1)), ("Y", (2,))):
+        REGISTRY.instantiate(name, params)
+    assert built == []
+    with pytest.raises(InconsistentFlags) as err:
+        REGISTRY.instantiate("BK", (1, 100, 0))
+    assert str(err.value) == "BK(1,100,0): b2 < |tau|"
+    assert built == [("BK", (1, 100, 0))]
+
+
 def test_register_w2type_spin_coherence():
     reg = Registry()
     bad = StructureFlags(w2type=W2Type.II).cite(
