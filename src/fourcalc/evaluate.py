@@ -90,6 +90,8 @@ _CITE_KMT = "sums with b2+ = 0 pieces keep a nontrivial SW-type invariant"
 _LOG_DECIDED_ANEW = ("spin", "parity", "w2type", "minimal_general_type", "acd")
 _SW_FIELDS = ("sw_nontrivial", "sw_mod2_nontrivial")
 _ALL_UNKNOWN = StructureFlags()
+# pi1 of E(n) with three or more multiple fibers.
+_ORBIFOLD_GROUP = GroupLabel.presented("orbifold group of the base sphere")
 
 
 class Fibers(NamedTuple):
@@ -403,7 +405,7 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
     sw_kept = (rec.b2 is not None and rec.b2 + rec.tau > 2) or (
         fibers is not None and fibers.count <= 1
     )
-    if not sw_kept and (flags.sw_nontrivial, flags.sw_mod2_nontrivial) != (UNKNOWN, UNKNOWN):
+    if not sw_kept:
         forget += _SW_FIELDS
     if forget:
         # Keep only the fields, and the records, that the transform keeps.
@@ -414,11 +416,10 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
         )
     if fibers is not None and fibers.count >= 2:
         # The orbifold group of the base sphere, <x_1..x_k | x_i^p_i, x_1...x_k>.
-        k = fibers.count
-        pi1 = GroupLabel.cyclic(fibers.gcd) if k == 2 else GroupLabel.presented(
-            f"orbifold group of S2 with {k} cone points"
-        )
-        flags = flags.cite(pi1=pi1, rule="multiple-fiber-pi1", citation=_CITE_ORBIFOLD)
+        # It is cited where it changes, not at every level of a tower.
+        pi1 = GroupLabel.cyclic(fibers.gcd) if fibers.count == 2 else _ORBIFOLD_GROUP
+        if pi1 != flags.pi1:
+            flags = flags.cite(pi1=pi1, rule="multiple-fiber-pi1", citation=_CITE_ORBIFOLD)
     # The spin verdict is claimed where pi1 has odd order: one even fiber
     # beside at most one odd one.  With two even fibers, or three or more
     # fibers, the rule holds too, but no verdict is claimed yet.

@@ -155,22 +155,6 @@ class TestEval:
         _, out, _ = run_cli(capsys, "eval", "fibersum(quotient(XG(24,-16,G),1),E(2),g=1)")
         assert "pi1      = G\n" in out
 
-    def test_log_transform_towers(self, capsys):
-        for text, group in (
-            ("logt(logt(E(1),2),2)", "Z/2"),
-            ("logt(logt(E(1),2),3)", "1"),
-            ("logt(logt(E(2),3),3)", "Z/3"),
-            ("logt(Y(1),3)", "Z/3"),
-        ):
-            _, out, _ = run_cli(capsys, "eval", text)
-            assert f"pi1      = {group}\n" in out
-        _, out, _ = run_cli(capsys, "eval", "logt(logt(E(1),2),3)")
-        assert "SW       = unknown (mod 2: unknown)\n" in out
-        _, out, _ = run_cli(capsys, "eval", "logt(E(1),5)")
-        assert "SW       = no (mod 2: no)\n" in out
-        _, out, _ = run_cli(capsys, "eval", "logt(logt(E(2),2),3)")
-        assert "SW       = yes (mod 2: yes)\n" in out
-
     def test_a_crash_exits_3_on_one_line(self, capsys):
         code, out, err = run_cli(capsys, "eval", "logt(" * 400 + "E(2)" + ",3)" * 400)
         assert (code, out) == (3, "")

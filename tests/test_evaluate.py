@@ -199,10 +199,14 @@ def test_pi1_of_elliptic_surfaces_with_multiple_fibers(expr, group):
 
 
 def test_three_or_more_multiple_fibers_give_a_presented_group():
-    for expr, k in ((_elliptic(2, 2, 3, 5), 3), (_tower(Primitive("Y", (1,)), [2, 3, 3]), 4)):
-        pi1 = evaluate(expr).flags.pi1
-        assert pi1 == GroupLabel.presented(f"orbifold group of S2 with {k} cone points")
-        assert pi1.odd_order is None
+    for expr in (_elliptic(2, 2, 3, 5), _tower(Primitive("Y", (1,)), [2, 3, 3])):
+        flags = evaluate(expr).flags
+        assert flags.pi1 == GroupLabel.presented("orbifold group of the base sphere")
+        assert flags.pi1.odd_order is None
+        # One record where the group changes, none at the levels above.
+        assert [p.rule for p in flags.provenance if p.field == "pi1"][-1] == "multiple-fiber-pi1"
+    deep = evaluate(_elliptic(2, *[3] * 10)).flags.provenance
+    assert sum(p.rule == "multiple-fiber-pi1" for p in deep) == 2  # Z/3, then the orbifold group
 
 
 def test_enriques_surface_keeps_no_false_parity_or_w2_type():
