@@ -395,7 +395,7 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
     if fibers is not None:
         fibers = Fibers(fibers.count + 1, fibers.evens + (m % 2 == 0), gcd(fibers.gcd, m))
     forget = ()
-    if flags.spin is not UNKNOWN and (fibers.evens if fibers else m % 2 == 0):
+    if flags.spin is not UNKNOWN and (fibers.evens if fibers is not None else m % 2 == 0):
         # Once a multiple fiber is even, the spin type depends on all the
         # multiple fibers: decide it anew at every transform above it.
         forget = _LOG_DECIDED_ANEW
