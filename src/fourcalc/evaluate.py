@@ -384,6 +384,14 @@ def _eval_fiber_sum(expr: FiberSum) -> Evaluation:
     )
 
 
+def _kept_by_log(flags: StructureFlags) -> bool:
+    """Whether the SW value in ``flags`` was last cited as kept by a log transform."""
+    for record in reversed(flags.provenance):
+        if record.field == "sw_nontrivial":
+            return record.rule == "log-transform"
+    return False
+
+
 def _eval_log_transform(expr: LogTransform) -> Evaluation:
     inner = evaluate(expr.inner)
     if inner.capabilities.get(ELLIPTIC_FIBER, 0) < 1:
@@ -425,7 +433,9 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
     # fibers, the rule holds too, but no verdict is claimed yet.
     if fibers is not None and fibers.evens and flags.pi1.odd_order is True:
         flags = flags.cite(spin=NO, rule="even-multiple-fiber", citation=_CITE_MULTIPLE_FIBER)
-    if sw_kept and inner.flags.sw_nontrivial is not UNKNOWN:
+    # Like pi1, SW is cited where its reason changes, not at every level
+    # of a tower: the inner value kept by a transform below stays cited.
+    if sw_kept and inner.flags.sw_nontrivial is not UNKNOWN and not _kept_by_log(inner.flags):
         flags = flags.cite(
             sw_nontrivial=inner.flags.sw_nontrivial,
             rule="log-transform",

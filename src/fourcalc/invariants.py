@@ -86,6 +86,12 @@ def connected_sum_record(parts: Iterable[tuple[InvariantRecord, int]]) -> Invari
         total += mult
         if b1 is not None:
             b1 = None if rec.b1 is None else b1 + rec.b1 * mult
+    return summed_record(chi, tau, b1, total)
+
+
+def summed_record(chi: int, tau: int, b1: Optional[int], total: int) -> InvariantRecord:
+    """Invariants of a connected sum of ``total`` parts whose chi, tau and
+    b1 add up to ``chi``, ``tau`` and ``b1`` (None when any part's is)."""
     return InvariantRecord(chi=chi - 2 * (total - 1), tau=tau, b1=b1)
 
 

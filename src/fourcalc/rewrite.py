@@ -34,19 +34,32 @@ broken there.  The canonical multiplicities are forced by (chi, tau)
 conservation, which is why normalization is confluent: any maximal rule
 order reaching an all-canonical multiset gives the same answer (the
 property suite randomizes rule order to check this).
+
+A batch costs time in the summands it changes, not in the size of the
+sum.  The check after it reads running totals (the sums of m*chi, m*tau,
+m*b1 and m, and how many distinct summands have unknown b1, spin flag no
+or spin flag unknown) that each batch updates by its delta, and builds
+the record and the flag from them.  The next rule comes from a per-stock
+index of the summands waiting on that stock, in order of entry: the
+first ready pair is read off its front, and a stock short of what every
+rule needs is passed over at once.  So the fixed order normalizes n
+distinct summands in time linear in n; a randomized order still lists
+every ready pair for each choice.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from fourcalc.certificates import Certificate, Step
 from fourcalc.config import WALL_N0
 from fourcalc.errors import MismatchedInvariants, MixedRewriteModes
-from fourcalc.evaluate import evaluate, sum_spin
+from fourcalc.evaluate import Evaluation, evaluate, sum_spin
 from fourcalc.expr import (
     LogTransform,
     ManifoldExpr,
@@ -55,7 +68,7 @@ from fourcalc.expr import (
     sum_parts,
 )
 from fourcalc.flags import NO, UNKNOWN, YES, TriState
-from fourcalc.invariants import InvariantRecord, connected_sum_record
+from fourcalc.invariants import InvariantRecord, summed_record
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
@@ -158,11 +171,19 @@ class NormalizeResult:
     mode: str
 
 
-def _totals(counts: dict) -> tuple[InvariantRecord, TriState]:
-    """The (chi, tau, b1) record and the spin flag of the whole sum."""
-    evs = [(evaluate(p), m) for p, m in counts.items()]
-    spin = sum_spin(ev.flags.spin for ev, _ in evs)
-    return connected_sum_record((ev.record, m) for ev, m in evs), spin
+def _stock(rule: Rule, wall_n0: int) -> int:
+    """How many copies of its stock ``rule`` needs."""
+    return wall_n0 if rule.stock is None else rule.stock
+
+
+@lru_cache(maxsize=16)
+def _least_stocks(mode: str, wall_n0: int) -> tuple[tuple[Primitive, int], ...]:
+    """Each stock of ``mode`` with the least amount of it that a rule needs."""
+    rules = [rule for rule in RULES if rule.mode == mode]
+    return tuple(
+        (need, min(_stock(rule, wall_n0) for rule in rules if rule.needs is need))
+        for need in STOCKS[mode]
+    )
 
 
 def _rules_of(part: ManifoldExpr) -> list[Rule]:
@@ -176,40 +197,121 @@ def _rules_of(part: ManifoldExpr) -> list[Rule]:
 def _firing(rule: Rule, part: ManifoldExpr, wall_n0: int) -> tuple[dict, TraceStep]:
     """One firing of ``rule`` on ``part``: its net change to the multiset and its step."""
     gives = rule.gives(part)
-    detail = rule.detail(part, wall_n0 if rule.stock is None else rule.stock, gives)
+    detail = rule.detail(part, _stock(rule, wall_n0), gives)
     return {part: -1, **gives}, TraceStep(rule.name, rule.citation, detail)
 
 
-def _choose_mode(rules_of: dict) -> str:
+def _choose_mode(parts: dict) -> str:
     spin_only = nonspin = False
-    for part, rules in rules_of.items():
+    for part, (_, ev, rules) in parts.items():
         modes = {rule.mode for rule in rules}
         if modes == {"spin"}:
             spin_only = True
-        elif evaluate(part).flags.spin is NO or (
-            modes == {"nonspin"} and part not in CANONICAL["spin"]
-        ):
+        elif ev.flags.spin is NO or (modes == {"nonspin"} and part not in CANONICAL["spin"]):
             nonspin = True
     if spin_only and nonspin:
         raise MixedRewriteModes("expression mixes spin-mode and non-spin-mode summands")
     return "nonspin" if nonspin else "spin"
 
 
-def _ready(counts: dict, rules_of: dict, mode: str, wall_n0: int) -> tuple[list, set]:
-    """The (rule, summand) pairs whose stock is there, in the order rules
-    are tried, and the stocks lacked by the rules tried before the first.
-    ``rules_of`` holds the rules of each summand of ``counts``, in order."""
-    ready, lacked = [], set()
-    for need in STOCKS[mode]:
-        have = counts.get(need, 0)
-        for part, rules in rules_of.items():
-            for rule in rules:
-                if rule.needs is need and rule.mode == mode:
-                    if have >= (wall_n0 if rule.stock is None else rule.stock):
-                        ready.append((rule, part))
-                    elif not ready:
+class _Sum:
+    """The summands of a sum, each with its multiplicity, evaluation and
+    rules, and what a batch of firings updates by its delta alone: the
+    sums of m*chi, m*tau and m*b1 and of m behind the record of the whole
+    sum, the numbers of distinct summands with unknown b1, with spin flag
+    no and with spin flag unknown, and, once a mode is chosen, per stock
+    the summands with a rule of that mode that needs it, in order of
+    entry."""
+
+    def __init__(self, wall_n0: int):
+        self.wall_n0 = wall_n0
+        self.mode: Optional[str] = None
+        self.parts: dict = {}  # summand -> [multiplicity, evaluation, rules]
+        self.chi = self.tau = self.b1 = self.total = 0
+        self.unknown_b1 = self.nonspin = self.unknown_spin = 0
+        # Per stock: the waiting summands with their rules that need it, and
+        # the least amount of it that any rule of the mode needs.
+        self.waiting: dict = {}
+
+    def index(self, mode: str) -> None:
+        """Index the summands by the stocks that their rules of ``mode``
+        need; a summand that enters later is indexed as it enters."""
+        self.mode = mode
+        stocks = _least_stocks(mode, self.wall_n0)
+        self.waiting = {need: (OrderedDict(), least) for need, least in stocks}
+        for part, (_, _, rules) in self.parts.items():
+            if rules:
+                self._wait(part, rules)
+
+    def _wait(self, part: ManifoldExpr, rules: list) -> None:
+        for rule in rules:
+            if rule.mode == self.mode:
+                self.waiting[rule.needs][0].setdefault(part, []).append(rule)
+
+    def add(self, part: ManifoldExpr, change: int) -> None:
+        """Add ``change`` copies of ``part`` (remove them, when negative)."""
+        entry = self.parts.get(part)
+        if entry is None:
+            ev = evaluate(part)
+            rules = _rules_of(part)
+            entry = self.parts[part] = [0, ev, rules]
+            self._present(ev, 1)
+            if rules:
+                self._wait(part, rules)
+        mult, ev, _ = entry
+        rec = ev.record
+        self.chi += change * rec.chi
+        self.tau += change * rec.tau
+        self.total += change
+        if rec.b1 is not None:
+            self.b1 += change * rec.b1
+        entry[0] = mult = mult + change
+        if not mult:
+            del self.parts[part]
+            self._present(ev, -1)
+            for rule in entry[2]:
+                if rule.mode == self.mode:
+                    self.waiting[rule.needs][0].pop(part, None)
+
+    def _present(self, ev: Evaluation, sign: int) -> None:
+        spin = ev.flags.spin
+        self.nonspin += sign * (spin is NO)
+        self.unknown_spin += sign * (spin is UNKNOWN)
+        self.unknown_b1 += sign * (ev.record.b1 is None)
+
+    def record(self) -> InvariantRecord:
+        """The (chi, tau, b1) record of the whole sum."""
+        b1 = None if self.unknown_b1 else self.b1
+        return summed_record(self.chi, self.tau, b1, self.total)
+
+    def spin(self) -> TriState:
+        """The spin flag of the whole sum."""
+        # Spin summands count only where every summand is spin.
+        present = ((NO, self.nonspin), (UNKNOWN, self.unknown_spin))
+        return sum_spin(flag for flag, count in present if count)
+
+    def ready(self, lacked: set) -> Iterator[tuple[Rule, ManifoldExpr]]:
+        """The (rule, summand) pairs whose stock is there, in the order rules
+        are tried.  Before the first is given, ``lacked`` holds the stocks
+        lacked by the rules tried before it.  A stock short of what every
+        rule needs is passed over without a look at the waiting summands."""
+        found = False
+        for need, (waiting, least) in self.waiting.items():
+            if not waiting:
+                continue
+            entry = self.parts.get(need)
+            have = 0 if entry is None else entry[0]
+            if have < least:
+                if not found:
+                    lacked.add(need)
+                continue
+            for part, rules in waiting.items():
+                for rule in rules:
+                    if have >= _stock(rule, self.wall_n0):
+                        found = True
+                        yield rule, part
+                    elif not found:
                         lacked.add(need)
-    return ready, lacked
 
 
 def normalize(
@@ -235,15 +337,24 @@ def normalize(
     if any(not evaluate(p).flags.pi1.is_trivial for p in counts):
         return NormalizeResult(expr, tuple(trace), False, "blocked")
 
-    rules_of = {part: _rules_of(part) for part in counts}
-    mode = _choose_mode(rules_of)
-    check, spin0 = _totals(counts)
+    total = _Sum(wall_n0)
+    for part, mult in counts.items():
+        total.add(part, mult)
+    mode = _choose_mode(total.parts)
+    total.index(mode)
+    check, spin0 = total.record(), total.spin()
 
     while True:
-        ready, lacked = _ready(counts, rules_of, mode, wall_n0)
-        if not ready:
+        lacked: set = set()
+        ready = total.ready(lacked)
+        if rng is None:
+            chosen = next(ready, None)
+        else:
+            ready = list(ready)
+            chosen = rng.choice(ready) if ready else None
+        if chosen is None:
             break
-        rule, part = ready[0] if rng is None else rng.choice(ready)
+        rule, part = chosen
         delta, step = _firing(rule, part, wall_n0)
         # The fixed order fires every copy of the summand, unless a firing
         # adds stock that a rule tried earlier lacks.  A random order fires
@@ -252,23 +363,16 @@ def normalize(
         if rng is not None or any(delta.get(need, 0) > 0 for need in lacked):
             copies = 1
         else:
-            copies = counts[part]
+            copies = total.parts[part][0]
         for summand, change in delta.items():
             if change:
-                mult = counts.get(summand)
-                if mult is None:
-                    mult = 0
-                    rules_of[summand] = _rules_of(summand)
-                mult += copies * change
-                if mult:
-                    counts[summand] = mult
-                else:
-                    del counts[summand], rules_of[summand]
+                total.add(summand, copies * change)
         trace.extend(repeat(step, copies))
-        record, spin = _totals(counts)
-        assert record == check, "rewrite changed chi or tau"
+        assert total.record() == check, "rewrite changed chi or tau"
+        spin = total.spin()
         assert spin is spin0 or spin0 is UNKNOWN, "rewrite changed spin"
 
+    counts = {part: entry[0] for part, entry in total.parts.items()}
     canonical_parts = CANONICAL[mode]
     canonical = all(p in canonical_parts for p in counts)
     ordered = [(p, counts[p]) for p in canonical_parts if p in counts]
@@ -332,12 +436,15 @@ def _registration_check():
     its own stock: a batch fires every copy on the stock the first had."""
     for rule in RULES:
         assert rule.consumes(rule.sample), rule.name
-        before = {rule.sample: 1, rule.needs: 1 if rule.stock is None else rule.stock}
-        after = dict(before)
+        total = _Sum(1)
+        total.index(rule.mode)
+        total.add(rule.sample, 1)
+        total.add(rule.needs, _stock(rule, 1))
+        before = total.record(), total.spin()
         delta = _firing(rule, rule.sample, 1)[0]
         for summand, change in delta.items():
-            after[summand] = after.get(summand, 0) + change
-        assert _totals(after) == _totals(before), rule.name
+            total.add(summand, change)
+        assert (total.record(), total.spin()) == before, rule.name
         assert delta.get(rule.needs, 0) >= 0, rule.name
 
 

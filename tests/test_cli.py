@@ -9,6 +9,7 @@ from pathlib import Path
 from fourcalc import cli, reproduce
 from fourcalc.certificates import Certificate, Step
 from fourcalc.cli import main
+from fourcalc.parser import MAX_CONSTRUCTOR_DEPTH
 from fourcalc.reproduce import Report
 
 
@@ -155,10 +156,34 @@ class TestEval:
         _, out, _ = run_cli(capsys, "eval", "fibersum(quotient(XG(24,-16,G),1),E(2),g=1)")
         assert "pi1      = G\n" in out
 
-    def test_a_crash_exits_3_on_one_line(self, capsys):
-        code, out, err = run_cli(capsys, "eval", "logt(" * 400 + "E(2)" + ",3)" * 400)
+    def test_a_crash_exits_3_on_one_line(self, monkeypatch, capsys):
+        def crash(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_eval", crash)
+        code, out, err = run_cli(capsys, "eval", "K3")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: RecursionError(") and err.count("\n") == 1
+
+    def test_constructors_nest_to_the_depth_limit(self, capsys):
+        depth = MAX_CONSTRUCTOR_DEPTH
+        for head, inner, tail, chi in (
+            ("logt(", "E(2)", ",3)", 24),
+            ("quotient(", "K3", ",1)", 24),
+            ("fibersum(", "E(2)", ",E(2),g=1)", 24 * (depth + 1)),
+        ):
+            code, out, _ = run_cli(capsys, "eval", head * depth + inner + tail * depth, "--json")
+            assert code == 0, head
+            assert json.loads(out)["chi"] == chi
+            # Deeper nesting is a syntax error at the constructor past the limit.
+            for levels in (depth + 1, 400):
+                text = "CP2 #\n" + head * levels + inner + tail * levels
+                code, out, err = run_cli(capsys, "eval", text)
+                assert (code, out) == (2, "")
+                assert err == (
+                    f"syntax error: constructors nest deeper than {depth} levels "
+                    f"(line 2, column {len(head) * depth + 1})\n"
+                )
 
 
 class TestChecks:

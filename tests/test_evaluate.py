@@ -168,6 +168,15 @@ def test_towers_and_chains_cost_linear_work():
         assert ratio < 2.3, (build.__name__, ratio)
 
 
+def test_a_tower_cites_its_sw_value_once():
+    # Each level cited the SW value it keeps again, so a tower of depth n
+    # held n + 1 SW records, and every cached level its own copy of them.
+    for base in (Primitive("E", (2,)), Primitive("K3"), Primitive("Y", (1,))):
+        provenance = [evaluate(_tower(base, [3] * depth)).flags.provenance for depth in (3, 50)]
+        assert [sum(p.field == "sw_nontrivial" for p in records) for records in provenance] == [2, 2]
+        assert len(provenance[1]) == len(provenance[0]), base
+
+
 def _elliptic(n, *multiplicities):
     return _tower(Primitive("E", (n,)), multiplicities)
 

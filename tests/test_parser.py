@@ -17,8 +17,10 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
-from fourcalc.parser import _Token, _position, _tokenize, parse_dsl
+from fourcalc.parser import _token_position, _tokenize, parse_dsl
 from fourcalc.registry import Registry
+
+from .reference_parser import reference_parse_dsl
 
 
 class TestGrammar:
@@ -261,16 +263,26 @@ def reference_tokenize(text):
     return tokens
 
 
+def _kind(tok):
+    """The kind of a token text, read from its first character."""
+    if not tok:
+        return "end"
+    if tok[0].isdecimal():
+        return "int"
+    return "name" if tok[0].isalpha() or tok[0] == "_" else "sym"
+
+
 def _tokens_or_error(tokenize, text):
     """(kind, text, line, column) per token, or the error and its position.
-    The tokenizer's offsets are placed by the parser's ``_position``."""
+    The tokenizer's texts are placed by the parser's ``_token_position``,
+    which places the token of a syntax error."""
     try:
         tokens = tokenize(text)
     except DslSyntaxError as exc:
         return str(exc), exc.line, exc.column
     return [
-        (tok.kind, tok.text, *_position(text, tok.offset)) if isinstance(tok, _Token) else tok
-        for tok in tokens
+        (_kind(tok), tok, *_token_position(text, index)) if isinstance(tok, str) else tok
+        for index, tok in enumerate(tokens)
     ]
 
 
@@ -294,3 +306,27 @@ def test_tokenize_matches_reference(text):
 def test_tokenize_matches_reference_on_any_text(text):
     assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
 
+
+def _parsed_or_error(parse, text):
+    """The tree, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except DslSyntaxError as exc:
+        return type(exc).__name__, exc.message, exc.line, exc.column
+
+
+@st.composite
+def spliced_texts(draw):
+    """The text of an expression with a slice cut out and pieces put in
+    its place, so that errors fall at every depth of the grammar."""
+    text = str(draw(expressions()))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, min(len(text), start + 4)))
+    return text[:start] + "".join(draw(st.lists(DSL_PIECES, max_size=2))) + text[end:]
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(DSL_PIECES, max_size=40).map("".join), st.text(max_size=60),
+                 spliced_texts()))
+def test_parse_matches_the_parser_with_token_records(text):
+    assert _parsed_or_error(parse_dsl, text) == _parsed_or_error(reference_parse_dsl, text)

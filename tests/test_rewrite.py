@@ -1,11 +1,13 @@
 """Rewrite engine: canonical forms, traces, confluence, diffeo claims."""
 
+import dataclasses
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourcalc import rewrite
@@ -436,3 +438,139 @@ def test_batch_end_check_catches_spin_fault(monkeypatch):
     _fault_on_first_firing(monkeypatch, "elliptic-decompose", {S2XS2: -1, CP2: 1, CP2B: 1})
     with pytest.raises(AssertionError, match="spin"):
         normalize(connected_sum_of((e4, 3), (S2XS2, 1)))
+
+
+@pytest.mark.parametrize("rule", rewrite.RULES, ids=lambda rule: rule.name)
+def test_a_rule_giving_one_plane_too_many_trips_conservation(monkeypatch, rule):
+    # The running totals must still see every firing: a table row whose
+    # ``gives`` adds one CP2b beside its right-hand side fails the check.
+    def gives(part):
+        gives = dict(rule.gives(part))
+        gives[CP2B] = gives.get(CP2B, 0) + 1
+        return gives
+
+    faulty = dataclasses.replace(rule, gives=gives)
+    monkeypatch.setattr(rewrite, "RULES", tuple(faulty if r is rule else r for r in rewrite.RULES))
+    monkeypatch.setattr(rewrite, "_PIECE_RULES", {})
+    expr = connected_sum_of((rule.sample, 1), (rule.needs, rule.stock or 1))
+    with pytest.raises(AssertionError, match="chi or tau"):
+        normalize(expr, wall_n0=1)
+
+
+def _rewrite_line_events(expr):
+    """Line events in rewrite.py while ``expr`` normalizes."""
+    path, count = rewrite.__file__, 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename == path else None
+
+    previous = sys.gettrace()
+    sys.settrace(scope)
+    try:
+        normalize(expr)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _blocks(n):
+    return connected_sum_of((CP2, 1), *((Primitive("BK", (3, 5, j)), 1) for j in range(n)))
+
+
+def test_normalize_costs_linear_work():
+    # Re-summing the whole multiset and rescanning every summand's rules
+    # after each batch made this quadratic, with a ratio of about 3.7.
+    ratio = _rewrite_line_events(_blocks(200)) / _rewrite_line_events(_blocks(100))
+    assert ratio < 2.3, ratio
+
+
+WIDE_NONSPIN_POOL = NONSPIN_POOL + [Primitive("BK", (3, 5, j)) for j in range(1, 30)]
+WIDE_SPIN_POOL = (
+    SPIN_POOL
+    + [Primitive("Y", (j,)) for j in range(4, 16)]
+    + [Primitive("E", (2 * h,)) for h in range(4, 16)]
+    + [LogTransform(Primitive("E", (2,)), p) for p in (7, 9, 11, 13)]
+)
+
+
+def _distinct_sums(pool):
+    return st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(1, 4)),
+        min_size=1, max_size=30, unique_by=lambda piece: piece[0],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(_distinct_sums(WIDE_NONSPIN_POOL), _distinct_sums(WIDE_SPIN_POOL)),
+    st.integers(0, 4),
+    st.integers(0, 2**32),
+)
+def test_normalize_matches_one_firing_per_step_on_wide_sums(pieces, wall_n0, seed):
+    expr = connected_sum_of(*pieces)
+    _assert_same_result(
+        _outcome(lambda: normalize(expr, wall_n0=wall_n0)),
+        _outcome(lambda: reference_normalize(expr, wall_n0=wall_n0)),
+    )
+    _assert_same_result(
+        _outcome(lambda: normalize(expr, rng=random.Random(seed), wall_n0=wall_n0)),
+        _outcome(lambda: reference_normalize(expr, rng=random.Random(seed), wall_n0=wall_n0)),
+    )
+
+
+def _rescan_ready(counts, rules_of, mode, wall_n0):
+    """The ready pairs and lacked stocks as found by scanning every
+    summand's rules, as normalize did before it kept an index."""
+    ready, lacked = [], set()
+    for need in rewrite.STOCKS[mode]:
+        have = counts.get(need, 0)
+        for part, rules in rules_of.items():
+            for rule in rules:
+                if rule.needs is need and rule.mode == mode:
+                    if have >= (wall_n0 if rule.stock is None else rule.stock):
+                        ready.append((rule, part))
+                    elif not ready:
+                        lacked.add(need)
+    return ready, lacked
+
+
+@st.composite
+def _changes(draw):
+    """Changes to a sum drawn from a few summands, so that summands often
+    leave it and come back."""
+    parts = draw(st.lists(st.sampled_from(NONSPIN_POOL + SPIN_POOL), min_size=1, max_size=5))
+    parts += [CP2, CP2B, S2XS2]
+    return draw(st.lists(st.tuples(st.sampled_from(parts), st.integers(-4, 4)), max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["nonspin", "spin"]), st.integers(0, 4), _changes())
+@example("spin", 3, [(Primitive("X442"), 1), (Primitive("E", (4,)), 1), (S2XS2, 1)])
+def test_ready_index_matches_a_rescan(mode, wall_n0, changes):
+    # Summands leave the sum and come back at its end; after every change
+    # the index must give the rescan's pairs in its order, its lacked
+    # stocks, and the record and spin flag of the sum summed afresh.
+    total = rewrite._Sum(wall_n0)
+    total.index(mode)
+    counts, rules_of = {}, {}
+    for part, change in changes:
+        change = max(change, -counts.get(part, 0))
+        if not change:
+            continue
+        total.add(part, change)
+        if part not in counts:
+            counts[part], rules_of[part] = 0, rewrite._rules_of(part)
+        counts[part] += change
+        if not counts[part]:
+            del counts[part], rules_of[part]
+        lacked = set()
+        assert (list(total.ready(lacked)), lacked) == _rescan_ready(counts, rules_of, mode, wall_n0)
+        assert {p: entry[0] for p, entry in total.parts.items()} == counts
+        if counts:
+            assert total.record() == _reference_record(counts)
+            assert total.spin() is _reference_spin(counts)
