@@ -4,7 +4,6 @@ the syntax-tree walkers that used to recompute them, and a tower or a
 chain costs work linear in its depth.  The fundamental group and the
 Seiberg-Witten flags of log-transform towers read those facts."""
 
-import sys
 from math import gcd
 
 import pytest
@@ -16,6 +15,8 @@ from fourcalc.errors import FourcalcError
 from fourcalc.evaluate import _ELLIPTIC, _SC_COMPLEMENT, evaluate
 from fourcalc.expr import FiberSum, LogTransform, Primitive, Quotient
 from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel
+
+from .work import line_events
 
 # Reference: the walkers the evaluator used before the facts moved into
 # Evaluation, kept verbatim.
@@ -127,23 +128,7 @@ def _line_events(expr) -> int:
     """Line events the evaluation of ``expr`` runs in evaluate.py, cache cleared."""
     evaluate.cache_clear()
     hash(expr)  # the first hash of a deep tree is not evaluation work
-    path, count = evaluate_module.__file__, 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return local
-
-    def scope(frame, event, arg):
-        return local if frame.f_code.co_filename == path else None
-
-    previous = sys.gettrace()
-    sys.settrace(scope)
-    try:
-        evaluate(expr)
-    finally:
-        sys.settrace(previous)
-    return count
+    return line_events(evaluate_module, lambda: evaluate(expr))
 
 
 def _log_tower(depth):
@@ -173,7 +158,8 @@ def test_a_tower_cites_its_sw_value_once():
     # held n + 1 SW records, and every cached level its own copy of them.
     for base in (Primitive("E", (2,)), Primitive("K3"), Primitive("Y", (1,))):
         provenance = [evaluate(_tower(base, [3] * depth)).flags.provenance for depth in (3, 50)]
-        assert [sum(p.field == "sw_nontrivial" for p in records) for records in provenance] == [2, 2]
+        sw = [sum(p.field == "sw_nontrivial" for p in records) for records in provenance]
+        assert sw == [2, 2], base
         assert len(provenance[1]) == len(provenance[0]), base
 
 

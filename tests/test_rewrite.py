@@ -3,7 +3,6 @@
 import dataclasses
 import random
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +23,8 @@ from fourcalc.expr import (
 from fourcalc.flags import NO, UNKNOWN, YES
 from fourcalc.invariants import connected_sum_record
 from fourcalc.rewrite import normalize, verify_diffeo_claim
+
+from .work import line_events
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
@@ -457,27 +458,6 @@ def test_a_rule_giving_one_plane_too_many_trips_conservation(monkeypatch, rule):
         normalize(expr, wall_n0=1)
 
 
-def _rewrite_line_events(expr):
-    """Line events in rewrite.py while ``expr`` normalizes."""
-    path, count = rewrite.__file__, 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return local
-
-    def scope(frame, event, arg):
-        return local if frame.f_code.co_filename == path else None
-
-    previous = sys.gettrace()
-    sys.settrace(scope)
-    try:
-        normalize(expr)
-    finally:
-        sys.settrace(previous)
-    return count
-
-
 def _blocks(n):
     return connected_sum_of((CP2, 1), *((Primitive("BK", (3, 5, j)), 1) for j in range(n)))
 
@@ -485,7 +465,8 @@ def _blocks(n):
 def test_normalize_costs_linear_work():
     # Re-summing the whole multiset and rescanning every summand's rules
     # after each batch made this quadratic, with a ratio of about 3.7.
-    ratio = _rewrite_line_events(_blocks(200)) / _rewrite_line_events(_blocks(100))
+    work = [line_events(rewrite, lambda: normalize(_blocks(n))) for n in (200, 100)]
+    ratio = work[0] / work[1]
     assert ratio < 2.3, ratio
 
 
