@@ -30,56 +30,85 @@ from fourcalc.reproduce import TARGETS, compare_with_golden, golden_path, run_ta
 from fourcalc.rewrite import normalize
 
 
+class _Command(argparse.ArgumentParser):
+    """The parser of one command or kind, whose arguments are declared
+    when argparse reaches it.
+
+    argparse hands the chosen subparser the rest of the command line
+    through its ``parse_known_args``, so ``declare(self)`` runs there,
+    once, before any token is read.  ``_build_parser`` still registers
+    every command and kind with its help, so usage lines, help texts and
+    invalid-choice errors are those of the eager tree; but a command
+    builds only the branch it takes.  Declaring the branches a command
+    did not take was most of a light command's parse time.
+    """
+
+    def __init__(self, *args, declare, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            declare, self._declare = self._declare, None
+            declare(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The command tree, built for one call of ``main``: each command and
+    kind is registered here, and declares its arguments in ``_Command``."""
+
+    def expressions(*names):
+        def declare(p):
+            for name in names:
+                p.add_argument(name)
+            p.add_argument("--json", action="store_true")
+        return declare
+
+    one_expr = expressions("expr")
+
+    def check(p):
+        kinds = p.add_subparsers(dest="check_kind", required=True, parser_class=_Command)
+        kinds.add_parser("ht", help="Hitchin-Thorpe inequalities", declare=one_expr)
+        kinds.add_parser("einstein", help="Einstein-metric obstruction", declare=one_expr)
+        kinds.add_parser(
+            "homeo", help="homeomorphism of two expressions", declare=expressions("expr", "other")
+        )
+
+    def bk(p):
+        p.add_argument("--eps-prime", default=None, help="slope margin eps'")
+        p.add_argument("--c", default=None, help="geography constant c(eps')")
+        p.add_argument("--bounds", required=True, metavar="XMAX,YMAX")
+        p.add_argument("--json", action="store_true")
+
+    def free_actions(p):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--eps", default=None)
+        p.add_argument("--c", default=None)
+        p.add_argument("--bounds", required=True, metavar="NMAX,MMAX")
+        p.add_argument("--json", action="store_true")
+
+    def regions(p):
+        kinds = p.add_subparsers(dest="region", required=True, parser_class=_Command)
+        kinds.add_parser("bk", help="realizable (chi_h, c1sq) points", declare=bk)
+        kinds.add_parser("free-actions", help="admissible (n, m) points", declare=free_actions)
+
+    def target(p):
+        p.add_argument("target", choices=sorted(TARGETS))
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--update-golden", action="store_true", help=argparse.SUPPRESS)
+
     parser = argparse.ArgumentParser(
         prog="fourcalc",
         description="exact invariant calculus and Einstein-metric "
         "obstructions for 4-manifold expressions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="invariants and flags of an expression")
-    p_eval.add_argument("expr")
-    p_eval.add_argument("--json", action="store_true")
-
-    p_check = sub.add_parser("check", help="run an obstruction or comparison check")
-    check_sub = p_check.add_subparsers(dest="check_kind", required=True)
-    p_ht = check_sub.add_parser("ht", help="Hitchin-Thorpe inequalities")
-    p_ht.add_argument("expr")
-    p_ht.add_argument("--json", action="store_true")
-    p_ein = check_sub.add_parser("einstein", help="Einstein-metric obstruction")
-    p_ein.add_argument("expr")
-    p_ein.add_argument("--json", action="store_true")
-    p_homeo = check_sub.add_parser("homeo", help="homeomorphism of two expressions")
-    p_homeo.add_argument("expr")
-    p_homeo.add_argument("other")
-    p_homeo.add_argument("--json", action="store_true")
-
-    p_norm = sub.add_parser("normalize", help="canonical connected-sum form")
-    p_norm.add_argument("expr")
-    p_norm.add_argument("--json", action="store_true")
-
-    p_enum = sub.add_parser("enumerate", help="lattice-region enumeration")
-    enum_sub = p_enum.add_subparsers(dest="region", required=True)
-    p_bk = enum_sub.add_parser("bk", help="realizable (chi_h, c1sq) points")
-    p_bk.add_argument("--eps-prime", default=None, help="slope margin eps'")
-    p_bk.add_argument("--c", default=None, help="geography constant c(eps')")
-    p_bk.add_argument("--bounds", required=True, metavar="XMAX,YMAX")
-    p_bk.add_argument("--json", action="store_true")
-    p_free = enum_sub.add_parser("free-actions", help="admissible (n, m) points")
-    p_free.add_argument("--d", type=int, required=True)
-    p_free.add_argument("--eps", default=None)
-    p_free.add_argument("--c", default=None)
-    p_free.add_argument("--bounds", required=True, metavar="NMAX,MMAX")
-    p_free.add_argument("--json", action="store_true")
-
-    p_rep = sub.add_parser("reproduce", help="rebuild a named example set")
-    p_rep.add_argument("target", choices=sorted(TARGETS))
-    p_rep.add_argument("--json", action="store_true")
-    p_rep.add_argument(
-        "--update-golden", action="store_true", help=argparse.SUPPRESS
-    )
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub.add_parser("eval", help="invariants and flags of an expression", declare=one_expr)
+    sub.add_parser("check", help="run an obstruction or comparison check", declare=check)
+    sub.add_parser("normalize", help="canonical connected-sum form", declare=one_expr)
+    sub.add_parser("enumerate", help="lattice-region enumeration", declare=regions)
+    sub.add_parser("reproduce", help="rebuild a named example set", declare=target)
     return parser
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from fourcalc.config import C_EPS, EPS, N1, WALL_N0, eps_prime_of
 from fourcalc.certificates import Certificate
@@ -131,33 +131,25 @@ class FreeActionPoint:
     verdict: str
 
 
-def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
-    """Admissible lattice points (n, m) with d | n, d | m, n > 0 and
-    n < (6 - eps) m - N(eps), each with the verdict of its quotient.
+def region_lattice_points(query: GeographyQuery) -> Iterator[tuple[int, int]]:
+    """The lattice points (n, m) with d | n, d | m, n > 0 and
+    n < (6 - eps) m - N(eps) inside the bounds, n-major.
 
-    Every accepted point also satisfies the chained inequality
+    Every point also satisfies the chained inequality
     3n/2d + 1 < (9 - eps') m/d - c(eps'), which is what makes the
-    symplectic block exist, and passes ``quotient_arithmetic``: both are
-    asserted per point, in integers.  What rests on flags and rule
-    applicability (the Seiberg-Witten step of LeBrun's certificate, the
-    universal-cover pattern and the normal form of the cover) is proved
-    once per class n mod 2d, by ``build_quotient_blueprint`` at the class's first point;
-    each point has its class's verdict.  On a class floor(3n/2d) is
-    affine in n, so k and every record are affine in (n, m).
+    symplectic block exist; it is asserted per point, in integers.
     """
     d = query.d
     n_max, m_max = query.bounds
     eps_prime, c_of_eps, n_of_eps = query.eps_prime, query.c_of_eps, query.n_of_eps
     six_minus_eps = 6 - query.epsilon
-    points = []
     if six_minus_eps <= 0:
-        return points  # (6 - eps) m - N(eps) < 0 < n for every m
+        return  # (6 - eps) m - N(eps) < 0 < n for every m
     # The chained inequality times 2d and the denominators of eps' and
     # c(eps'): n_coef n + shift < m_coef m.
     (e_num, e_den), (c_num, c_den) = eps_prime.as_integer_ratio(), c_of_eps.as_integer_ratio()
     n_coef, m_coef = 3 * e_den * c_den, 2 * (9 * e_den - e_num) * c_den
     shift = 2 * d * e_den * (c_den + c_num)
-    verdicts: dict[int, str] = {}  # n mod 2d -> verdict of the class's blueprint
     for n in range(d, n_max + 1, d):
         # The least multiple of d with (6 - eps) m > n + N(eps); it is at
         # least d because n + N(eps) > 0.
@@ -165,12 +157,31 @@ def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
         lhs = n_coef * n + shift
         for m in range(m_start, m_max + 1, d):
             assert lhs < m_coef * m, f"region point ({n},{m}) fails the chained inequality"
-            k = quotient_arithmetic(n, m, d, eps_prime, c_of_eps).k
-            verdict = verdicts.get(n % (2 * d))
-            if verdict is None:
-                bp = build_quotient_blueprint(n, m, d, eps_prime=eps_prime, c_of_eps=c_of_eps)
-                verdict = verdicts[n % (2 * d)] = bp.certificates[-1].verdict
-            points.append(FreeActionPoint(n, m, k, verdict))
+            yield n, m
+
+
+def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
+    """The points of ``region_lattice_points``, each with the verdict of
+    its quotient.
+
+    Every point passes ``quotient_arithmetic``, which asserts its numbers
+    in integers.  What rests on flags and rule applicability (the
+    Seiberg-Witten step of LeBrun's certificate, the universal-cover
+    pattern and the normal form of the cover) is proved once per class
+    n mod 2d, by ``build_quotient_blueprint`` at the class's first point;
+    each point has its class's verdict.  On a class floor(3n/2d) is
+    affine in n, so k and every record are affine in (n, m).
+    """
+    d, eps_prime, c_of_eps = query.d, query.eps_prime, query.c_of_eps
+    points = []
+    verdicts: dict[int, str] = {}  # n mod 2d -> verdict of the class's blueprint
+    for n, m in region_lattice_points(query):
+        k = quotient_arithmetic(n, m, d, eps_prime, c_of_eps).k
+        verdict = verdicts.get(n % (2 * d))
+        if verdict is None:
+            bp = build_quotient_blueprint(n, m, d, eps_prime=eps_prime, c_of_eps=c_of_eps)
+            verdict = verdicts[n % (2 * d)] = bp.certificates[-1].verdict
+        points.append(FreeActionPoint(n, m, k, verdict))
     return points
 
 

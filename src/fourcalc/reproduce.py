@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import islice
 
 from fourcalc.certificates import Certificate, verify_certificate
 from fourcalc.config import C_EPS, EPS
@@ -31,11 +32,11 @@ from fourcalc.geography import (
     build_quotient_blueprint,
     exotic_partner_family,
     fourth_congruence_piece,
-    free_action_region,
     ke_corrected_chi_h,
     ke_family_start,
     ke_printed_chi_h,
     ke_quotient_family,
+    region_lattice_points,
     spin_sum_families,
     group_family,
 )
@@ -277,18 +278,19 @@ def reproduce_thm15() -> Report:
         # first THM15_SAMPLE points: they hold 53 points each.
         bounds = (10, 24) if d == 2 else (15, 36)
         query = GeographyQuery(d=d, epsilon=EPS, c_of_eps=C_EPS, bounds=bounds)
-        points = free_action_region(query)[:THM15_SAMPLE]
+        points = list(islice(region_lattice_points(query), THM15_SAMPLE))
         assert len(points) == THM15_SAMPLE, f"bounds too small for {THM15_SAMPLE} points"
         rows = []
-        for pt in points:
+        for n, m in points:
+            # Each point's own blueprint runs its quotient_arithmetic.
             bp = build_quotient_blueprint(
-                pt.n, pt.m, d, eps_prime=query.eps_prime, c_of_eps=query.c_of_eps
+                n, m, d, eps_prime=query.eps_prime, c_of_eps=query.c_of_eps
             )
             rows.append(
                 {
-                    "n": pt.n,
-                    "m": pt.m,
-                    "k": pt.k,
+                    "n": n,
+                    "m": m,
+                    "k": bp.labels["k"],
                     "verdict": bp.certificates[-1].verdict,
                     "cover": display_form(bp.cover_normal_form.expr),
                 }

@@ -1,16 +1,23 @@
 """Command line interface: output shape, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 from fourcalc import cli, reproduce
 from fourcalc.certificates import Certificate, Step
 from fourcalc.cli import main
 from fourcalc.parser import MAX_CONSTRUCTOR_DEPTH
-from fourcalc.reproduce import Report
+from fourcalc.reproduce import TARGETS, Report
+
+from .reference_cli import (
+    PATHS, TAILS, mismatches, parity_cases, parse_outcome, reference_build_parser,
+)
 
 
 def run_cli(capsys, *argv):
@@ -392,3 +399,88 @@ def test_closed_stdout_exits_2_without_traceback():
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err == "error: output closed by its reader\n"
+
+
+# --- the parser: lazy declarations against the eager reference ---------
+
+_WORDS = sorted({word for path in PATHS for word in path} | set(TARGETS) | {"thm9"})
+_TOKENS = st.sampled_from(
+    [word for tail in TAILS for word in tail]
+    + _WORDS
+    + ["K3", "CP2 # CP2b", "1/2", "0", "", "--d=x", "--bounds=4,5", "--c=1/3", "--eps-prime=x"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(PATHS)), st.lists(_TOKENS, max_size=6), st.booleans())
+def test_parser_matches_the_eager_reference(path, tokens, accepted_first):
+    # A path to any parser of the tree, then tokens that parser may or may
+    # not accept, after or before a line it accepts.
+    accepted = PATHS[path] or []
+    argv = [*path, *accepted, *tokens] if accepted_first else [*path, *tokens, *accepted]
+    assert parse_outcome(cli._build_parser, argv) == parse_outcome(reference_build_parser, argv)
+
+
+def test_parser_matches_the_eager_reference_on_the_parity_cases():
+    cases = parity_cases()
+    assert mismatches(cases) == []
+    # The cases reach every parser's help and both exit codes of parsing.
+    outcomes = [parse_outcome(reference_build_parser, argv) for argv in cases]
+    assert {code for code, _, _, _ in outcomes} == {0, 2}
+    assert len({out for _, out, _, _ in outcomes if out}) == len(PATHS)
+
+
+def _parser_work(monkeypatch, capsys, *argv):
+    """The parsers ``main(argv)`` builds, by prog, and the arguments it
+    declares beyond each parser's -h, as (prog, names)."""
+    built, declared = [], []
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    def counting_add_argument(self, *names, **kwargs):
+        if names != ("-h", "--help"):
+            declared.append((self.prog, names))
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add_argument)
+    code = main(list(argv))
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert code == 0
+    return built, declared
+
+
+def test_a_command_builds_only_its_branch(monkeypatch, capsys):
+    names = ("eval", "check", "normalize", "enumerate", "reproduce")
+    commands = ["fourcalc", *(f"fourcalc {name}" for name in names)]
+    built, declared = _parser_work(monkeypatch, capsys, "eval", "K3")
+    assert built == commands
+    assert declared == [("fourcalc eval", ("expr",)), ("fourcalc eval", ("--json",))]
+    built, declared = _parser_work(monkeypatch, capsys, "check", "ht", "K3")
+    assert built == commands + [f"fourcalc check {kind}" for kind in ("ht", "einstein", "homeo")]
+    assert declared == [("fourcalc check ht", ("expr",)), ("fourcalc check ht", ("--json",))]
+    # Every call builds its own parser: nothing is kept between calls.
+    assert _parser_work(monkeypatch, capsys, "check", "ht", "K3") == (built, declared)
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import fourcalc.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")

@@ -588,3 +588,72 @@ class TestHomeo:
             inputs=cert.inputs,
         )
         assert verify_certificate(tampered) != []
+
+
+# --- no homeomorphism across different fundamental groups --------------
+
+HOMEO_BASES = [Primitive("E", (n,)) for n in (1, 2)] + [Primitive("Y", (j,)) for j in (1, 2, 3)]
+GROUP_PIECES = [Primitive("Sd", (d,)) for d in (2, 3, 5)] + [
+    Quotient(BicyclicCover(d, 2, d, d, d * i, d * i), d) for d in (3, 5) for i in (1, 3)
+]
+FIBERS = st.sampled_from([2, 3, 4, 5])
+
+
+def tower(base, fibers):
+    for m in fibers:
+        base = LogTransform(base, m)
+    return base
+
+
+# The summand that carries pi1: a log-transform tower (Y(j) is already
+# E(2) with one fiber of multiplicity 2j+1), Sd(d) or a free quotient.
+CORES = st.one_of(
+    st.builds(tower, st.sampled_from(HOMEO_BASES), st.lists(FIBERS, max_size=2)),
+    st.sampled_from(GROUP_PIECES),
+)
+# Simply connected summands beside it.
+SIMPLY_CONNECTED = st.one_of(
+    st.sampled_from([CP2, CP2B, Primitive("S2xS2"), K3, *HOMEO_BASES]),
+    st.builds(tower, st.sampled_from(HOMEO_BASES[:2]), st.lists(FIBERS, min_size=1, max_size=1)),
+)
+OTHER_SUMMANDS = st.lists(st.tuples(SIMPLY_CONNECTED, st.integers(1, 3)), max_size=2)
+
+
+@st.composite
+def twin_core(draw, core):
+    """A tower's fibers in another order over another base; Sd(d) and
+    quotients stay.  Y(j) is E(2) with one more fiber, so the records
+    of the two sides can agree while their groups differ."""
+    fibers = []
+    while isinstance(core, LogTransform):
+        fibers.append(core.multiplicity)
+        core = core.inner
+    if core not in HOMEO_BASES:
+        return core
+    return tower(draw(st.sampled_from(HOMEO_BASES)), draw(st.permutations(fibers)))
+
+
+@st.composite
+def homeo_pairs(draw):
+    core, others = draw(CORES), draw(OTHER_SUMMANDS)
+    left = connected_sum_of((core, 1), *others)
+    if draw(st.booleans()):
+        core = draw(twin_core(core))
+        others = others if draw(st.booleans()) else draw(OTHER_SUMMANDS)
+    else:
+        core, others = draw(CORES), draw(OTHER_SUMMANDS)
+    return left, connected_sum_of((core, 1), *others)
+
+
+@settings(max_examples=300, deadline=None)
+@given(homeo_pairs())
+def test_no_homeomorphism_between_different_fundamental_groups(pair):
+    left, right = pair
+    groups = evaluate(left).flags.pi1, evaluate(right).flags.pi1
+    try:
+        cert = certify(homeo_equal(left, right))
+    except (UnknownFlag, UnsupportedGroup):
+        return
+    assert cert.verdict in ("homeomorphic", "not_homeomorphic")
+    if cert.verdict == "homeomorphic":
+        assert groups[0] == groups[1]
