@@ -15,51 +15,39 @@ An expression is one of:
 * ``LogTransform(inner, multiplicity)`` -- logarithmic transform on an
   elliptic fiber (invariants unchanged, smooth structure marked).
 
-Trees are immutable and hashable so evaluation can be cached.  The
-recursive nodes (quotients, sums, fiber sums, log transforms) compute
-their hash once and keep it: the generated dataclass hash would walk the
-whole subtree on every call, and the evaluation cache and
-``connected_sum_of`` hash every level of a deep tree.  The kept value is
-the hash the generated method would give; it stays out of the state that
-``copy`` and ``pickle`` carry, because string hashes differ between
-processes.
+Trees are immutable and interned: building a node runs its constructor
+checks and then hands back the one live node of that class with the
+same field values, kept in a table of weak references.  Children count
+by identity, so equal trees are the same object, ``==`` is ``is`` and a
+hash never walks the tree.  ``copy``, ``pickle`` (also into another
+process) and ``dataclasses.replace`` build through the constructor, so
+they hand back the interned node too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass
 from typing import Union
 
 from fourcalc.errors import InvalidExpr, NegativeDegree, NonDivisibleBranch
 
-_HASH = "_hash"
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _hash_once(node) -> int:
-    """The hash the generated dataclass ``__hash__`` gives (that of the
-    field tuple), computed on the first call and then kept.  It is
-    computed here rather than in a helper, so that hashing a deep tree
-    for the first time recurses through one frame per level, as the
-    generated method does."""
-    value = node.__dict__.get(_HASH)
-    if value is None:
-        value = hash(tuple(map(node.__dict__.__getitem__, node._field_names)))
-        object.__setattr__(node, _HASH, value)
-    return value
+class _Interned(type):
+    def __call__(cls, *args, **kwargs):
+        """Build the node, so that its constructor checks run, then return
+        the live node of this class with the same field values."""
+        node = super().__call__(*args, **kwargs)
+        return _LIVE.setdefault((cls, *vars(node).values()), node)
 
 
-def _state_without_hash(node) -> dict:
-    state = dict(node.__dict__)
-    state.pop(_HASH, None)
-    return state
+class _Node(metaclass=_Interned):
+    """Base of the term-tree nodes: one live node per class and field values."""
 
-
-def _hashed_once(cls):
-    """Give a frozen dataclass a hash computed on first use and then kept."""
-    cls._field_names = tuple(f.name for f in fields(cls))
-    cls.__hash__ = _hash_once
-    cls.__getstate__ = _state_without_hash
-    return cls
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
 
 
 CP2_BASE = "CP2"
@@ -102,8 +90,8 @@ class DivisorClass:
         return f"O({self.degrees[0]},{self.degrees[1]})"
 
 
-@dataclass(frozen=True)
-class Primitive:
+@dataclass(frozen=True, eq=False)
+class Primitive(_Node):
     name: str
     params: tuple = ()
 
@@ -114,8 +102,8 @@ class Primitive:
         return f"{self.name}({inner})"
 
 
-@dataclass(frozen=True)
-class CyclicCover:
+@dataclass(frozen=True, eq=False)
+class CyclicCover(_Node):
     base: str
     d: int
     branch: DivisorClass
@@ -137,8 +125,8 @@ class CyclicCover:
         return f"cover({self.base},d={self.d},branch=({p},{q}))"
 
 
-@dataclass(frozen=True)
-class BicyclicCover:
+@dataclass(frozen=True, eq=False)
+class BicyclicCover(_Node):
     """Bi-cyclic cover of CP1xCP1 of type (d, p).
 
     Branch curves have bidegrees (d*a, d*b) and (p*m, p*n); the first
@@ -166,9 +154,8 @@ class BicyclicCover:
         return f"bicyclic({self.d},{self.p};{self.a},{self.b},{self.m},{self.n})"
 
 
-@_hashed_once
-@dataclass(frozen=True)
-class Quotient:
+@dataclass(frozen=True, eq=False)
+class Quotient(_Node):
     inner: "ManifoldExpr"
     d: int
     action: str = "standard"
@@ -184,9 +171,8 @@ class Quotient:
         return f"quotient({self.inner},{self.d}{tail})"
 
 
-@_hashed_once
-@dataclass(frozen=True)
-class ConnectedSum:
+@dataclass(frozen=True, eq=False)
+class ConnectedSum(_Node):
     """Connected sum of parts, each with a positive multiplicity."""
 
     parts: tuple[tuple["ManifoldExpr", int], ...]
@@ -210,9 +196,8 @@ class ConnectedSum:
         return " # ".join(pieces)
 
 
-@_hashed_once
-@dataclass(frozen=True)
-class FiberSum:
+@dataclass(frozen=True, eq=False)
+class FiberSum(_Node):
     left: "ManifoldExpr"
     right: "ManifoldExpr"
     genus: int
@@ -225,9 +210,8 @@ class FiberSum:
         return f"fibersum({self.left},{self.right},g={self.genus})"
 
 
-@_hashed_once
-@dataclass(frozen=True)
-class LogTransform:
+@dataclass(frozen=True, eq=False)
+class LogTransform(_Node):
     inner: "ManifoldExpr"
     multiplicity: int
 

@@ -1,8 +1,9 @@
-"""Term trees: equality and hashing of the recursive nodes, whose hash is
-computed once and kept out of copied and pickled state."""
+"""Term trees: constructor checks, and interning: one live node per class
+and field values, so that ``==`` is ``is`` and no hash walks the tree."""
 
 import copy
 import dataclasses
+import gc
 import os
 import pickle
 import subprocess
@@ -25,6 +26,7 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
+from fourcalc.parser import parse_dsl
 
 LEAVES = [
     Primitive("CP2"),
@@ -102,26 +104,30 @@ RECIPES = st.recursive(
 )
 
 
-def _generated_hash(node) -> int:
-    """What the generated dataclass __hash__ returns: the field tuple's hash."""
-    return hash(tuple(getattr(node, f.name) for f in dataclasses.fields(node)))
-
-
-def test_first_hash_of_a_deep_tree_recurses_as_before():
-    # One frame per level: a chain half the recursion limit deep hashes
-    # from the top on its first call.
-    node = Primitive("E", (2,))
-    for _ in range(sys.getrecursionlimit() // 2 - 50):
-        node = FiberSum(node, Primitive("E", (2,)), 1)
-    assert hash(node) == _generated_hash(node)
-
-
 @given(RECIPES)
 def test_equal_trees_built_apart_hash_alike(recipe):
     first, second = _build(recipe), _build(recipe)
-    assert first is not second
+    assert first is second
     assert first == second and hash(first) == hash(second)
-    assert hash(first) == _generated_hash(first)
+    assert {first: 1}[second] == 1
+
+
+@pytest.mark.parametrize("step", [
+    lambda node: LogTransform(node, 3),
+    lambda node: FiberSum(node, Primitive("E", (2,)), 1),
+], ids=["log-transform tower", "fiber-sum chain"])
+def test_deep_trees_built_apart_are_one_node(step):
+    # Neither hash nor == walks the tree, so depth needs no raised
+    # recursion limit.
+    def build():
+        node = Primitive("E", (2,))
+        for _ in range(10_000):
+            node = step(node)
+        return node
+
+    first, second = build(), build()
+    assert first is second
+    assert first == second and hash(first) == hash(second)
     assert {first: 1}[second] == 1
 
 
@@ -138,15 +144,37 @@ def test_copies_keep_equality_and_hash(recipe):
         assert other == tree and hash(other) == value
 
 
-def test_kept_hash_is_not_copied_or_pickled():
-    tree = FiberSum(Quotient(Primitive("K3"), 2), LogTransform(Primitive("E", (2,)), 3), 1)
-    summed = connected_sum_of((tree, 2), (Primitive("CP2"), 1))
-    hash(summed)
-    assert "_hash" in vars(summed) and "_hash" in vars(tree)
-    for other in (copy.copy(summed), copy.deepcopy(summed), pickle.loads(pickle.dumps(summed))):
-        assert "_hash" not in vars(other)
-    assert "_hash" not in vars(pickle.loads(pickle.dumps(tree)))
-    assert "_hash" not in vars(dataclasses.replace(tree))
+@given(RECIPES)
+def test_copies_are_the_interned_node(recipe):
+    tree = _build(recipe)
+    assert copy.copy(tree) is tree
+    assert copy.deepcopy(tree) is tree
+    assert pickle.loads(pickle.dumps(tree)) is tree
+    assert dataclasses.replace(tree) is tree
+
+
+@given(RECIPES)
+def test_printed_tree_parses_to_the_same_node(recipe):
+    tree = _build(recipe)
+    assert parse_dsl(str(tree)) is tree
+
+
+def test_rejected_nodes_leave_nothing_in_the_table():
+    live = list(expr_module._LIVE.values())
+    for _, error, build in REJECTED:
+        with pytest.raises(error):
+            build()
+    gc.collect()
+    assert sorted(map(id, expr_module._LIVE.values())) == sorted(map(id, live))
+
+
+def test_table_drops_a_tree_with_its_last_reference():
+    live = len(expr_module._LIVE)
+    tree = FiberSum(LogTransform(Primitive("Sd", (987_654,)), 7), Primitive("E", (987_655,)), 3)
+    assert len(expr_module._LIVE) == live + 4
+    del tree
+    gc.collect()
+    assert len(expr_module._LIVE) == live
 
 
 def test_unpickled_tree_hashes_right_in_another_process(tmp_path):
@@ -174,52 +202,3 @@ def test_unpickled_tree_hashes_right_in_another_process(tmp_path):
         env=env, capture_output=True, text=True, timeout=60, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-
-
-@pytest.fixture
-def field_hash_calls(monkeypatch):
-    """The field tuples of the recursive nodes, in the order their hash
-    is computed.  Every hash method of the expr module finds the builtin
-    through the module's globals; a primitive's tuple starts with its
-    name and is left out."""
-    calls = []
-
-    def counted(value):
-        if not isinstance(value[0], str):
-            calls.append(value)
-        return hash(value)
-
-    monkeypatch.setattr(expr_module, "hash", counted, raising=False)
-    return calls
-
-
-def test_deep_chain_hashes_each_node_once(field_hash_calls):
-    depth = 2000
-    chain = [Primitive("E", (2,))]
-    for i in range(depth):
-        chain.append(FiberSum(chain[-1], Primitive("E", (2 + i % 3,)), 1))
-    for node in chain:  # level by level, as the evaluation cache does
-        hash(node)
-    assert field_hash_calls == [(node.left, node.right, node.genus) for node in chain[1:]]
-    for node in chain:
-        hash(node)
-    assert len(field_hash_calls) == depth
-
-
-def test_every_recursive_node_hashes_once(field_hash_calls):
-    inner = Quotient(Primitive("K3"), 2)
-    nodes = [
-        inner,
-        LogTransform(inner, 3),
-        FiberSum(inner, Primitive("E", (2,)), 1),
-        ConnectedSum(((inner, 2), (Primitive("CP2"), 1))),
-    ]
-    for _ in range(3):
-        for node in nodes:
-            hash(node)
-    assert field_hash_calls == [
-        (inner.inner, inner.d, inner.action),
-        (inner, 3),
-        (inner, Primitive("E", (2,)), 1),
-        (nodes[3].parts,),
-    ]
