@@ -34,6 +34,7 @@ CITE_LEBRUN = "Seiberg-Witten scalar-curvature estimates on blown-up manifolds"
 CITE_BAUER_FURUTA = "Bauer-Furuta stable-cohomotopy obstruction for connected sums"
 CITE_FREEDMAN = "Freedman: simply connected homeomorphism classification"
 CITE_HAMBLETON_KRECK = "homeomorphism classification for cyclic fundamental groups"
+CITE_HOMOTOPY = "b2+ and b2- are homotopy invariants"
 
 
 def _fmt(n) -> str:
@@ -272,9 +273,13 @@ def _partial_key(expr: ManifoldExpr) -> HomeoKey:
     return HomeoKey(flags.pi1, b2p, b2m, flags.parity, flags.w2type)
 
 
+def _classified(key: HomeoKey) -> bool:
+    return key.pi1.kind in _CLASSIFIED_GROUPS
+
+
 def homeo_key(expr: ManifoldExpr) -> HomeoKey:
     key = _partial_key(expr)
-    if key.pi1.kind not in _CLASSIFIED_GROUPS:
+    if not _classified(key):
         raise UnsupportedGroup(f"pi1 = {key.pi1} is not trivial or finite cyclic")
     if key.parity is Parity.UNKNOWN:
         raise UnknownFlag(f"parity unknown for {expr}")
@@ -286,13 +291,11 @@ def homeo_key(expr: ManifoldExpr) -> HomeoKey:
 
 
 def _known_mismatch(ka: HomeoKey, kb: HomeoKey) -> bool:
-    """Whether a field both keys know differs, within the classified groups."""
-    if ka.pi1.kind not in _CLASSIFIED_GROUPS or kb.pi1.kind not in _CLASSIFIED_GROUPS:
-        return False
-    pairs = zip(
-        (ka.pi1, ka.b2plus, ka.b2minus, ka.parity, ka.w2type),
-        (kb.pi1, kb.b2plus, kb.b2minus, kb.parity, kb.w2type),
-    )
+    """Whether a field both keys know differs.  b2+ and b2- count for any
+    pi1; pi1, parity and w2-type only within the classified groups."""
+    pairs = [(ka.b2plus, kb.b2plus), (ka.b2minus, kb.b2minus)]
+    if _classified(ka) and _classified(kb):
+        pairs += [(ka.pi1, kb.pi1), (ka.parity, kb.parity), (ka.w2type, kb.w2type)]
     return any(
         x != y and x not in _UNKNOWN_FIELDS and y not in _UNKNOWN_FIELDS for x, y in pairs
     )
@@ -309,11 +312,13 @@ def homeo_equal(a: ManifoldExpr, b: ManifoldExpr) -> Certificate:
     """Compare homeomorphism keys.
 
     A field that both sides know and that differs decides
-    ``not_homeomorphic``, whatever the other fields are.  Otherwise both
-    keys must be complete (else :class:`UnknownFlag` or
-    :class:`UnsupportedGroup`, as from :func:`homeo_key`); differing keys
-    are conclusive for any forms, and equal keys conclude homeomorphism
-    only on indefinite forms (or identical expressions).
+    ``not_homeomorphic``, whatever the other fields are: b2+ and b2-, being
+    homotopy invariants, for any pi1; pi1, parity and w2-type when both
+    groups are classified.  Otherwise both keys must be complete (else
+    :class:`UnknownFlag` or :class:`UnsupportedGroup`, as from
+    :func:`homeo_key`); differing keys are conclusive for any forms, and
+    equal keys conclude homeomorphism only on indefinite forms (or
+    identical expressions).
     """
     ka, kb = _partial_key(a), _partial_key(b)
     if not _known_mismatch(ka, kb):
@@ -322,7 +327,10 @@ def homeo_equal(a: ManifoldExpr, b: ManifoldExpr) -> Certificate:
             raise UnknownFlag(
                 "equal keys on a definite form: the classification does not apply"
             )
-    citation = CITE_FREEDMAN if ka.pi1.is_trivial else CITE_HAMBLETON_KRECK
+    if not (_classified(ka) and _classified(kb)):
+        citation = CITE_HOMOTOPY
+    else:
+        citation = CITE_FREEDMAN if ka.pi1.is_trivial else CITE_HAMBLETON_KRECK
     steps = [
         _betti_step("b2plus", ka.b2plus, kb.b2plus, citation),
         _betti_step("b2minus", ka.b2minus, kb.b2minus, citation),

@@ -25,6 +25,7 @@ from fourcalc.expr import (
 from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel, Parity, StructureFlags, W2Type
 from fourcalc.invariants import InvariantRecord
 from fourcalc.obstruction import (
+    CITE_HOMOTOPY,
     Splitting,
     decompose_for_obstruction,
     hitchin_thorpe,
@@ -547,12 +548,21 @@ class TestHomeo:
         with pytest.raises(UnknownFlag):
             homeo_equal(piece, CP2)
 
+    def test_betti_mismatch_decides_whatever_the_group(self):
+        # pi1 = Z is outside the classification, but b2+ and b2- are
+        # homotopy invariants: 0/0 against 1/0 decides.
+        for a, b in ((Primitive("S1xS3"), CP2), (CP2, Primitive("S1xS3"))):
+            cert = homeo_equal(a, b)
+            assert cert.verdict == "not_homeomorphic"
+            assert {step.citation for step in cert.steps} == {CITE_HOMOTOPY}
+            assert verify_certificate(cert) == []
+
     def test_unclassified_group_still_raises(self):
-        # b2+ differs, but pi1 = Z is outside the classification.
+        # pi1 = Z is outside the classification, and b2+/b2- agree.
         with pytest.raises(UnsupportedGroup):
-            homeo_equal(Primitive("S1xS3"), CP2)
+            homeo_equal(Primitive("S1xS3"), Primitive("S4"))
         with pytest.raises(UnsupportedGroup):
-            homeo_equal(CP2, Primitive("S1xS3"))
+            homeo_equal(Primitive("S4"), Primitive("S1xS3"))
 
     def test_equivalence_relation(self):
         pool = [
