@@ -1,9 +1,17 @@
 """Structural evaluation of manifold expressions.
 
-``evaluate`` walks a term tree once and produces an :class:`Evaluation`
-bundle: exact invariants, structure flags with provenance, remaining
-capability tags and smooth-structure labels.  Evaluation is pure and
-memoized; equal trees give identical results.
+``evaluate`` produces an :class:`Evaluation` bundle: exact invariants,
+structure flags with provenance, remaining capability tags and
+smooth-structure labels.  Evaluation is pure and memoized; equal trees
+give identical results.
+
+Each node kind has one rule in ``_RULES``, called with the node and the
+evaluations of its ``children``.  ``evaluate`` walks the nodes not cached
+yet in post-order, left to right, with an explicit stack, so depth costs
+no recursion and the leftmost failing subtree raises first.  Its cache,
+a dict filled from the bottom up, keeps the ``cache_info()`` and
+``cache_clear()`` of ``functools.lru_cache``: each entry is one miss, and
+a hit is a call answered from the cache.
 
 The rules of a node read only its direct children's evaluations.  The
 facts that span several levels (the primitive at the bottom of a
@@ -25,7 +33,6 @@ even forms); only the signature rules and odd-order-group rule apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
@@ -207,8 +214,7 @@ def _eval_bicyclic(expr: BicyclicCover) -> Evaluation:
     return _finish(record, flags, complex_surface=True)
 
 
-def _eval_quotient(expr: Quotient) -> Evaluation:
-    inner_eval = evaluate(expr.inner)
+def _eval_quotient(expr: Quotient, inner_eval: Evaluation) -> Evaluation:
     if expr.d == 1:
         return inner_eval
     inner = expr.inner
@@ -303,8 +309,8 @@ def _cite_sum_sw(flags: StructureFlags, parts: list[tuple[Evaluation, int]]) -> 
     return flags
 
 
-def _eval_connected_sum(expr: ConnectedSum) -> Evaluation:
-    parts = [(evaluate(sub), mult) for sub, mult in expr.parts]
+def _eval_connected_sum(expr: ConnectedSum, *evals: Evaluation) -> Evaluation:
+    parts = [(ev, mult) for ev, (_, mult) in zip(evals, expr.parts)]
     record = connected_sum_record((ev.record, mult) for ev, mult in parts)
 
     pi1 = _combine_pi1(parts)
@@ -338,8 +344,7 @@ def _eval_connected_sum(expr: ConnectedSum) -> Evaluation:
     return _finish(record, flags, labels=labels)
 
 
-def _eval_fiber_sum(expr: FiberSum) -> Evaluation:
-    left, right = evaluate(expr.left), evaluate(expr.right)
+def _eval_fiber_sum(expr: FiberSum, left: Evaluation, right: Evaluation) -> Evaluation:
     cap = genus_cap(expr.genus)
     for side, name in ((left, "left"), (right, "right")):
         if side.capabilities.get(cap, 0) < 1:
@@ -392,8 +397,7 @@ def _kept_by_log(flags: StructureFlags) -> bool:
     return False
 
 
-def _eval_log_transform(expr: LogTransform) -> Evaluation:
-    inner = evaluate(expr.inner)
+def _eval_log_transform(expr: LogTransform, inner: Evaluation) -> Evaluation:
     if inner.capabilities.get(ELLIPTIC_FIBER, 0) < 1:
         raise MissingCapability("log transforms need an elliptic fiber")
     m = expr.multiplicity
@@ -454,24 +458,53 @@ def _eval_log_transform(expr: LogTransform) -> Evaluation:
     )
 
 
-@lru_cache(maxsize=None)
+_RULES = {
+    Primitive: _eval_primitive,
+    CyclicCover: _eval_cyclic,
+    BicyclicCover: _eval_bicyclic,
+    Quotient: _eval_quotient,
+    ConnectedSum: _eval_connected_sum,
+    FiberSum: _eval_fiber_sum,
+    LogTransform: _eval_log_transform,
+}
+_CACHE: dict = {}
+_hits = 0
+_CacheInfo = NamedTuple(
+    "CacheInfo", [("hits", int), ("misses", int), ("maxsize", None), ("currsize", int)]
+)
+
+
 def evaluate(expr: ManifoldExpr) -> Evaluation:
     """Evaluate invariants, flags, capabilities and labels of a term tree."""
-    if isinstance(expr, Primitive):
-        return _eval_primitive(expr)
-    if isinstance(expr, CyclicCover):
-        return _eval_cyclic(expr)
-    if isinstance(expr, BicyclicCover):
-        return _eval_bicyclic(expr)
-    if isinstance(expr, Quotient):
-        return _eval_quotient(expr)
-    if isinstance(expr, ConnectedSum):
-        return _eval_connected_sum(expr)
-    if isinstance(expr, FiberSum):
-        return _eval_fiber_sum(expr)
-    if isinstance(expr, LogTransform):
-        return _eval_log_transform(expr)
-    raise InvalidExpr(f"not a manifold expression: {expr!r}")
+    global _hits
+    cache = _CACHE
+    done = cache.get(expr)
+    if done is not None:
+        _hits += 1
+        return done
+    if type(expr) not in _RULES:
+        raise InvalidExpr(f"not a manifold expression: {expr!r}")
+    stack = [(expr, expr.children)]
+    while stack:
+        node, children = stack[-1]
+        todo = [(child, child.children) for child in reversed(children) if child not in cache]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if node not in cache:  # else it was reached twice
+            cache[node] = _RULES[type(node)](node, *map(cache.__getitem__, children))
+    return cache[expr]
+
+
+def _cache_clear() -> None:
+    global _hits
+    _CACHE.clear()
+    _hits = 0
+
+
+evaluate.cache_clear = _cache_clear
+evaluate.cache_info = lambda: _CacheInfo(_hits, len(_CACHE), None, len(_CACHE))
 
 
 def eval_invariants(expr: ManifoldExpr) -> InvariantRecord:

@@ -22,6 +22,13 @@ by identity, so equal trees are the same object, ``==`` is ``is`` and a
 hash never walks the tree.  ``copy``, ``pickle`` (also into another
 process) and ``dataclasses.replace`` build through the constructor, so
 they hand back the interned node too.
+
+Each composite kind states its subtrees once, in its print template
+``_pieces()``: literal text and child nodes, the children in the order
+evaluation reads them.  ``children`` is read off the template, and
+``str`` walks the templates with an explicit stack, so neither printing
+nor evaluation (``evaluate.py``) recurses, and printing costs time
+linear in the output.  A leaf prints itself whole.
 """
 
 from __future__ import annotations
@@ -44,10 +51,35 @@ class _Interned(type):
 
 
 class _Node(metaclass=_Interned):
-    """Base of the term-tree nodes: one live node per class and field values."""
+    """Base of the term-tree nodes: one live node per class and field values.
+    A leaf has no children and prints itself."""
+
+    children = ()
 
     def __reduce__(self):
         return type(self), tuple(vars(self).values())
+
+
+class _Composite(_Node):
+    """A node with subtrees, each stated once in its ``_pieces()``."""
+
+    @property
+    def children(self) -> tuple:
+        """The child nodes, left to right."""
+        return tuple(piece for piece in self._pieces() if piece.__class__ is not str)
+
+    def __str__(self):
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            piece = stack.pop()
+            if piece.__class__ is str:
+                out.append(piece)
+            elif isinstance(piece, _Composite):
+                stack += reversed(piece._pieces())
+            else:
+                out.append(str(piece))
+        return "".join(out)
 
 
 CP2_BASE = "CP2"
@@ -98,8 +130,7 @@ class Primitive(_Node):
     def __str__(self):
         if not self.params:
             return self.name
-        inner = ",".join(str(p) for p in self.params)
-        return f"{self.name}({inner})"
+        return f"{self.name}({','.join(map(str, self.params))})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +186,7 @@ class BicyclicCover(_Node):
 
 
 @dataclass(frozen=True, eq=False)
-class Quotient(_Node):
+class Quotient(_Composite):
     inner: "ManifoldExpr"
     d: int
     action: str = "standard"
@@ -166,13 +197,13 @@ class Quotient(_Node):
         if self.action not in ("standard", "weighted"):
             raise InvalidExpr(f"unknown action {self.action!r}")
 
-    def __str__(self):
+    def _pieces(self):
         tail = ",weighted" if self.action == "weighted" else ""
-        return f"quotient({self.inner},{self.d}{tail})"
+        return ("quotient(", self.inner, f",{self.d}{tail})")
 
 
 @dataclass(frozen=True, eq=False)
-class ConnectedSum(_Node):
+class ConnectedSum(_Composite):
     """Connected sum of parts, each with a positive multiplicity."""
 
     parts: tuple[tuple["ManifoldExpr", int], ...]
@@ -186,18 +217,17 @@ class ConnectedSum(_Node):
             if isinstance(part, ConnectedSum):
                 raise InvalidExpr("nest sums via flatten(), not directly")
 
-    def __str__(self):
-        pieces = []
+    def _pieces(self):
+        pieces: list = []
         for part, mult in self.parts:
-            text = str(part)
-            if not isinstance(part, Primitive):
-                text = f"({text})"
-            pieces.append(text if mult == 1 else f"{mult}*{text}")
-        return " # ".join(pieces)
+            pieces.append(" # " if mult == 1 else f" # {mult}*")
+            pieces += (part,) if isinstance(part, Primitive) else ("(", part, ")")
+        pieces[0] = pieces[0][3:]  # no " # " before the first part
+        return pieces
 
 
 @dataclass(frozen=True, eq=False)
-class FiberSum(_Node):
+class FiberSum(_Composite):
     left: "ManifoldExpr"
     right: "ManifoldExpr"
     genus: int
@@ -206,12 +236,12 @@ class FiberSum(_Node):
         if self.genus < 0:
             raise NegativeDegree("fiber-sum genus must be >= 0")
 
-    def __str__(self):
-        return f"fibersum({self.left},{self.right},g={self.genus})"
+    def _pieces(self):
+        return ("fibersum(", self.left, ",", self.right, f",g={self.genus})")
 
 
 @dataclass(frozen=True, eq=False)
-class LogTransform(_Node):
+class LogTransform(_Composite):
     inner: "ManifoldExpr"
     multiplicity: int
 
@@ -219,8 +249,8 @@ class LogTransform(_Node):
         if self.multiplicity < 1:
             raise NegativeDegree("log-transform multiplicity must be >= 1")
 
-    def __str__(self):
-        return f"logt({self.inner},{self.multiplicity})"
+    def _pieces(self):
+        return ("logt(", self.inner, f",{self.multiplicity})")
 
 
 ManifoldExpr = Union[
@@ -231,21 +261,10 @@ ManifoldExpr = Union[
 def connected_sum_of(*pieces: tuple[ManifoldExpr, int]) -> ManifoldExpr:
     """Build a flattened connected sum; collapses to a single part when trivial."""
     counts: dict[ManifoldExpr, int] = {}
-    order: list[ManifoldExpr] = []
-
-    def add(part: ManifoldExpr, mult: int):
-        if isinstance(part, ConnectedSum):
-            for sub, submult in part.parts:
-                add(sub, submult * mult)
-            return
-        if part not in counts:
-            counts[part] = 0
-            order.append(part)
-        counts[part] += mult
-
-    for part, mult in pieces:
-        add(part, mult)
-    parts = tuple((part, counts[part]) for part in order)
+    for piece, mult in pieces:
+        for part, submult in sum_parts(piece):
+            counts[part] = counts.get(part, 0) + submult * mult
+    parts = tuple(counts.items())
     if len(parts) == 1 and parts[0][1] == 1:
         return parts[0][0]
     return ConnectedSum(parts)

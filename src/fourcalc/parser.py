@@ -67,9 +67,8 @@ _ASCII_GOOD = frozenset(
 
 _CONSTRUCTORS = ("cover", "bicyclic", "quotient", "fibersum", "logt")
 _COVER_BASES = {"CP2": "CP2", "CP1xCP1": "CP1xCP1", "S2xS2": "CP1xCP1"}
-# How deep constructors may nest.  Each level costs a few frames of the
-# recursive descent, and evaluating, printing and hashing the tree recurse
-# once per level too.
+# How deep constructors may nest: each level costs a few frames of the
+# recursive descent.  Evaluating, printing and hashing a tree do not recurse.
 MAX_CONSTRUCTOR_DEPTH = 256
 
 

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fourcalc.evaluate as evaluate_module
-from fourcalc.errors import FourcalcError
+from fourcalc.errors import AdmissibilityFail, FourcalcError, MissingCapability
 from fourcalc.evaluate import _ELLIPTIC, _SC_COMPLEMENT, evaluate
-from fourcalc.expr import FiberSum, LogTransform, Primitive, Quotient
+from fourcalc.expr import FiberSum, LogTransform, Primitive, Quotient, connected_sum_of
 from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel
+from fourcalc.parser import parse_dsl
 
 from .work import line_events
 
@@ -151,6 +152,34 @@ def test_towers_and_chains_cost_linear_work():
     for build in (_log_tower, _fiber_chain):
         ratio = _line_events(build(200)) / _line_events(build(100))
         assert ratio < 2.3, (build.__name__, ratio)
+
+
+def test_cache_keeps_the_lru_cache_interface():
+    # perfbench/run.py reads hits and misses, and tests read currsize.
+    tree = parse_dsl("fibersum(E(2),E(2),g=1) # logt(E(2),3) # 2*CP2")
+    evaluate(tree)
+    evaluate.cache_clear()
+    assert evaluate.cache_info().currsize == 0
+    evaluate(tree)
+    # One miss per distinct node: the sum, the fiber sum, E(2), the log
+    # transform and CP2.
+    assert evaluate.cache_info()[:2] == (0, 5) and evaluate.cache_info().currsize == 5
+    evaluate(tree)
+    assert evaluate.cache_info()[:2] == (1, 5)
+
+
+def test_the_leftmost_failing_subtree_raises():
+    # Whichever side fails nearer the root, the left subtree is evaluated
+    # first, as the recursive evaluator did.
+    no_action = LogTransform(Quotient(Primitive("K3"), 2), 3)  # AdmissibilityFail
+    no_fiber = LogTransform(Primitive("CP2"), 2)  # MissingCapability
+    for left, right, error in ((no_action, no_fiber, AdmissibilityFail),
+                               (no_fiber, no_action, MissingCapability)):
+        for tree in (connected_sum_of((left, 1), (right, 1)), FiberSum(left, right, 1)):
+            evaluate.cache_clear()
+            with pytest.raises(FourcalcError) as err:
+                evaluate(tree)
+            assert type(err.value) is error, tree
 
 
 def test_a_tower_cites_its_sw_value_once():

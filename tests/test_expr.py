@@ -1,5 +1,6 @@
-"""Term trees: constructor checks, and interning: one live node per class
-and field values, so that ``==`` is ``is`` and no hash walks the tree."""
+"""Term trees: constructor checks; interning: one live node per class
+and field values, so that ``==`` is ``is`` and no hash walks the tree;
+and printing, which walks the print templates without recursion."""
 
 import copy
 import dataclasses
@@ -15,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from fourcalc import expr as expr_module
 from fourcalc.errors import InvalidExpr, NegativeDegree
+from fourcalc.evaluate import evaluate
 from fourcalc.expr import (
     BicyclicCover,
     ConnectedSum,
@@ -26,7 +28,10 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
-from fourcalc.parser import parse_dsl
+from fourcalc.parser import MAX_CONSTRUCTOR_DEPTH, parse_dsl
+
+from .reference_printer import reference_str
+from .work import line_events
 
 LEAVES = [
     Primitive("CP2"),
@@ -112,23 +117,49 @@ def test_equal_trees_built_apart_hash_alike(recipe):
     assert {first: 1}[second] == 1
 
 
-@pytest.mark.parametrize("step", [
-    lambda node: LogTransform(node, 3),
-    lambda node: FiberSum(node, Primitive("E", (2,)), 1),
-], ids=["log-transform tower", "fiber-sum chain"])
-def test_deep_trees_built_apart_are_one_node(step):
-    # Neither hash nor == walks the tree, so depth needs no raised
-    # recursion limit.
-    def build():
-        node = Primitive("E", (2,))
-        for _ in range(10_000):
-            node = step(node)
-        return node
+E2 = Primitive("E", (2,))
 
-    first, second = build(), build()
+
+def _deep(step, depth):
+    node = E2
+    for _ in range(depth):
+        node = step(node)
+    return node
+
+
+# Each deep tree with its text as a function of its depth, and the chi
+# and tau of its evaluation.
+DEEP = [
+    (lambda node: LogTransform(node, 3),
+     lambda n: "logt(" * n + "E(2)" + ",3)" * n, lambda n: (24, -16)),
+    (lambda node: FiberSum(node, E2, 1),
+     lambda n: "fibersum(" * n + "E(2)" + ",E(2),g=1)" * n, lambda n: (24 * (n + 1), -16 * (n + 1))),
+]
+
+
+@pytest.mark.parametrize("step, text, record", DEEP, ids=["log-transform tower", "fiber-sum chain"])
+def test_deep_trees_built_apart_are_one_node(step, text, record):
+    # Neither hash, ==, str nor evaluate walks the tree by recursion, so
+    # depth needs no raised recursion limit.  Evaluating the tower takes
+    # about a second: each level copies its labels.
+    first, second = _deep(step, 10_000), _deep(step, 10_000)
     assert first is second
     assert first == second and hash(first) == hash(second)
     assert {first: 1}[second] == 1
+    assert str(first) == text(10_000)
+    rec = evaluate(first).record
+    assert (rec.chi, rec.tau) == record(10_000)
+
+
+def test_printing_costs_linear_work():
+    # A walk that printed a subtree again at each level above it would
+    # make both quadratic, with a ratio of about 4 between depths 200 and 100.
+    for step, _, _ in DEEP:
+        shallow, deep = _deep(step, 100), _deep(step, 200)
+        ratio = line_events(expr_module, lambda: str(deep)) / line_events(
+            expr_module, lambda: str(shallow)
+        )
+        assert ratio < 2.3, ratio
 
 
 @given(RECIPES)
@@ -147,16 +178,97 @@ def test_copies_keep_equality_and_hash(recipe):
 @given(RECIPES)
 def test_copies_are_the_interned_node(recipe):
     tree = _build(recipe)
+    # The interning key and the pickle state hold the fields alone.
+    assert list(vars(tree)) == [f.name for f in dataclasses.fields(tree)]
     assert copy.copy(tree) is tree
     assert copy.deepcopy(tree) is tree
     assert pickle.loads(pickle.dumps(tree)) is tree
     assert dataclasses.replace(tree) is tree
 
 
+def _constructor_depth(tree) -> int:
+    """How deep the constructors of ``tree`` nest in its DSL text."""
+    depths: dict = {}
+
+    def depth(node):
+        if node not in depths:
+            below = max(map(depth, node.children), default=0)
+            depths[node] = below + (not isinstance(node, (Primitive, ConnectedSum)))
+        return depths[node]
+
+    return depth(tree)
+
+
+def _check_printing(tree):
+    """The printer gives the recursive printer's text, and a tree whose
+    constructors nest no deeper than the parser reads parses back to
+    itself."""
+    text = str(tree)
+    assert text == reference_str(tree)
+    if _constructor_depth(tree) <= MAX_CONSTRUCTOR_DEPTH:
+        assert parse_dsl(text) is tree
+
+
 @given(RECIPES)
 def test_printed_tree_parses_to_the_same_node(recipe):
-    tree = _build(recipe)
-    assert parse_dsl(str(tree)) is tree
+    _check_printing(_build(recipe))
+
+
+# Leaves of every kind, each valid for the registry and the parser.
+PRIMITIVES = st.sampled_from([
+    Primitive("CP2"), Primitive("CP2b"), Primitive("S2xS2"), Primitive("K3"), Primitive("S1xS3"),
+    Primitive("S4"), Primitive("X442"), Primitive("XG", (24, -16, "G")), Primitive("FgProd", (2, 1)),
+    Primitive("BK", (10, 8, 0)),
+]) | st.builds(
+    Primitive, st.sampled_from(["E", "Sd", "Xk", "Y"]), st.tuples(st.integers(2, 6)),
+)
+COVERS = st.builds(
+    lambda d, k: CyclicCover("CP2", d, DivisorClass("CP2", (d * k,))),
+    st.integers(1, 4), st.integers(1, 4),
+) | st.builds(
+    lambda d, p, q: CyclicCover("CP1xCP1", d, DivisorClass("CP1xCP1", (d * p, d * q))),
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+) | st.builds(BicyclicCover, *[st.integers(1, 4)] * 6)
+
+
+def _composites(inner):
+    return (
+        st.builds(Quotient, inner, st.integers(1, 5), st.sampled_from(["standard", "weighted"]))
+        | st.builds(lambda parts: connected_sum_of(*parts),
+                    st.lists(st.tuples(inner, st.integers(1, 3)), min_size=1, max_size=4))
+        | st.builds(FiberSum, inner, inner, st.integers(0, 3))
+        | st.builds(LogTransform, inner, st.integers(2, 5))
+    )
+
+
+WRAPS = [
+    lambda node: LogTransform(node, 3),
+    lambda node: Quotient(node, 2),
+    lambda node: FiberSum(node, E2, 1),
+    lambda node: connected_sum_of((node, 2), (Primitive("CP2b"), 1)),
+]
+
+
+def _wrapped(tree, wraps, depth):
+    for level in range(depth):
+        tree = wraps[level % len(wraps)](tree)
+    return tree
+
+
+# Trees over all seven node kinds, some wrapped in up to 280 levels of
+# one-child constructors and sums, so that some nest past the parser's
+# limit.
+TREES = st.builds(
+    _wrapped,
+    st.recursive(PRIMITIVES | COVERS, _composites, max_leaves=12),
+    st.lists(st.sampled_from(WRAPS), min_size=1, max_size=4),
+    st.integers(0, 280),
+)
+
+
+@given(TREES)
+def test_printer_agrees_with_the_recursive_printer(tree):
+    _check_printing(tree)
 
 
 def test_rejected_nodes_leave_nothing_in_the_table():

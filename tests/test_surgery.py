@@ -96,11 +96,14 @@ class TestFiberSum:
         assert eval_invariants(sum_expr).chi == 24 == eval_invariants(Primitive("E", (2,))).chi
 
     def test_gompf_blueprint_matches_registry(self):
-        for k in (1, 2):
+        # Chains of 602 and 2,002 fiber sums print and evaluate at the
+        # default recursion limit.
+        for k in (1, 2, 300, 1000):
             blueprint = gompf_sum_blueprint(k)
+            assert str(blueprint).count("fibersum(") == 2 * k + 2
             rec = eval_invariants(blueprint)
             registry = eval_invariants(Primitive("Xk", (k,)))
-            assert (rec.chi, rec.tau) == (registry.chi, registry.tau)
+            assert (rec.chi, rec.tau) == (registry.chi, registry.tau) == (52 * k + 48, -32 * (k + 1))
 
     def test_genus_two_offset(self):
         left = Primitive("E", (4,))
