@@ -20,6 +20,10 @@ class TriState(enum.Enum):
     NO = "no"
     UNKNOWN = "unknown"
 
+    # The members are singletons: hash them by identity, in C, rather than
+    # through Enum.__hash__, which hashes the name in Python.
+    __hash__ = object.__hash__
+
     def __bool__(self):  # pragma: no cover - guard against accidental truthiness
         raise TypeError("TriState is not a boolean; compare explicitly")
 

@@ -2,6 +2,7 @@
 replaced, and the shared provenance records it takes."""
 
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from fourcalc.flags import (
     Parity,
     Provenance,
     StructureFlags,
+    TriState,
     W2Type,
 )
 
@@ -130,3 +132,19 @@ def test_provenance_table_is_bounded():
         assert cited.provenance == (Provenance("acd", "declared", f"citation {i}"),)
     info = flags_module._provenance.cache_info()
     assert info.maxsize == bound and info.currsize <= bound
+
+
+def test_tristate_hashes_by_identity_and_unpickles_to_its_member():
+    # The members are singletons, so the hash of object, which runs in C,
+    # serves; Enum.__hash__ hashed the name in Python.
+    assert TriState.__hash__ is object.__hash__
+    for member in TriState:
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert {member: 1}[TriState(member.value)] == 1
+
+
+def test_as_dict_names_every_field_once():
+    flags = StructureFlags(pi1=GroupLabel.cyclic(3)).cite(spin=NO, parity=Parity.ODD)
+    data = flags.as_dict()
+    assert set(data) == {f.name for f in dataclasses.fields(StructureFlags)}
+    assert (data["spin"], data["parity"], data["pi1"], data["acd"]) == ("no", "odd", "Z/3", "unknown")
