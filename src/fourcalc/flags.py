@@ -161,18 +161,8 @@ class StructureFlags:
         return flags
 
     def as_dict(self) -> dict:
-        return {
-            "spin": self.spin.value,
-            "parity": self.parity.value,
-            "w2type": self.w2type.value,
-            "pi1": str(self.pi1),
-            "sw_nontrivial": self.sw_nontrivial.value,
-            "sw_mod2_nontrivial": self.sw_mod2_nontrivial.value,
-            "symplectic": self.symplectic.value,
-            "minimal_general_type": self.minimal_general_type.value,
-            "acd": self.acd.value,
-            "provenance": [p.as_dict() for p in self.provenance],
-        }
+        data = {name: v.value for name, v in vars(self).items() if isinstance(v, enum.Enum)}
+        return {**data, "pi1": str(self.pi1), "provenance": [p.as_dict() for p in self.provenance]}
 
 
 # The fields cite() may set: every field except the provenance it keeps.

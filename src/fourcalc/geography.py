@@ -630,11 +630,9 @@ def group_family(
     assert ht.verdict == "hitchin_thorpe_ok"
     assert ev.record.c1sq == c1sq_xk + 16 - p > 0
 
-    return FamilyBlueprint(
-        quotient=total,
-        cover=total,
-        quotient_record=ev.record,
-        cover_record=ev.record,
+    return _make_blueprint(
+        total,
+        total,
         certificates=(ht, lebrun),
         labels={
             "group": group,

@@ -47,25 +47,16 @@ def _two_chi_three_tau(rec: InvariantRecord) -> str:
 
 def hitchin_thorpe(rec: InvariantRecord, inputs: Optional[dict] = None) -> Certificate:
     """Check chi >= 0 and both Hitchin-Thorpe inequalities, exactly."""
-    ok = rec.chi >= 0 and 2 * rec.chi + 3 * rec.tau >= 0 and 2 * rec.chi - 3 * rec.tau >= 0
-    steps = []
-    chi_cmp = ">=" if rec.chi >= 0 else "<"
-    steps.append(Step("euler-nonnegative", CITE_HT, f"{_fmt(rec.chi)} {chi_cmp} 0"))
-    plus = 2 * rec.chi + 3 * rec.tau
-    minus = 2 * rec.chi - 3 * rec.tau
-    steps.append(
-        Step("ht-plus", CITE_HT, f"{_two_chi_three_tau(rec)} == {_fmt(plus)} {'>=' if plus >= 0 else '<'} 0")
+    plus, minus = 2 * rec.chi + 3 * rec.tau, 2 * rec.chi - 3 * rec.tau
+    checks = (  # rule, left side as written, its value
+        ("euler-nonnegative", _fmt(rec.chi), rec.chi),
+        ("ht-plus", f"{_two_chi_three_tau(rec)} == {_fmt(plus)}", plus),
+        ("ht-minus", f"2*{_fmt(rec.chi)} - 3*{_fmt(rec.tau)} == {_fmt(minus)}", minus),
     )
-    steps.append(
-        Step(
-            "ht-minus",
-            CITE_HT,
-            f"2*{_fmt(rec.chi)} - 3*{_fmt(rec.tau)} == {_fmt(minus)} {'>=' if minus >= 0 else '<'} 0",
-        )
-    )
+    steps = tuple(Step(rule, CITE_HT, f"{text} {'>=' if v >= 0 else '<'} 0") for rule, text, v in checks)
     return Certificate(
-        verdict="hitchin_thorpe_ok" if ok else "hitchin_thorpe_violated",
-        steps=tuple(steps),
+        verdict="hitchin_thorpe_ok" if min(rec.chi, plus, minus) >= 0 else "hitchin_thorpe_violated",
+        steps=steps,
         inputs={"chi": rec.chi, "tau": rec.tau, **(inputs or {})},
     )
 
@@ -175,10 +166,9 @@ def spin_einstein(
         "m": m,
         "N": str(n_expr),
     }
-    if assumption:
-        inputs["assumption"] = assumption
     steps = []
     if assumption:
+        inputs["assumption"] = assumption
         steps.append(Step("fourth-piece-assumption", assumption, None))
     if len(pieces) != 4 or m not in (2, 3, 4):
         return _no_verdict(steps, "shape", CITE_BAUER_FURUTA, inputs)
@@ -249,13 +239,8 @@ class HomeoKey:
     w2type: W2Type
 
     def as_dict(self) -> dict:
-        return {
-            "pi1": str(self.pi1),
-            "b2plus": self.b2plus,
-            "b2minus": self.b2minus,
-            "parity": self.parity.value,
-            "w2type": self.w2type.value,
-        }
+        named = {"pi1": str(self.pi1), "parity": self.parity.value, "w2type": self.w2type.value}
+        return {**vars(self), **named}
 
 
 _CLASSIFIED_GROUPS = ("trivial", "cyclic")

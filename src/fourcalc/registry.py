@@ -126,14 +126,12 @@ class Registry:
         raise InvalidExpr(f"unknown primitive {name!r}")
 
 
+def _declared(citation: str, **values) -> StructureFlags:
+    return StructureFlags().cite(rule="declared", citation=citation, **values)
+
+
 def _simply_connected(spin: TriState, **extra) -> StructureFlags:
-    return StructureFlags().cite(
-        rule="declared",
-        citation="simply connected block",
-        pi1=GroupLabel.trivial(),
-        spin=spin,
-        **extra,
-    )
+    return _declared("simply connected block", pi1=GroupLabel.trivial(), spin=spin, **extra)
 
 
 def _install_builtins(reg: Registry) -> None:
@@ -169,9 +167,8 @@ def _install_builtins(reg: Registry) -> None:
     reg.register_primitive(
         "S1xS3",
         InvariantRecord(0, 0, 1),
-        StructureFlags().cite(
-            rule="declared",
-            citation="product of circle and 3-sphere",
+        _declared(
+            "product of circle and 3-sphere",
             pi1=GroupLabel.presented("Z"),
             spin=YES,
             symplectic=NO,
@@ -245,9 +242,8 @@ def _build_elliptic(params: tuple) -> PrimitiveInfo:
 def _build_homology_sphere(params: tuple) -> PrimitiveInfo:
     """Sd(d): rational homology sphere, pi1 = Z/d, cover (d-1)(S2xS2)."""
     d = _one_int("Sd", params)
-    flags = StructureFlags().cite(
-        rule="declared",
-        citation="rational homology sphere with cyclic fundamental group",
+    flags = _declared(
+        "rational homology sphere with cyclic fundamental group",
         pi1=GroupLabel.cyclic(d),
         **({"spin": YES} if d == 1 else {}),
         parity=Parity.EVEN,  # b2 = 0: the trivial form is even
@@ -296,9 +292,8 @@ def _build_group_block(params: tuple) -> PrimitiveInfo:
             f"{2 * chi + 3 * tau}, but the construction has c1^2 = 0"
         )
     record = InvariantRecord(chi, tau, b1)
-    flags = StructureFlags().cite(
-        rule="declared",
-        citation="spin symplectic manifold with prescribed fundamental group",
+    flags = _declared(
+        "spin symplectic manifold with prescribed fundamental group",
         pi1=GroupLabel.presented(group),
         spin=YES,
         symplectic=YES,
@@ -347,9 +342,8 @@ def _build_surface_product(params: tuple) -> PrimitiveInfo:
     pi1 = GroupLabel.trivial() if g1 == g2 == 0 else GroupLabel.presented(
         f"pi1(F{g1}xF{g2})"
     )
-    flags = StructureFlags().cite(
-        rule="declared",
-        citation="product of Riemann surfaces",
+    flags = _declared(
+        "product of Riemann surfaces",
         pi1=pi1,
         spin=YES,
         symplectic=YES,
@@ -366,9 +360,8 @@ def _build_surface_product(params: tuple) -> PrimitiveInfo:
 # record depends on the parameters.  The flags the evaluator derives from
 # it do depend on the record; geography.quotient_arithmetic lists the
 # point-dependent predicates that the free-action certificate reads.
-BK_FLAGS = StructureFlags().cite(
-    rule="declared",
-    citation="symplectic geography: minimal, almost completely decomposable",
+BK_FLAGS = _declared(
+    "symplectic geography: minimal, almost completely decomposable",
     pi1=GroupLabel.trivial(),
     symplectic=YES,
     sw_nontrivial=YES,

@@ -21,6 +21,7 @@ from fourcalc.evaluate import evaluate
 from fourcalc.expr import (
     CyclicCover,
     DivisorClass,
+    FiberSum,
     ManifoldExpr,
     Primitive,
     connected_sum_of,
@@ -428,8 +429,6 @@ def reproduce_thm17() -> Report:
 
 
 def _group_elliptic_block(kg: int, n: int) -> ManifoldExpr:
-    from fourcalc.expr import FiberSum
-
     return FiberSum(
         Primitive("XG", (24 * kg, -16 * kg, "G")), Primitive("E", (2 * n,)), 1
     )
@@ -515,10 +514,5 @@ def compare_with_golden(target: str, data: dict) -> list[str]:
         return [f"no golden file for {target}"]
     if data == golden:
         return []
-    diffs = []
-    for key in ("lines", "values"):
-        if data.get(key) != golden.get(key):
-            diffs.append(f"{key} differ")
-    if data.get("certificates") != golden.get("certificates"):
-        diffs.append("certificates differ")
-    return diffs or ["reports differ"]
+    keys = ("lines", "values", "certificates")
+    return [f"{k} differ" for k in keys if data.get(k) != golden.get(k)] or ["reports differ"]
