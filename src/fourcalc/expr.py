@@ -19,9 +19,10 @@ Trees are immutable and interned: building a node runs its constructor
 checks and then hands back the one live node of that class with the
 same field values, kept in a table of weak references.  Children count
 by identity, so equal trees are the same object, ``==`` is ``is`` and a
-hash never walks the tree.  ``copy``, ``pickle`` (also into another
+hash never walks the tree.  ``copy.copy``, ``pickle`` (also into another
 process) and ``dataclasses.replace`` build through the constructor, so
-they hand back the interned node too.
+they hand back the interned node too; ``copy.deepcopy`` hands back the
+node itself, without walking the tree.
 
 Each composite kind states its subtrees once, in its print template
 ``_pieces()``: literal text and child nodes, the children in the order
@@ -58,6 +59,15 @@ class _Node(metaclass=_Interned):
 
     def __reduce__(self):
         return type(self), tuple(vars(self).values())
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def _check_nodes(*children) -> None:
+    for child in children:
+        if not isinstance(child, _Node):
+            raise InvalidExpr(f"a subtree must be a term-tree node, not {child!r}")
 
 
 class _Composite(_Node):
@@ -192,6 +202,7 @@ class Quotient(_Composite):
     action: str = "standard"
 
     def __post_init__(self):
+        _check_nodes(self.inner)
         if self.d < 1:
             raise NegativeDegree("quotient degree must be >= 1")
         if self.action not in ("standard", "weighted"):
@@ -212,6 +223,7 @@ class ConnectedSum(_Composite):
         if not self.parts:
             raise InvalidExpr("connected sum needs at least one part")
         for part, mult in self.parts:
+            _check_nodes(part)
             if mult < 1:
                 raise InvalidExpr("multiplicities must be >= 1")
             if isinstance(part, ConnectedSum):
@@ -233,6 +245,7 @@ class FiberSum(_Composite):
     genus: int
 
     def __post_init__(self):
+        _check_nodes(self.left, self.right)
         if self.genus < 0:
             raise NegativeDegree("fiber-sum genus must be >= 0")
 
@@ -246,6 +259,7 @@ class LogTransform(_Composite):
     multiplicity: int
 
     def __post_init__(self):
+        _check_nodes(self.inner)
         if self.multiplicity < 1:
             raise NegativeDegree("log-transform multiplicity must be >= 1")
 

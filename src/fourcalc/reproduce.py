@@ -440,10 +440,6 @@ def reproduce_thm18() -> Report:
     for d in (2, 3):
         for n in (1, 2):
             first, second = spin_sum_families(d, n, 1)
-            first_b, second_b = spin_sum_families(d, n, 2)
-            assert (
-                first.cover_normal_form.expr == first_b.cover_normal_form.expr
-            ), "cover normal form must not depend on the log index"
             for fam_index, bp in ((1, first), (2, second)):
                 report.certificates.extend(bp.certificates)
                 spin_cert = bp.certificates[-1]

@@ -20,20 +20,19 @@ or one other than K3 and S2xS2 with non-spin rules only, puts it in
 non-spin mode.  A sum with both is rejected; one with neither is in spin
 mode.  E(2n) has rules in both modes.
 
-Rules are tried stock by stock, in the order the table names the stocks,
-and within a stock summand by summand, in the order the summands entered
-the sum.  Every application preserves chi, tau, b1 and the spin flag of
-the total sum, asserted after each batch of identical firings (in the
-fixed order, every copy of the consumed summand, unless a firing adds
-stock that a rule tried earlier lacks; a randomized order fires one copy
-per batch).  That detects the same faults as a check after every
-firing: each copy changes (chi, tau) by the same amount, so k copies
-change it exactly when one does, and a summand a firing adds stays to
-the end of its batch, so a spin flag that one firing breaks is still
-broken there.  The canonical multiplicities are forced by (chi, tau)
-conservation, which is why normalization is confluent: any maximal rule
-order reaching an all-canonical multiset gives the same answer (the
-property suite randomizes rule order to check this).
+Rules are tried in one fixed order: stock by stock, in the order the
+table names the stocks, and within a stock summand by summand, in the
+order the summands entered the sum.  Every application preserves chi,
+tau, b1 and the spin flag of the total sum, asserted after each batch of
+identical firings (every copy of the consumed summand, unless a firing
+adds stock that a rule tried earlier lacks).  That detects the same
+faults as a check after every firing: each copy changes (chi, tau) by
+the same amount, so k copies change it exactly when one does, and a
+summand a firing adds stays to the end of its batch, so a spin flag that
+one firing breaks is still broken there.  The canonical multiplicities
+are forced by (chi, tau) conservation, which is why normalization is
+confluent: any maximal rule order reaching an all-canonical multiset
+gives the same answer.
 
 A batch costs time in the summands it changes, not in the size of the
 sum.  The check after it reads running totals (the sums of m*chi, m*tau,
@@ -42,19 +41,15 @@ or spin flag unknown) that each batch updates by its delta, and builds
 the record and the flag from them.  The next rule comes from a per-stock
 index of the summands waiting on that stock, in order of entry: the
 first ready pair is read off its front, and a stock short of what every
-rule needs is passed over at once.  So the fixed order normalizes n
-distinct summands in time linear in n; a randomized order still lists
-every ready pair for each choice.
+rule needs is passed over at once.  So n distinct summands normalize in
+time linear in n.
 """
 
 from __future__ import annotations
 
-import random
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from fourcalc.certificates import Certificate, Step
 from fourcalc.config import WALL_N0
@@ -88,17 +83,17 @@ CITE_IDENTITY = "the 4-sphere is the identity of connected sum"
 @dataclass(frozen=True)
 class Rule:
     """A firing replaces one summand that ``consumes`` accepts by what
-    ``gives`` returns for it, beside ``stock`` copies of ``needs`` (None:
-    ``wall_n0`` copies) that it leaves in place.  ``detail`` writes the
-    trace line from the summand, the stock and what the firing gives.  An
-    exclusive rule is the only rule its summands take.  The import-time
-    check fires each rule on its ``sample``."""
+    ``gives`` returns for it, beside ``stock`` copies of ``needs`` that it
+    leaves in place.  ``detail`` writes the trace line from the summand,
+    the stock and what the firing gives.  An exclusive rule is the only
+    rule its summands take.  The import-time check fires each rule on its
+    ``sample``."""
 
     name: str
     mode: str
     consumes: Callable[[ManifoldExpr], bool]
     needs: Primitive
-    stock: Optional[int]
+    stock: int
     gives: Callable[[ManifoldExpr], dict]
     citation: str
     detail: Callable[[ManifoldExpr, int, dict], str]
@@ -128,7 +123,7 @@ RULES = (
          f"{gives[CP2B]}*CP2b [{_acd_origin(part)}]",
          Primitive("E", (3,))),
     Rule("wall-stabilize", "spin",
-         lambda part: isinstance(part, Primitive) and part.name == "X442", S2XS2, None,
+         lambda part: isinstance(part, Primitive) and part.name == "X442", S2XS2, WALL_N0,
          lambda part: {K3: 4, S2XS2: 7}, CITE_WALL,
          lambda part, stock, gives: f"{part} # {stock}*(S2xS2) -> "
          f"{gives[K3]}*K3 # {gives[S2XS2] + stock}*(S2xS2)",
@@ -150,8 +145,13 @@ RULES = (
          f"{gives[K3]}*K3 # {gives[S2XS2] + stock}*(S2xS2)",
          Primitive("E", (4,))),
 )
+# Per mode, each stock in the order the table names it, with the least
+# amount of it that a rule of the mode needs.
 STOCKS = {
-    mode: tuple(dict.fromkeys(rule.needs for rule in RULES if rule.mode == mode))
+    mode: {
+        need: min(rule.stock for rule in RULES if rule.mode == mode and rule.needs is need)
+        for need in dict.fromkeys(rule.needs for rule in RULES if rule.mode == mode)
+    }
     for mode in CANONICAL
 }
 
@@ -171,21 +171,6 @@ class NormalizeResult:
     mode: str
 
 
-def _stock(rule: Rule, wall_n0: int) -> int:
-    """How many copies of its stock ``rule`` needs."""
-    return wall_n0 if rule.stock is None else rule.stock
-
-
-@lru_cache(maxsize=16)
-def _least_stocks(mode: str, wall_n0: int) -> tuple[tuple[Primitive, int], ...]:
-    """Each stock of ``mode`` with the least amount of it that a rule needs."""
-    rules = [rule for rule in RULES if rule.mode == mode]
-    return tuple(
-        (need, min(_stock(rule, wall_n0) for rule in rules if rule.needs is need))
-        for need in STOCKS[mode]
-    )
-
-
 def _rules_of(part: ManifoldExpr) -> list[Rule]:
     rules = _PIECE_RULES.get(part)
     if rules is None:
@@ -194,10 +179,10 @@ def _rules_of(part: ManifoldExpr) -> list[Rule]:
     return rules
 
 
-def _firing(rule: Rule, part: ManifoldExpr, wall_n0: int) -> tuple[dict, TraceStep]:
+def _firing(rule: Rule, part: ManifoldExpr) -> tuple[dict, TraceStep]:
     """One firing of ``rule`` on ``part``: its net change to the multiset and its step."""
     gives = rule.gives(part)
-    detail = rule.detail(part, _stock(rule, wall_n0), gives)
+    detail = rule.detail(part, rule.stock, gives)
     return {part: -1, **gives}, TraceStep(rule.name, rule.citation, detail)
 
 
@@ -223,8 +208,7 @@ class _Sum:
     the summands with a rule of that mode that needs it, in order of
     entry."""
 
-    def __init__(self, wall_n0: int):
-        self.wall_n0 = wall_n0
+    def __init__(self):
         self.mode: Optional[str] = None
         self.parts: dict = {}  # summand -> [multiplicity, evaluation, rules]
         self.chi = self.tau = self.b1 = self.total = 0
@@ -237,8 +221,7 @@ class _Sum:
         """Index the summands by the stocks that their rules of ``mode``
         need; a summand that enters later is indexed as it enters."""
         self.mode = mode
-        stocks = _least_stocks(mode, self.wall_n0)
-        self.waiting = {need: (OrderedDict(), least) for need, least in stocks}
+        self.waiting = {need: ({}, least) for need, least in STOCKS[mode].items()}
         for part, (_, _, rules) in self.parts.items():
             if rules:
                 self._wait(part, rules)
@@ -290,40 +273,33 @@ class _Sum:
         present = ((NO, self.nonspin), (UNKNOWN, self.unknown_spin))
         return sum_spin(flag for flag, count in present if count)
 
-    def ready(self, lacked: set) -> Iterator[tuple[Rule, ManifoldExpr]]:
-        """The (rule, summand) pairs whose stock is there, in the order rules
-        are tried.  Before the first is given, ``lacked`` holds the stocks
-        lacked by the rules tried before it.  A stock short of what every
-        rule needs is passed over without a look at the waiting summands."""
-        found = False
+    def first_ready(self) -> tuple[Optional[tuple[Rule, ManifoldExpr]], set]:
+        """The first (rule, summand) pair whose stock is there, in the order
+        rules are tried (None if there is none), and the stocks lacked by
+        the rules tried before it.  A stock short of what every rule needs
+        is passed over without a look at the waiting summands."""
+        lacked = set()
         for need, (waiting, least) in self.waiting.items():
             if not waiting:
                 continue
             entry = self.parts.get(need)
             have = 0 if entry is None else entry[0]
             if have < least:
-                if not found:
-                    lacked.add(need)
+                lacked.add(need)
                 continue
             for part, rules in waiting.items():
                 for rule in rules:
-                    if have >= _stock(rule, self.wall_n0):
-                        found = True
-                        yield rule, part
-                    elif not found:
-                        lacked.add(need)
+                    if have >= rule.stock:
+                        return (rule, part), lacked
+                    lacked.add(need)
+        return None, lacked
 
 
-def normalize(
-    expr: ManifoldExpr,
-    rng: Optional[random.Random] = None,
-    wall_n0: int = WALL_N0,
-) -> NormalizeResult:
+def normalize(expr: ManifoldExpr) -> NormalizeResult:
     """Rewrite to a canonical sum (a CP2 # b CP2b, or p K3 # q S2xS2).
 
     When no rule applies and the multiset is not canonical, the partial
-    form is returned with ``canonical=False`` rather than failing.  Pass
-    ``rng`` to randomize the rule order (the result is order-independent).
+    form is returned with ``canonical=False`` rather than failing.
     """
     counts: dict = {}
     trace: list[TraceStep] = []
@@ -337,7 +313,7 @@ def normalize(
     if any(not evaluate(p).flags.pi1.is_trivial for p in counts):
         return NormalizeResult(expr, tuple(trace), False, "blocked")
 
-    total = _Sum(wall_n0)
+    total = _Sum()
     for part, mult in counts.items():
         total.add(part, mult)
     mode = _choose_mode(total.parts)
@@ -345,22 +321,14 @@ def normalize(
     check, spin0 = total.record(), total.spin()
 
     while True:
-        lacked: set = set()
-        ready = total.ready(lacked)
-        if rng is None:
-            chosen = next(ready, None)
-        else:
-            ready = list(ready)
-            chosen = rng.choice(ready) if ready else None
-        if chosen is None:
+        ready, lacked = total.first_ready()
+        if ready is None:
             break
-        rule, part = chosen
-        delta, step = _firing(rule, part, wall_n0)
-        # The fixed order fires every copy of the summand, unless a firing
-        # adds stock that a rule tried earlier lacks.  A random order fires
-        # one copy per choice, so that every maximal order, copies of one
-        # summand interleaved with other rules, can come up.
-        if rng is not None or any(delta.get(need, 0) > 0 for need in lacked):
+        rule, part = ready
+        delta, step = _firing(rule, part)
+        # Fire every copy of the summand, unless a firing adds stock that a
+        # rule tried earlier lacks.
+        if any(delta.get(need, 0) > 0 for need in lacked):
             copies = 1
         else:
             copies = total.parts[part][0]
@@ -436,12 +404,12 @@ def _registration_check():
     its own stock: a batch fires every copy on the stock the first had."""
     for rule in RULES:
         assert rule.consumes(rule.sample), rule.name
-        total = _Sum(1)
+        total = _Sum()
         total.index(rule.mode)
         total.add(rule.sample, 1)
-        total.add(rule.needs, _stock(rule, 1))
+        total.add(rule.needs, rule.stock)
         before = total.record(), total.spin()
-        delta = _firing(rule, rule.sample, 1)[0]
+        delta = _firing(rule, rule.sample)[0]
         for summand, change in delta.items():
             total.add(summand, change)
         assert (total.record(), total.spin()) == before, rule.name

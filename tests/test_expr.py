@@ -70,6 +70,15 @@ REJECTED = [
     ("zero multiplicity", InvalidExpr, lambda: ConnectedSum(((Primitive("K3"), 0),))),
     ("nested sum", InvalidExpr,
      lambda: ConnectedSum(((ConnectedSum(((Primitive("K3"), 2),)), 1),))),
+    # Every child of a composite kind is a node: text would print as part
+    # of the template, and evaluation would fail on it.
+    ("quotient of text", InvalidExpr, lambda: Quotient("K3", 2)),
+    ("sum of a number", InvalidExpr, lambda: ConnectedSum(((3, 1),))),
+    ("fiber sum of text on the left", InvalidExpr,
+     lambda: FiberSum("x", Primitive("K3"), 1)),
+    ("fiber sum of text on the right", InvalidExpr,
+     lambda: FiberSum(Primitive("K3"), "x", 1)),
+    ("log transform of None", InvalidExpr, lambda: LogTransform(None, 3)),
 ]
 
 
@@ -149,6 +158,13 @@ def test_deep_trees_built_apart_are_one_node(step, text, record):
     assert str(first) == text(10_000)
     rec = evaluate(first).record
     assert (rec.chi, rec.tau) == record(10_000)
+
+
+def test_deepcopy_of_a_deep_tree_is_the_tree():
+    # Nodes are immutable and interned, so a deep copy is the node itself,
+    # at any depth.
+    tower = _deep(DEEP[0][0], 2_000)
+    assert copy.deepcopy(tower) is tower
 
 
 def test_printing_costs_linear_work():

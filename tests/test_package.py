@@ -57,3 +57,29 @@ def test_every_public_name_is_used_in_the_package():
         and name not in exempt and qualname not in exempt
     ]
     assert unused == []
+
+
+def _imported_names(tree):
+    """Each name an import statement of ``tree`` binds, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_every_imported_name_is_used():
+    # The unused-import rule of a linter, from the standard library alone:
+    # each name a module imports must be read in that module.  The
+    # package's re-exports (``__all__`` in ``__init__.py``) are exempt.
+    unused = []
+    for path in sorted(Path(fourcalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(fourcalc.__all__)
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in _imported_names(tree)
+            if name not in read
+        ]
+    assert unused == []

@@ -4,12 +4,14 @@ import dataclasses
 import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourcalc import rewrite
+from fourcalc.config import WALL_N0
 from fourcalc.errors import FourcalcError, MismatchedInvariants, MixedRewriteModes
 from fourcalc.evaluate import eval_invariants, evaluate
 from fourcalc.expr import (
@@ -101,6 +103,7 @@ class TestNormalize:
         assert result.expr == connected_sum_of((CP2, 23), (CP2B, 116))
 
     def test_confluence_under_random_orders(self):
+        # Any order of one firing per step reaches the engine's form.
         rng = random.Random(11)
         pool = [
             connected_sum_of((OCTIC, 2), (CP2B, 2), (S2XS2, 1)),
@@ -112,11 +115,9 @@ class TestNormalize:
             connected_sum_of((Primitive("E", (3,)), 1), (CP2, 1), (CP2B, 1)),
         ]
         for expr in pool:
-            reference = normalize(expr)
+            engine = normalize(expr)
             for _ in range(6):
-                shuffled = normalize(expr, rng=rng)
-                assert shuffled.expr == reference.expr
-                assert shuffled.canonical == reference.canonical
+                _assert_same_form(reference_normalize(expr, rng=rng), engine)
 
     def test_even_log_transform_of_e2_is_not_decomposed(self):
         # E(2)_p is spin only for odd p: logt(E(2),2) # S2xS2 must not
@@ -195,7 +196,7 @@ def _reference_elliptic_halves(part):
     return None
 
 
-def _reference_rules(counts, mode, wall_n0):
+def _reference_rules(counts, mode):
     rules = []
     if mode == "nonspin":
         if counts.get(S2XS2, 0) >= 1 and counts.get(CP2B, 0) >= 1:
@@ -210,7 +211,7 @@ def _reference_rules(counts, mode, wall_n0):
     else:
         stock = counts.get(S2XS2, 0)
         for part in counts:
-            if part == Primitive("X442") and stock >= wall_n0:
+            if part == Primitive("X442") and stock >= WALL_N0:
                 rules.append(("wall-stabilize", part))
             elif _reference_odd_log_e2(part) and stock >= 1:
                 rules.append(("log-elliptic-decompose", part))
@@ -219,7 +220,7 @@ def _reference_rules(counts, mode, wall_n0):
     return rules
 
 
-def _reference_apply(counts, rule, part, wall_n0):
+def _reference_apply(counts, rule, part):
     def take(p, m=1):
         counts[p] -= m
         if counts[p] == 0:
@@ -255,7 +256,7 @@ def _reference_apply(counts, rule, part, wall_n0):
         return TraceStep(
             rule,
             rewrite.CITE_WALL,
-            f"{part} # {wall_n0}*(S2xS2) -> 4*K3 # {7 + wall_n0}*(S2xS2)",
+            f"{part} # {WALL_N0}*(S2xS2) -> 4*K3 # {7 + WALL_N0}*(S2xS2)",
         )
     if rule == "log-elliptic-decompose":
         take(part)
@@ -296,9 +297,10 @@ def _reference_spin(counts):
     return NO if NO in spins else YES if spins == {YES} else UNKNOWN
 
 
-def reference_normalize(expr, rng=None, wall_n0=1):
+def reference_normalize(expr, rng=None):
     """normalize as it was: one rule firing per step, conservation
-    asserted after every firing."""
+    asserted after every firing.  With ``rng``, each step fires a rule
+    drawn from every rule that applies."""
     counts, trace = {}, []
     for part, mult in sum_parts(expr):
         if part in (Primitive("S4"), Primitive("Sd", (1,))):
@@ -315,11 +317,11 @@ def reference_normalize(expr, rng=None, wall_n0=1):
     check = _reference_record(counts)
     spin0 = _reference_spin(counts)
     while True:
-        rules = _reference_rules(counts, mode, wall_n0)
+        rules = _reference_rules(counts, mode)
         if not rules:
             break
         choice = rng.choice(rules) if rng is not None else rules[0]
-        trace.append(_reference_apply(counts, *choice, wall_n0=wall_n0))
+        trace.append(_reference_apply(counts, *choice))
         assert _reference_record(counts) == check
         assert _reference_spin(counts) is spin0 or spin0 is UNKNOWN
     canonical_parts = (CP2, CP2B) if mode == "nonspin" else (K3, S2XS2)
@@ -362,36 +364,38 @@ def _outcome(run):
         return type(exc).__name__
 
 
-def _assert_same_result(got, want):
+def _assert_same_form(got, want):
+    """The same form, or the same error; traces differ between orders."""
     if isinstance(want, str):
         assert got == want
         return
     assert got.expr == want.expr
-    assert got.trace == want.trace
     assert got.canonical == want.canonical
     assert got.mode == want.mode
 
 
+def _assert_same_result(got, want):
+    _assert_same_form(got, want)
+    if not isinstance(want, str):
+        assert got.trace == want.trace
+
+
 @settings(max_examples=150, deadline=None)
-@given(MULTISETS, st.integers(0, 4))
-def test_batched_normalize_matches_one_firing_per_step(pieces, wall_n0):
+@given(MULTISETS)
+def test_batched_normalize_matches_one_firing_per_step(pieces):
     expr = connected_sum_of(*pieces)
-    _assert_same_result(
-        _outcome(lambda: normalize(expr, wall_n0=wall_n0)),
-        _outcome(lambda: reference_normalize(expr, wall_n0=wall_n0)),
-    )
+    _assert_same_result(_outcome(lambda: normalize(expr)), _outcome(lambda: reference_normalize(expr)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(MULTISETS, st.integers(0, 4), st.integers(0, 2**32))
-def test_random_order_fires_one_copy_per_choice(pieces, wall_n0, seed):
-    # With an rng, normalize makes the same random choices as the
-    # one-firing-per-step loop, so the confluence suites explore every
-    # order they did before batching.
+@given(MULTISETS, st.integers(0, 2**32))
+def test_random_reference_orders_reach_the_engine_form(pieces, seed):
+    # Confluence: one firing per step, in any order, ends where the
+    # engine's fixed order does.
     expr = connected_sum_of(*pieces)
-    _assert_same_result(
-        _outcome(lambda: normalize(expr, rng=random.Random(seed), wall_n0=wall_n0)),
-        _outcome(lambda: reference_normalize(expr, rng=random.Random(seed), wall_n0=wall_n0)),
+    _assert_same_form(
+        _outcome(lambda: reference_normalize(expr, rng=random.Random(seed))),
+        _outcome(lambda: normalize(expr)),
     )
 
 
@@ -415,8 +419,8 @@ def _fault_on_first_firing(monkeypatch, rule, extra):
     it starts repeats the fault in every copy."""
     firing, faulted = rewrite._firing, []
 
-    def faulty(fired, part, wall_n0):
-        delta, step = firing(fired, part, wall_n0)
+    def faulty(fired, part):
+        delta, step = firing(fired, part)
         if fired.name == rule and not faulted:
             faulted.append(fired.name)
             delta = dict(delta)
@@ -453,9 +457,9 @@ def test_a_rule_giving_one_plane_too_many_trips_conservation(monkeypatch, rule):
     faulty = dataclasses.replace(rule, gives=gives)
     monkeypatch.setattr(rewrite, "RULES", tuple(faulty if r is rule else r for r in rewrite.RULES))
     monkeypatch.setattr(rewrite, "_PIECE_RULES", {})
-    expr = connected_sum_of((rule.sample, 1), (rule.needs, rule.stock or 1))
+    expr = connected_sum_of((rule.sample, 1), (rule.needs, rule.stock))
     with pytest.raises(AssertionError, match="chi or tau"):
-        normalize(expr, wall_n0=1)
+        normalize(expr)
 
 
 def _blocks(n):
@@ -489,35 +493,29 @@ def _distinct_sums(pool):
 @settings(max_examples=60, deadline=None)
 @given(
     st.one_of(_distinct_sums(WIDE_NONSPIN_POOL), _distinct_sums(WIDE_SPIN_POOL)),
-    st.integers(0, 4),
     st.integers(0, 2**32),
 )
-def test_normalize_matches_one_firing_per_step_on_wide_sums(pieces, wall_n0, seed):
+def test_normalize_matches_one_firing_per_step_on_wide_sums(pieces, seed):
     expr = connected_sum_of(*pieces)
-    _assert_same_result(
-        _outcome(lambda: normalize(expr, wall_n0=wall_n0)),
-        _outcome(lambda: reference_normalize(expr, wall_n0=wall_n0)),
-    )
-    _assert_same_result(
-        _outcome(lambda: normalize(expr, rng=random.Random(seed), wall_n0=wall_n0)),
-        _outcome(lambda: reference_normalize(expr, rng=random.Random(seed), wall_n0=wall_n0)),
-    )
+    engine = _outcome(lambda: normalize(expr))
+    _assert_same_result(engine, _outcome(lambda: reference_normalize(expr)))
+    _assert_same_form(_outcome(lambda: reference_normalize(expr, rng=random.Random(seed))), engine)
 
 
-def _rescan_ready(counts, rules_of, mode, wall_n0):
-    """The ready pairs and lacked stocks as found by scanning every
-    summand's rules, as normalize did before it kept an index."""
-    ready, lacked = [], set()
+def _rescan_first_ready(counts, rules_of, mode):
+    """The first ready pair (None if there is none) and the stocks lacked
+    before it, as found by scanning every summand's rules, as normalize
+    did before it kept an index."""
+    lacked = set()
     for need in rewrite.STOCKS[mode]:
         have = counts.get(need, 0)
         for part, rules in rules_of.items():
             for rule in rules:
                 if rule.needs is need and rule.mode == mode:
-                    if have >= (wall_n0 if rule.stock is None else rule.stock):
-                        ready.append((rule, part))
-                    elif not ready:
-                        lacked.add(need)
-    return ready, lacked
+                    if have >= rule.stock:
+                        return (rule, part), lacked
+                    lacked.add(need)
+    return None, lacked
 
 
 @st.composite
@@ -530,28 +528,34 @@ def _changes(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["nonspin", "spin"]), st.integers(0, 4), _changes())
+@given(st.sampled_from(["nonspin", "spin"]), st.integers(1, 4), _changes())
 @example("spin", 3, [(Primitive("X442"), 1), (Primitive("E", (4,)), 1), (S2XS2, 1)])
-def test_ready_index_matches_a_rescan(mode, wall_n0, changes):
+def test_ready_index_matches_a_rescan(mode, wall_stock, changes):
     # Summands leave the sum and come back at its end; after every change
-    # the index must give the rescan's pairs in its order, its lacked
-    # stocks, and the record and spin flag of the sum summed afresh.
-    total = rewrite._Sum(wall_n0)
-    total.index(mode)
-    counts, rules_of = {}, {}
-    for part, change in changes:
-        change = max(change, -counts.get(part, 0))
-        if not change:
-            continue
-        total.add(part, change)
-        if part not in counts:
-            counts[part], rules_of[part] = 0, rewrite._rules_of(part)
-        counts[part] += change
-        if not counts[part]:
-            del counts[part], rules_of[part]
-        lacked = set()
-        assert (list(total.ready(lacked)), lacked) == _rescan_ready(counts, rules_of, mode, wall_n0)
-        assert {p: entry[0] for p, entry in total.parts.items()} == counts
-        if counts:
-            assert total.record() == _reference_record(counts)
-            assert total.spin() is _reference_spin(counts)
+    # the index must give the rescan's first pair, the stocks lacked
+    # before it, and the record and spin flag of the sum summed afresh.
+    # A wall-stabilize row needing more S2xS2 than the other spin rules
+    # makes a rule lack a stock that is not short of the least amount.
+    table = tuple(
+        dataclasses.replace(rule, stock=wall_stock) if rule.name == "wall-stabilize" else rule
+        for rule in rewrite.RULES
+    )
+    with mock.patch.object(rewrite, "RULES", table):
+        total = rewrite._Sum()
+        total.index(mode)
+        counts, rules_of = {}, {}
+        for part, change in changes:
+            change = max(change, -counts.get(part, 0))
+            if not change:
+                continue
+            total.add(part, change)
+            if part not in counts:
+                counts[part], rules_of[part] = 0, rewrite._rules_of(part)
+            counts[part] += change
+            if not counts[part]:
+                del counts[part], rules_of[part]
+            assert total.first_ready() == _rescan_first_ready(counts, rules_of, mode)
+            assert {p: entry[0] for p, entry in total.parts.items()} == counts
+            if counts:
+                assert total.record() == _reference_record(counts)
+                assert total.spin() is _reference_spin(counts)
