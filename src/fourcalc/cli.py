@@ -26,7 +26,7 @@ from fourcalc.evaluate import evaluate
 from fourcalc.geography import CITE_GEOGRAPHY, GeographyQuery, bk_columns, bk_region, free_action_region
 from fourcalc.obstruction import decompose_for_obstruction, hitchin_thorpe, homeo_equal
 from fourcalc.parser import parse_dsl
-from fourcalc.reproduce import TARGETS, compare_with_golden, golden_path, run_target
+from fourcalc.reproduce import TARGETS, compare_with_golden, run_target
 from fourcalc.rewrite import normalize
 
 
@@ -96,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def target(p):
         p.add_argument("target", choices=sorted(TARGETS))
         p.add_argument("--json", action="store_true")
-        p.add_argument("--update-golden", action="store_true", help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="fourcalc",
@@ -300,14 +299,6 @@ def cmd_reproduce(args) -> int:
     # self-verification.
     report = run_target(args.target)
     data = report.as_dict()
-    if args.update_golden:
-        path = golden_path(args.target)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(str(path), "w", encoding="utf-8") as handle:
-            json.dump(data, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"golden file updated: {path}")
-        return 0
     _emit(data, args.json, report.lines)
     diffs = compare_with_golden(args.target, data)
     if diffs:

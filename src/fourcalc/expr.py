@@ -70,6 +70,12 @@ def _check_nodes(*children) -> None:
             raise InvalidExpr(f"a subtree must be a term-tree node, not {child!r}")
 
 
+def _check_ints(what: str, *values) -> None:
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidExpr(f"{what} must be an int, not {value!r}")
+
+
 class _Composite(_Node):
     """A node with subtrees, each stated once in its ``_pieces()``."""
 
@@ -112,6 +118,7 @@ class DivisorClass:
             raise InvalidExpr(
                 f"{self.base} divisor needs {want} degree(s), got {self.degrees}"
             )
+        _check_ints("a divisor degree", *self.degrees)
         if any(k < 0 for k in self.degrees):
             raise NegativeDegree(f"divisor degrees must be nonnegative: {self.degrees}")
 
@@ -150,6 +157,7 @@ class CyclicCover(_Node):
     branch: DivisorClass
 
     def __post_init__(self):
+        _check_ints("the cover degree", self.d)
         if self.d < 1:
             raise NegativeDegree("cover degree must be >= 1")
         if self.branch.base != self.base:
@@ -183,7 +191,9 @@ class BicyclicCover(_Node):
     n: int
 
     def __post_init__(self):
-        for value in (self.d, self.p, self.a, self.b, self.m, self.n):
+        values = (self.d, self.p, self.a, self.b, self.m, self.n)
+        _check_ints("a bicyclic parameter", *values)
+        for value in values:
             if value < 1:
                 raise NegativeDegree("bicyclic parameters must be >= 1")
 
@@ -203,6 +213,7 @@ class Quotient(_Composite):
 
     def __post_init__(self):
         _check_nodes(self.inner)
+        _check_ints("the quotient degree", self.d)
         if self.d < 1:
             raise NegativeDegree("quotient degree must be >= 1")
         if self.action not in ("standard", "weighted"):
@@ -224,6 +235,7 @@ class ConnectedSum(_Composite):
             raise InvalidExpr("connected sum needs at least one part")
         for part, mult in self.parts:
             _check_nodes(part)
+            _check_ints("a multiplicity", mult)
             if mult < 1:
                 raise InvalidExpr("multiplicities must be >= 1")
             if isinstance(part, ConnectedSum):
@@ -246,6 +258,7 @@ class FiberSum(_Composite):
 
     def __post_init__(self):
         _check_nodes(self.left, self.right)
+        _check_ints("the fiber-sum genus", self.genus)
         if self.genus < 0:
             raise NegativeDegree("fiber-sum genus must be >= 0")
 
@@ -260,6 +273,7 @@ class LogTransform(_Composite):
 
     def __post_init__(self):
         _check_nodes(self.inner)
+        _check_ints("the log-transform multiplicity", self.multiplicity)
         if self.multiplicity < 1:
             raise NegativeDegree("log-transform multiplicity must be >= 1")
 

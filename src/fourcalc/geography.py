@@ -27,6 +27,7 @@ from fourcalc.evaluate import evaluate
 from fourcalc.expr import (
     BicyclicCover,
     FiberSum,
+    LogTransform,
     ManifoldExpr,
     Primitive,
     Quotient,
@@ -36,7 +37,7 @@ from fourcalc.invariants import InvariantRecord, connected_sum_record
 from fourcalc.obstruction import hitchin_thorpe, homeo_equal, lebrun_einstein, spin_einstein
 from fourcalc.registry import REGISTRY
 from fourcalc.rewrite import CP2, CP2B, NormalizeResult, normalize
-from fourcalc.surgery import log_transform, universal_cover
+from fourcalc.surgery import universal_cover
 
 CITE_GEOGRAPHY = (
     "every lattice point under the slope-(9 - eps) line is realized by "
@@ -78,23 +79,33 @@ class FamilyBlueprint:
     cover_normal_form: Optional[NormalizeResult] = None
 
 
-def _make_blueprint(
+def _build_blueprint(
     quotient: ManifoldExpr,
     cover: ManifoldExpr,
     certificates: tuple[Certificate, ...],
     labels: dict,
-    cover_normal_form: Optional[NormalizeResult] = None,
+    cover_sum: Optional[ManifoldExpr] = None,
 ) -> FamilyBlueprint:
-    """A blueprint with the evaluated records, which ``universal_cover``
-    or ``Quotient`` evaluation already tied by the factor d."""
+    """A family member's blueprint: the evaluated records, the quotient's
+    Hitchin-Thorpe certificate (asserted to hold) before ``certificates``
+    and, given the canonical sum ``cover_sum``, the cover's normal form,
+    asserted to be that sum.  ``universal_cover`` or ``Quotient``
+    evaluation already tied the two records by the factor d."""
+    quotient_record = evaluate(quotient).record
+    ht = hitchin_thorpe(quotient_record, inputs={"expr": str(quotient)})
+    assert ht.verdict == "hitchin_thorpe_ok", f"Hitchin-Thorpe fails on {quotient}"
+    nf = None
+    if cover_sum is not None:
+        nf = normalize(cover)
+        assert nf.canonical and nf.expr == cover_sum, f"cover normal form {nf.expr} != {cover_sum}"
     return FamilyBlueprint(
         quotient=quotient,
         cover=cover,
-        quotient_record=evaluate(quotient).record,
+        quotient_record=quotient_record,
         cover_record=evaluate(cover).record,
-        certificates=certificates,
+        certificates=(ht, *certificates),
         labels=labels,
-        cover_normal_form=cover_normal_form,
+        cover_normal_form=nf,
     )
 
 
@@ -278,20 +289,13 @@ def build_quotient_blueprint(
     x_part = connected_sum_of((block, 1), (sphere, 1))
     cert = lebrun_einstein(x_part, arith.k, 0)
     assert cert.verdict == "einstein_obstructed"
-    ht = hitchin_thorpe(arith.quotient_record, inputs={"expr": str(quotient)})
 
-    cover = universal_cover(quotient)
-    nf = normalize(cover)
-    assert nf.canonical
-    expected = connected_sum_of(*zip((CP2, CP2B), arith.cover_counts))
-    assert nf.expr == expected, f"cover normal form {nf.expr} != {expected}"
-
-    return _make_blueprint(
+    return _build_blueprint(
         quotient,
-        cover,
-        certificates=(ht, cert),
+        universal_cover(quotient),
+        certificates=(cert,),
         labels={"n": n, "m": m, "d": d, "k": arith.k},
-        cover_normal_form=nf,
+        cover_sum=connected_sum_of(*zip((CP2, CP2B), arith.cover_counts)),
     )
 
 
@@ -369,19 +373,16 @@ def _ke_odd_c1sq(d: int, i: int) -> int:
 def _ke_family_odd(d: int, i: int) -> FamilyBlueprint:
     cover_expr = BicyclicCover(d, 2, d, d, d * i, d * i)
     quotient = Quotient(cover_expr, d, "standard")
-    ev = evaluate(quotient)
-    rec = ev.record
+    rec = evaluate(quotient).record
 
     assert rec.c1sq == _ke_odd_c1sq(d, i)
     assert rec.chi_h == ke_corrected_chi_h(d, i)
     assert ample_canonical(d, 2, d, d, d * i, d * i)
-    assert not action_admissibility(d, d, d, "standard")
 
-    ht = hitchin_thorpe(rec, inputs={"expr": str(quotient)})
-    return _make_blueprint(
+    return _build_blueprint(
         quotient,
         cover_expr,
-        certificates=(ht,),
+        certificates=(),
         labels={
             "d": d,
             "i": i,
@@ -479,7 +480,8 @@ def exotic_partner_family(d: int, i: int, j: int) -> FamilyBlueprint:
 
     Built as B # Sd(d) # k CP2b where B is a geography block with the
     same chi_h and c1^2(B) = 8 chi_h, so k = c1^2(B) - c1^2(quotient)
-    satisfies both k >= 3 chi_h and k >= c1^2/3.
+    satisfies both k >= 3 chi_h and k >= c1^2/3.  Its universal cover
+    normalizes to b2+ CP2 # b2- CP2b.
     """
     if d % 2 == 0:
         raise InfeasiblePoint(
@@ -514,19 +516,21 @@ def exotic_partner_family(d: int, i: int, j: int) -> FamilyBlueprint:
     lebrun = lebrun_einstein(x_part, k, 0)
     assert lebrun.verdict == "einstein_obstructed"
     assert Fraction(k) >= Fraction(prec.c1sq, 3)
-    ht = hitchin_thorpe(prec, inputs={"expr": str(partner)})
 
-    cover = universal_cover(partner)
-    return _make_blueprint(
+    crec = prec.scaled(d)
+    return _build_blueprint(
         partner,
-        cover,
-        certificates=(ht, homeo, lebrun),
+        universal_cover(partner),
+        certificates=(homeo, lebrun),
         labels={"d": d, "i": i, "j": j, "k": k, "chi_h": chi_h},
+        cover_sum=connected_sum_of((CP2, int(crec.b2plus)), (CP2B, int(crec.b2minus))),
     )
 
 
-def fourth_congruence_piece(b2plus_sum: int) -> ManifoldExpr:
-    """The registry piece (K3 or E(4)) whose b2+ brings the sum to 4 mod 8."""
+def fourth_congruence_piece(pieces) -> ManifoldExpr:
+    """The registry piece (K3 or E(4)) whose b2+ brings the b2+ sum of
+    ``pieces`` to 4 mod 8."""
+    b2plus_sum = sum(int(evaluate(p).record.b2plus) for p in pieces)
     for candidate in (Primitive("K3"), Primitive("E", (4,))):
         b2p = int(evaluate(candidate).record.b2plus)
         if (b2plus_sum + b2p) % 8 == 4:
@@ -552,8 +556,7 @@ def spin_sum_families(d: int, n: int, j: int) -> tuple[FamilyBlueprint, FamilyBl
         pieces4 = list(pieces_summed)
         assumption, fourth = "", None
         if m == 3:
-            partial = sum(int(evaluate(p).record.b2plus) for p in pieces4)
-            fourth = fourth_congruence_piece(partial)
+            fourth = fourth_congruence_piece(pieces4)
             pieces4.append(fourth)
             assumption = (
                 f"fourth congruence piece {fourth} supplied by the engine; "
@@ -561,24 +564,16 @@ def spin_sum_families(d: int, n: int, j: int) -> tuple[FamilyBlueprint, FamilyBl
             )
         cert = spin_einstein(pieces4, m, sphere, assumption=assumption)
         assert cert.verdict == "einstein_obstructed"
-        qrec = evaluate(quotient).record
-        ht = hitchin_thorpe(qrec, inputs={"expr": str(quotient)})
-        assert ht.verdict == "hitchin_thorpe_ok" and qrec.c1sq > 0
-
-        cover = universal_cover(quotient)
-        nf = normalize(cover)
-        assert nf.canonical
-        expected = connected_sum_of(
-            (Primitive("K3"), expected_k3), (Primitive("S2xS2"), expected_s)
-        )
-        assert nf.expr == expected, f"{nf.expr} != {expected}"
-        return _make_blueprint(
+        assert evaluate(quotient).record.c1sq > 0
+        return _build_blueprint(
             quotient,
-            cover,
-            certificates=(ht, cert),
+            universal_cover(quotient),
+            certificates=(cert,),
             labels={"d": d, "n": n, "j": j, "cover_k3": expected_k3, "cover_s2xs2": expected_s,
                     "fourth_piece": None if fourth is None else str(fourth)},
-            cover_normal_form=nf,
+            cover_sum=connected_sum_of(
+                (Primitive("K3"), expected_k3), (Primitive("S2xS2"), expected_s)
+            ),
         )
 
     first = build(
@@ -596,6 +591,14 @@ def spin_sum_families(d: int, n: int, j: int) -> tuple[FamilyBlueprint, FamilyBl
     return first, second
 
 
+def blowup_range(k: int) -> tuple[Fraction, int]:
+    """The bounds (low, high) of the blow-up counts p that
+    ``group_family`` takes with the Gompf sum Xk: low < p < high, with
+    high = c1^2(Xk) + 16 and low = high/3."""
+    high = evaluate(Primitive("Xk", (k,))).record.c1sq + 16
+    return Fraction(high, 3), high
+
+
 def group_family(
     chi_g: int,
     tau_g: int,
@@ -609,36 +612,33 @@ def group_family(
     Gompf sum through two copies of E(4), log-transformed E(2) at the
     end, blown up p times.
 
-    Requires (c1^2(Xk) + 16) > p > (c1^2(Xk) + 16)/3.
+    Requires p inside ``blowup_range(k_index)``.
     """
-    xk = Primitive("Xk", (k_index,))
-    c1sq_xk = evaluate(xk).record.c1sq
-    low, high = Fraction(c1sq_xk + 16, 3), c1sq_xk + 16
+    low, high = blowup_range(k_index)
     if not (low < p < high):
         raise BadP(f"need {high} > p > {low}, got p = {p}")
+    e2 = Primitive("E", (2,))
     chain = FiberSum(Primitive("XG", (chi_g, tau_g, group)), Primitive("E", (4,)), 1)
-    chain = FiberSum(chain, xk, 2)
+    chain = FiberSum(chain, Primitive("Xk", (k_index,)), 2)
     chain = FiberSum(chain, Primitive("E", (4,)), 2)
-    chain = FiberSum(chain, log_transform(Primitive("E", (2,)), j), 1)
+    chain = FiberSum(chain, e2 if j == 1 else LogTransform(e2, j), 1)
     total = connected_sum_of((chain, 1), (Primitive("CP2b"), p))
 
     ev = evaluate(total)
     assert str(ev.flags.pi1) == group
     lebrun = lebrun_einstein(chain, p, 0)
     assert lebrun.verdict == "einstein_obstructed"
-    ht = hitchin_thorpe(ev.record, inputs={"expr": str(total)})
-    assert ht.verdict == "hitchin_thorpe_ok"
-    assert ev.record.c1sq == c1sq_xk + 16 - p > 0
+    assert ev.record.c1sq == high - p > 0
 
-    return _make_blueprint(
+    return _build_blueprint(
         total,
         total,
-        certificates=(ht, lebrun),
+        certificates=(lebrun,),
         labels={
             "group": group,
             "k": k_index,
             "p": p,
             "j": j,
-            "c1sq_block": c1sq_xk,
+            "c1sq_block": high - 16,
         },
     )

@@ -30,6 +30,7 @@ from fourcalc.expr import (
 from fourcalc.geography import (
     GeographyQuery,
     _ke_odd_c1sq,
+    blowup_range,
     build_quotient_blueprint,
     exotic_partner_family,
     fourth_congruence_piece,
@@ -87,10 +88,8 @@ def display_form(expr: ManifoldExpr) -> str:
     return " # ".join(pieces)
 
 
-def _json_safe(value):
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else int(value)
-    return value
+def _json_safe(value: Fraction):
+    return str(value) if value.denominator != 1 else int(value)
 
 
 def _free_action_example(d: int) -> Report:
@@ -240,14 +239,9 @@ def reproduce_thm11() -> Report:
         )
     report.values["partners"] = partners
 
-    cover_nf = normalize(partner_bps[0].cover)
-    assert cover_nf.canonical
+    cover_nf = partner_bps[0].cover_normal_form
     crec = partner_bps[0].cover_record
     n_plus, m_minus = int(crec.b2plus), int(crec.b2minus)
-    expected = connected_sum_of(
-        (Primitive("CP2"), n_plus), (Primitive("CP2b"), m_minus)
-    )
-    assert cover_nf.expr == expected
     report.values["partner_cover_normal_form"] = display_form(cover_nf.expr)
     report.say(
         f"partner cover is {display_form(cover_nf.expr)} with (n, m) = "
@@ -313,8 +307,7 @@ def reproduce_thm16() -> Report:
     report = Report("thm1.6")
     rows = []
     for k in (1, 2, 3):
-        c1sq_xk = evaluate(Primitive("Xk", (k,))).record.c1sq
-        low, high = Fraction(c1sq_xk + 16, 3), c1sq_xk + 16
+        low, high = blowup_range(k)
         p = high - 1
         entries = []
         for j in (1, 2):
@@ -339,7 +332,7 @@ def reproduce_thm16() -> Report:
         rows.append(
             {
                 "k": k,
-                "c1sq_block": c1sq_xk,
+                "c1sq_block": bp.labels["c1sq_block"],
                 "p_range": [str(low), str(high)],
                 "p": int(p),
                 "structures": entries,
@@ -394,8 +387,7 @@ def reproduce_thm17() -> Report:
     for kg, j in ((1, 1), (1, 2), (2, 1)):
         ng = _group_elliptic_block(kg, kg)
         pieces = [Primitive("Xk", (2,)), ng, Primitive("Y", (j,))]
-        partial = sum(int(evaluate(p).record.b2plus) for p in pieces)
-        fourth = fourth_congruence_piece(partial)
+        fourth = fourth_congruence_piece(pieces)
         cert = spin_einstein(
             pieces + [fourth],
             3,

@@ -1,8 +1,5 @@
 """Surgery operations at the expression level.
 
-``log_transform`` builds a log transform and validates it eagerly (the
-evaluator transports invariants and flags; fiber sums and connected sums
-are built as ``expr.FiberSum`` and with ``expr.connected_sum_of``);
 ``universal_cover`` expands the two covering patterns the engine supports:
 
 * ``Quotient(N, d)``  ->  ``N``;
@@ -19,7 +16,6 @@ from fourcalc.errors import UnsupportedPattern
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import (
     FiberSum,
-    LogTransform,
     ManifoldExpr,
     Primitive,
     Quotient,
@@ -28,14 +24,6 @@ from fourcalc.expr import (
 )
 
 S2XS2 = Primitive("S2xS2")
-
-
-def log_transform(expr: ManifoldExpr, multiplicity: int) -> ManifoldExpr:
-    if multiplicity == 1:
-        return expr
-    result = LogTransform(expr, multiplicity)
-    evaluate(result)
-    return result
 
 
 def _is_homology_sphere(part: ManifoldExpr) -> bool:
@@ -61,16 +49,11 @@ def universal_cover(expr: ManifoldExpr) -> ManifoldExpr:
     parts = sum_parts(expr)
     spheres = [(p, m) for p, m in parts if _is_homology_sphere(p)]
     if len(spheres) == 1 and spheres[0][1] == 1:
-        sphere = spheres[0][0]
-        d = sphere.params[0]
+        d = spheres[0][0].params[0]
         rest = [(p, m) for p, m in parts if not _is_homology_sphere(p)]
         if all(evaluate(p).flags.pi1.is_trivial for p, _ in rest):
-            pieces = [(p, m * d) for p, m in rest]
-            if d > 1:
-                pieces.append((S2XS2, d - 1))
-            if not pieces:  # Sd(1) alone is its own cover
-                return expr
-            cover = connected_sum_of(*pieces)
+            # pi1 = Z/d is nontrivial here, so d >= 2.
+            cover = connected_sum_of(*[(p, m * d) for p, m in rest], (S2XS2, d - 1))
             _assert_multiplicative(expr, cover, d)
             return cover
     raise UnsupportedPattern(

@@ -69,9 +69,6 @@ def reference_build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="rebuild a named example set")
     p_rep.add_argument("target", choices=sorted(TARGETS))
     p_rep.add_argument("--json", action="store_true")
-    p_rep.add_argument(
-        "--update-golden", action="store_true", help=argparse.SUPPRESS
-    )
 
     return parser
 

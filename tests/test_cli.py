@@ -134,6 +134,14 @@ class TestEval:
             assert (code, out) == (2, "")
             assert err == "error: cover not constructible: flexibility\n"
 
+    def test_quotient_by_another_degree_than_the_cover_exit_2(self, capsys):
+        for text, err in (
+            ("quotient(bicyclic(3,2;3,3,3,3),5)",
+             "error: the free action lives along the first cover: need d = 3\n"),
+            ("quotient(cover(CP1xCP1,d=2,branch=(4,6)),3)", "error: need d = 2\n"),
+        ):
+            assert run_cli(capsys, "eval", text) == (2, "", err)
+
     def test_logt_multiplicity_below_one_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "eval", "logt(E(2),-3)")
         assert code == 2 and out == ""

@@ -254,3 +254,13 @@ def test_sw_of_log_transforms_at_b2_plus_one(expr, sw):
     if sw is UNKNOWN:
         fields = {p.field for p in flags.provenance}
         assert not fields & {"sw_nontrivial", "sw_mod2_nontrivial"}
+
+
+@pytest.mark.parametrize("text, base, chi_tau", [
+    ("cover(CP2,d=1,branch=3)", "CP2", (3, 1)),
+    ("cover(CP1xCP1,d=1,branch=(2,4))", "S2xS2", (4, 0)),
+])
+def test_degree_one_cover_is_its_base(text, base, chi_tau):
+    record = evaluate(parse_dsl(text)).record
+    assert (record.chi, record.tau) == chi_tau
+    assert record == evaluate(Primitive(base)).record

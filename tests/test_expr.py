@@ -79,6 +79,22 @@ REJECTED = [
     ("fiber sum of text on the right", InvalidExpr,
      lambda: FiberSum(Primitive("K3"), "x", 1)),
     ("log transform of None", InvalidExpr, lambda: LogTransform(None, 3)),
+    # Every numeric parameter is an int and not a bool: a float would make
+    # the invariants inexact, and text or a bool would print as a number.
+    ("fractional multiplicity", InvalidExpr,
+     lambda: ConnectedSum(((Primitive("K3"), 1.5), (Primitive("CP2"), 1)))),
+    ("text multiplicity", InvalidExpr, lambda: ConnectedSum(((Primitive("K3"), "2"),))),
+    ("bool quotient degree", InvalidExpr, lambda: Quotient(Primitive("K3"), True)),
+    ("float fiber-sum genus", InvalidExpr,
+     lambda: FiberSum(Primitive("K3"), Primitive("K3"), 1.0)),
+    ("float log multiplicity", InvalidExpr, lambda: LogTransform(Primitive("E", (2,)), 2.0)),
+    ("bool cover degree", InvalidExpr, lambda: CyclicCover("CP2", True, CP2_OCTIC)),
+    *(
+        (f"bicyclic parameter {i} a float", InvalidExpr,
+         lambda i=i: BicyclicCover(*BICYCLIC[:i], 3.0, *BICYCLIC[i + 1:]))
+        for i in range(6)
+    ),
+    ("float divisor degree", InvalidExpr, lambda: DivisorClass("CP2", (8.0,))),
 ]
 
 

@@ -17,7 +17,7 @@ from fourcalc.cli import main
 from fourcalc.errors import BadP, BadParity, InfeasiblePoint, InvalidExpr
 from fourcalc import geography, registry
 from fourcalc.evaluate import evaluate
-from fourcalc.expr import Primitive
+from fourcalc.expr import FiberSum, Primitive
 from fourcalc.flags import Parity, W2Type
 from fourcalc.invariants import InvariantRecord
 from fourcalc.registry import REGISTRY
@@ -27,8 +27,10 @@ from fourcalc.geography import (
     bk_columns,
     bk_contains,
     bk_region,
+    blowup_range,
     build_quotient_blueprint,
     exotic_partner_family,
+    fourth_congruence_piece,
     free_action_region,
     group_family,
     ke_corrected_chi_h,
@@ -586,6 +588,22 @@ class TestSpinFamilies:
         b, _ = spin_sum_families(2, 1, 5)
         assert a.cover_normal_form.expr == b.cover_normal_form.expr
 
+    @pytest.mark.parametrize("pieces, fourth", [
+        # thm1.8's first family at n = 1 and 2: b2+ sums 25 and 29.
+        ((Primitive("X442"), Primitive("Y", (1,)), Primitive("E", (2,))), "K3"),
+        ((Primitive("X442"), Primitive("Y", (1,)), Primitive("E", (4,))), "E(4)"),
+        # thm1.7's spin sums at chi_G = 24 and 48: b2+ sums 37 and 45.
+        ((Primitive("Xk", (2,)), FiberSum(Primitive("XG", (24, -16, "G")), Primitive("E", (2,)), 1),
+          Primitive("Y", (1,))), "E(4)"),
+        ((Primitive("Xk", (2,)), FiberSum(Primitive("XG", (48, -32, "G")), Primitive("E", (4,)), 1),
+          Primitive("Y", (1,))), "E(4)"),
+    ])
+    def test_fourth_congruence_piece(self, pieces, fourth):
+        piece = fourth_congruence_piece(pieces)
+        assert str(piece) == fourth
+        b2plus = sum(int(evaluate(p).record.b2plus) for p in (*pieces, piece))
+        assert b2plus % 8 == 4
+
     def test_wall_constant_guard(self):
         with pytest.raises(InfeasiblePoint):
             spin_sum_families(1, 1, 1)  # d <= WALL_N0
@@ -601,6 +619,18 @@ class TestGroupFamily:
             group_family(24, -16, "G", 1, 24, 1)
         bp = group_family(24, -16, "G", 1, 9, 1)
         assert bp.quotient_record.c1sq == 8 + 16 - 9
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_blowup_range_is_where_bad_p_stops(self, k):
+        low, high = blowup_range(k)
+        assert high == evaluate(Primitive("Xk", (k,))).record.c1sq + 16
+        assert low == Fraction(high, 3)
+        least, most = low.numerator // low.denominator + 1, high - 1
+        for p in (least - 1, most + 1):
+            with pytest.raises(BadP):
+                group_family(24, -16, "G", k, p, 1)
+        for p in (least, most):
+            assert group_family(24, -16, "G", k, p, 1).labels["p"] == p
 
     def test_group_label_and_verdicts(self):
         bp = group_family(24, -16, "Dihedral7", 2, 20, 3)

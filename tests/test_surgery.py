@@ -12,20 +12,18 @@ from fourcalc.expr import (
     CyclicCover,
     DivisorClass,
     FiberSum,
+    LogTransform,
     Primitive,
     connected_sum_of,
 )
 from fourcalc.flags import NO, YES, GroupLabel
-from fourcalc.surgery import (
-    gompf_sum_blueprint,
-    log_transform,
-    universal_cover,
-)
+from fourcalc.surgery import gompf_sum_blueprint, universal_cover
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
 S2XS2 = Primitive("S2xS2")
 K3 = Primitive("K3")
+E2 = Primitive("E", (2,))
 OCTIC = CyclicCover("CP2", 2, DivisorClass("CP2", (8,)))
 
 PART_POOL = [CP2, CP2B, S2XS2, K3, Primitive("S1xS3"), Primitive("E", (3,)), OCTIC]
@@ -141,27 +139,27 @@ class TestFiberSum:
 
 class TestLogTransform:
     def test_multiplicity_one_is_identity(self):
-        assert log_transform(Primitive("E", (2,)), 1) == Primitive("E", (2,))
+        assert evaluate(LogTransform(E2, 1)) is evaluate(E2)
 
     def test_invariants_unchanged(self):
-        base = eval_invariants(Primitive("E", (2,)))
+        base = eval_invariants(E2)
         for j in (2, 3, 7):
-            rec = eval_invariants(log_transform(Primitive("E", (2,)), j))
+            rec = eval_invariants(LogTransform(E2, j))
             assert (rec.chi, rec.tau) == (base.chi, base.tau)
             assert (rec.b2plus, rec.b2minus) == (3, 19)
 
     def test_labels_distinguish_structures(self):
-        a = evaluate(log_transform(Primitive("E", (2,)), 3)).labels
-        b = evaluate(log_transform(Primitive("E", (2,)), 5)).labels
+        a = evaluate(LogTransform(E2, 3)).labels
+        b = evaluate(LogTransform(E2, 5)).labels
         assert a != b
 
     def test_sw_flag_preserved(self):
-        flags = evaluate(log_transform(Primitive("E", (2,)), 4)).flags
+        flags = evaluate(LogTransform(E2, 4)).flags
         assert flags.sw_nontrivial is YES
 
     def test_requires_elliptic_fiber(self):
         with pytest.raises(MissingCapability):
-            log_transform(CP2, 2)
+            evaluate(LogTransform(CP2, 2))
 
 
 class TestUniversalCover:
@@ -169,6 +167,13 @@ class TestUniversalCover:
         assert universal_cover(Primitive("Sd", (2,))) == S2XS2
         cover = universal_cover(Primitive("Sd", (4,)))
         assert cover == ConnectedSum(((S2XS2, 3),))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_homology_sphere_alone_and_beside_k3(self, d):
+        sphere = Primitive("Sd", (d,))
+        assert universal_cover(sphere) == connected_sum_of((S2XS2, d - 1))
+        cover = universal_cover(connected_sum_of((sphere, 1), (K3, 1)))
+        assert cover == ConnectedSum(((K3, d), (S2XS2, d - 1)))
 
     def test_trivial_group_identity(self):
         assert universal_cover(K3) == K3
