@@ -31,32 +31,34 @@ from fourcalc.rewrite import normalize
 
 
 class _Command(argparse.ArgumentParser):
-    """The parser of one command or kind, whose arguments are declared
-    when argparse reaches it.
+    """The parser of one command or kind, built when argparse reaches it.
 
-    argparse hands the chosen subparser the rest of the command line
-    through its ``parse_known_args``, so ``declare(self)`` runs there,
-    once, before any token is read.  ``_build_parser`` still registers
-    every command and kind with its help, so usage lines, help texts and
-    invalid-choice errors are those of the eager tree; but a command
-    builds only the branch it takes.  Declaring the branches a command
-    did not take was most of a light command's parse time.
+    ``add_parser`` only hands this class its keyword arguments (``prog``,
+    ``help``, ...), which are kept.  argparse hands the chosen subparser
+    the rest of the command line through its ``parse_known_args``, so
+    the parser is built there, once, before any token is read: it runs
+    ``ArgumentParser.__init__`` with those arguments and then
+    ``declare(self)``.  The root's usage lines, help texts and
+    invalid-choice errors come from the choice pseudo-actions that
+    ``add_parser`` still creates, so they are those of the eager tree;
+    but a command builds only the parsers on its path.
     """
 
-    def __init__(self, *args, declare, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._declare = declare
+    def __init__(self, *, declare, **kwargs):
+        self._pending = declare, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._declare is not None:
-            declare, self._declare = self._declare, None
+        if self._pending is not None:
+            declare, kwargs = self._pending
+            self._pending = None
+            super().__init__(**kwargs)
             declare(self)
         return super().parse_known_args(args, namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     """The command tree, built for one call of ``main``: each command and
-    kind is registered here, and declares its arguments in ``_Command``."""
+    kind is registered here, and built in ``_Command`` when reached."""
 
     def expressions(*names):
         def declare(p):

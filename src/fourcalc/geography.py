@@ -112,13 +112,17 @@ def _build_blueprint(
 def bk_columns(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[tuple[int, int]]:
     """The region 0 < y <= (9 - eps') x - c inside the bounds, as columns
     (x, top): the column at x holds y = 1..top.  Each top is one exact
-    floor, clipped at YMAX; columns with no point are left out."""
+    floor, clipped at YMAX; columns with no point are left out, and the
+    walk starts at the first column with one."""
     if eps_prime <= 0 or c <= 0:
         raise InfeasiblePoint("eps' and c must be positive")
     x_max, y_max = bounds
     slope = 9 - eps_prime
-    tops = ((x, min(y_max, math.floor(slope * x - c))) for x in range(1, x_max + 1))
-    return [(x, top) for x, top in tops if top >= 1]
+    if y_max < 1 or slope <= 0:
+        return []
+    # top >= 1 exactly when slope x - c >= 1, so from this x on.
+    first = max(1, math.ceil((1 + c) / slope))
+    return [(x, min(y_max, math.floor(slope * x - c))) for x in range(first, x_max + 1)]
 
 
 def bk_region(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[tuple[int, int]]:
@@ -163,8 +167,11 @@ def region_lattice_points(query: GeographyQuery) -> Iterator[tuple[int, int]]:
     shift = 2 * d * e_den * (c_den + c_num)
     for n in range(d, n_max + 1, d):
         # The least multiple of d with (6 - eps) m > n + N(eps); it is at
-        # least d because n + N(eps) > 0.
+        # least d because n + N(eps) > 0.  It never decreases as n grows,
+        # so the first column past MMAX ends the region.
         m_start = d * ((n + n_of_eps) // (six_minus_eps * d) + 1)
+        if m_start > m_max:
+            return
         lhs = n_coef * n + shift
         for m in range(m_start, m_max + 1, d):
             assert lhs < m_coef * m, f"region point ({n},{m}) fails the chained inequality"

@@ -500,6 +500,8 @@ def compare_with_golden(target: str, data: dict) -> list[str]:
         golden = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return [f"no golden file for {target}"]
+    except ValueError as exc:  # an empty or truncated file, or not JSON
+        return [f"golden/{path.name} is not JSON: {exc}"]
     if data == golden:
         return []
     keys = ("lines", "values", "certificates")

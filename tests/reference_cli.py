@@ -1,8 +1,8 @@
 """The CLI's argument parser as it was when ``_build_parser`` declared
 every command's arguments up front, kept as the oracle of the parity
-tests in ``test_cli.py``: the parser whose commands declare their
-arguments when argparse reaches them must exit with the same code, print
-the same help, usage lines and errors, and give the same namespace.
+tests in ``test_cli.py``: the parser whose commands and kinds are built
+when argparse reaches them must exit with the same code, print the same
+help, usage lines and errors, and give the same namespace.
 
 With only the standard library, from the root of a checkout::
 

@@ -409,7 +409,7 @@ def test_closed_stdout_exits_2_without_traceback():
         assert err == "error: output closed by its reader\n"
 
 
-# --- the parser: lazy declarations against the eager reference ---------
+# --- the parser: lazily built commands against the eager reference ----
 
 _WORDS = sorted({word for path in PATHS for word in path} | set(TARGETS) | {"thm9"})
 _TOKENS = st.sampled_from(
@@ -463,15 +463,16 @@ def _parser_work(monkeypatch, capsys, *argv):
 
 
 def test_a_command_builds_only_its_branch(monkeypatch, capsys):
-    names = ("eval", "check", "normalize", "enumerate", "reproduce")
-    commands = ["fourcalc", *(f"fourcalc {name}" for name in names)]
-    built, declared = _parser_work(monkeypatch, capsys, "eval", "K3")
-    assert built == commands
+    # Each path, with a line it accepts or with -h, builds exactly the
+    # parsers of the path's prefixes: the root, its command and its kind.
+    for path, accepted in PATHS.items():
+        built, _ = _parser_work(monkeypatch, capsys, *path, *(accepted or ["-h"]))
+        assert built == [" ".join(("fourcalc", *path[:i])) for i in range(len(path) + 1)], path
+    _, declared = _parser_work(monkeypatch, capsys, "eval", "K3")
     assert declared == [("fourcalc eval", ("expr",)), ("fourcalc eval", ("--json",))]
     built, declared = _parser_work(monkeypatch, capsys, "check", "ht", "K3")
-    assert built == commands + [f"fourcalc check {kind}" for kind in ("ht", "einstein", "homeo")]
     assert declared == [("fourcalc check ht", ("expr",)), ("fourcalc check ht", ("--json",))]
-    # Every call builds its own parser: nothing is kept between calls.
+    # Every call builds its own parsers: nothing is kept between calls.
     assert _parser_work(monkeypatch, capsys, "check", "ht", "K3") == (built, declared)
 
 

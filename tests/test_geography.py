@@ -4,7 +4,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -128,11 +132,27 @@ def test_bk_region_integral_column_top(params, bounds):
         assert (x0, y0) in points and (x0, y0 + 1) not in points
 
 
+def _fourcalc_stdout(argv, timeout=None):
+    """stdout of ``fourcalc argv``, which must exit 0: in a process that
+    is stopped after ``timeout`` seconds when one is given, else in this
+    one."""
+    if timeout is None:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 0
+        return out.getvalue()
+    script = "import sys\nfrom fourcalc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+    assert (result.returncode, result.stderr) == (0, ""), argv
+    return result.stdout
+
+
 def _enumerate_bk_stdout(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["enumerate", "bk", *argv]) == 0
-    return out.getvalue()
+    return _fourcalc_stdout(["enumerate", "bk", *argv])
 
 
 def _bk_json_reference(eps_prime, c, points):
@@ -165,6 +185,22 @@ def test_enumerate_bk_json_empty_and_single_point():
     # (9 - 1) * 1 - 7 = 1: the region is the single point (1, 1).
     single = _enumerate_bk_stdout("--eps-prime", "1", "--c", "7", "--bounds", "1,5", "--json")
     assert single == _bk_json_reference(Fraction(1), Fraction(7), [(1, 1)])
+
+
+@pytest.mark.parametrize("command, small", [
+    (("enumerate", "free-actions", "--d", "2", "--bounds", "{},4"), "40"),
+    (("enumerate", "free-actions", "--d", "2", "--bounds", "{},4", "--json"), "40"),
+    (("enumerate", "bk", "--bounds", "{},0"), "1"),
+    (("enumerate", "bk", "--bounds", "{},0", "--json"), "1"),
+    (("enumerate", "bk", "--eps-prime", "9", "--bounds", "{},5"), "1"),
+])
+def test_enumerators_stop_at_the_last_column(command, small):
+    # Past its last non-empty column a region has no point, so a bound of
+    # 10^12 gives the bytes of a small bound, at once: a walk over every
+    # column up to that bound would not end within the timeout.
+    expected = _fourcalc_stdout([word.format(small) for word in command])
+    huge = _fourcalc_stdout([word.format(10**12) for word in command], timeout=30)
+    assert huge == expected
 
 
 def reference_free_action_region(query):

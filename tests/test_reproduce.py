@@ -1,5 +1,9 @@
 """Reproduction reports: shape, golden comparison, display forms."""
 
+import pytest
+
+from fourcalc import reproduce
+from fourcalc.cli import main
 from fourcalc.expr import Primitive, connected_sum_of
 from fourcalc.reproduce import (
     TARGETS,
@@ -26,6 +30,23 @@ def test_golden_mismatch_detected():
     report.values["normal_form"] = "16 CP2 # 77 CP2b"
     diffs = compare_with_golden("prop1.3", report.as_dict())
     assert diffs and any("values" in d for d in diffs)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"lines": [', "Expecting value: line 1 column 12 (char 11)"),
+    ("golden", "Expecting value: line 1 column 1 (char 0)"),
+])
+def test_golden_that_is_not_json_is_a_mismatch(monkeypatch, tmp_path, capsys, text, error):
+    # The README's regeneration command truncates the golden before the
+    # report is compared with it: a golden mismatch, not a crash.
+    golden = tmp_path / "prop1_3.json"
+    golden.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(reproduce, "golden_path", lambda target: golden)
+    diff = f"golden/prop1_3.json is not JSON: {error}"
+    assert compare_with_golden("prop1.3", run_target("prop1.3").as_dict()) == [diff]
+    assert main(["reproduce", "prop1.3", "--json"]) == 3
+    assert capsys.readouterr().err == f"golden mismatch: {diff}\n"
 
 
 def test_reports_are_json_safe():
