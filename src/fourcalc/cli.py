@@ -241,7 +241,7 @@ def _parse_bounds(text: str) -> tuple[int, int]:
 
 
 def _parse_fraction(text: str | None, option: str, default: Fraction) -> Fraction:
-    if not text:
+    if text is None:  # an empty value is malformed, not absent
         return default
     try:
         return Fraction(text)

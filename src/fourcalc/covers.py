@@ -22,11 +22,10 @@ from math import gcd
 from fourcalc.errors import NonIntegralQuotient
 from fourcalc.expr import CP2_BASE, QUADRIC_BASE, DivisorClass
 from fourcalc.invariants import InvariantRecord
+from fourcalc.registry import PRIMITIVES
 
-BASE_RECORDS = {
-    CP2_BASE: InvariantRecord(3, 1, 0),
-    QUADRIC_BASE: InvariantRecord(4, 0, 0),
-}
+# The bases as the primitive table declares them; CP1xCP1 is S2xS2.
+BASES = {CP2_BASE: PRIMITIVES["CP2"], QUADRIC_BASE: PRIMITIVES["S2xS2"]}
 BASE_C1 = {CP2_BASE: (3,), QUADRIC_BASE: (2, 2)}
 
 

@@ -21,10 +21,6 @@ class NegativeDegree(InvalidExpr):
     """A degree parameter that must be positive is not."""
 
 
-class DuplicateName(FourcalcError):
-    """Attempt to register a primitive under a name already in use."""
-
-
 class InconsistentFlags(FourcalcError):
     """Declared structure flags contradict the invariants (e.g. Rohlin)."""
 
@@ -84,4 +80,4 @@ class DslSyntaxError(FourcalcError):
 
 
 class UnknownPrimitive(DslSyntaxError):
-    """DSL input names a primitive that is not registered."""
+    """DSL input names a primitive that the primitive table does not declare."""

@@ -14,16 +14,17 @@ a dict filled from the bottom up, keeps the ``cache_info()`` and
 a hit is a call answered from the cache.
 
 The rules of a node read only its direct children's evaluations.  The
-facts that span several levels (the primitive at the bottom of a
-log-transform tower, the tower's multiple fibers, whether a fiber-sum
-chain is built on the XG block) travel up as :class:`Evaluation` fields,
-so a tower or a chain costs work linear in its depth.  The fundamental
-group of E(n) with k multiple fibers is the orbifold group of the base
-sphere: trivial for k <= 1, Z/gcd(p, q) for k = 2 and a presented group
-for k >= 3.
+facts that span several levels (whether the primitive at the bottom of
+a log-transform tower has a fiber with simply connected complement, the
+tower's multiple fibers, whether a fiber-sum chain is built on the XG
+block) are declared in the primitive table and travel up as
+:class:`Evaluation` fields, so a tower or a chain costs work linear in
+its depth.  The fundamental group of E(n) with k multiple fibers is the
+orbifold group of the base sphere: trivial for k <= 1, Z/gcd(p, q) for
+k = 2 and a presented group for k >= 3.
 
-Every flag rule lives here; the registry declares only what the rules
-cannot derive.  Flag inference applies a fixed rule set and leaves
+Every flag rule lives here; the primitive table declares only what the
+rules cannot derive.  Flag inference applies a fixed rule set and leaves
 everything else ``unknown``.  In particular, when the fundamental group
 may contain 2-torsion the parity of the intersection form is never
 inferred from non-spin-ness alone (there are non-spin manifolds with
@@ -64,13 +65,7 @@ from fourcalc.flags import (
     W2Type,
 )
 from fourcalc.invariants import InvariantRecord, connected_sum_record, rohlin_compatible
-from fourcalc.registry import ELLIPTIC_FIBER, REGISTRY, genus_cap
-
-# Primitives whose distinguished fiber/surface has simply connected
-# complement, letting fiber sums kill the fiber's fundamental-group image.
-_SC_COMPLEMENT = {"E", "Y", "K3", "X442", "Xk"}
-# Elliptic surfaces: E(n), K3 = E(2), and Y(j), E(2) with one odd multiple fiber.
-_ELLIPTIC = {"E", "K3", "Y"}
+from fourcalc.registry import ELLIPTIC_FIBER, Fibers, genus_cap, instantiate
 
 _CITE_ROHLIN = "Rohlin: spin forces tau = 0 mod 16"
 _CITE_SUM_SPIN = "w2 is additive under connected sum"
@@ -101,14 +96,6 @@ _ALL_UNKNOWN = StructureFlags()
 _ORBIFOLD_GROUP = GroupLabel.presented("orbifold group of the base sphere")
 
 
-class Fibers(NamedTuple):
-    """The multiple fibers of E(n), K3 or Y(j) under log transforms."""
-
-    count: int
-    evens: int  # how many have even multiplicity
-    gcd: int  # of the multiplicities; 0 when there are none
-
-
 @dataclass(frozen=True)
 class Evaluation:
     record: InvariantRecord
@@ -117,13 +104,14 @@ class Evaluation:
     labels: tuple[str, ...] = ()
     complex_surface: bool = False
     # Facts the fiber-sum and log-transform rules read, each set from the
-    # direct children: the primitive at the bottom of a log-transform
-    # tower; the multiple fibers of E(n), K3 and Y(j) under log transforms
-    # (Y(j) is E(2) with one fiber of multiplicity 2j+1); whether the node
-    # is built on the prescribed-group block XG, whose distinguished torus
-    # has trivial image in pi1, through fiber sums and log transforms.
-    tower_base: Optional[str] = None
+    # direct children and declared by the primitive table at the leaves:
+    # the multiple fibers of an elliptic surface under log transforms;
+    # whether the primitive at the bottom of a log-transform tower has a
+    # distinguished fiber with simply connected complement; whether the
+    # node is built on the prescribed-group block XG through fiber sums
+    # and log transforms.
     fibers: Optional[Fibers] = None
+    sc_fiber_complement: bool = False
     group_block: bool = False
 
 
@@ -165,20 +153,9 @@ def _finish(
 
 
 def _eval_primitive(expr: Primitive) -> Evaluation:
-    info = REGISTRY.instantiate(expr.name, expr.params)
-    fibers = None
-    if expr.name in _ELLIPTIC:
-        fibers = Fibers(1, 0, 2 * expr.params[0] + 1) if expr.name == "Y" else Fibers(0, 0, 0)
-    return _finish(
-        info.record,
-        info.flags,
-        capabilities=dict(info.capabilities),
-        labels=info.labels,
-        complex_surface=info.complex_surface,
-        tower_base=expr.name,
-        fibers=fibers,
-        group_block=expr.name == "XG",
-    )
+    # Each field of the declaration is an Evaluation field of the same name.
+    info = instantiate(expr.name, expr.params)
+    return _finish(**dict(vars(info), capabilities=dict(info.capabilities)))
 
 
 def _cover_flags(ample: bool, acd_citation: str) -> StructureFlags:
@@ -196,12 +173,10 @@ def _eval_cyclic(expr: CyclicCover) -> Evaluation:
     if any(k < 1 for k in expr.branch.degrees):
         raise InvalidExpr("cover not constructible: flexibility")
     line = expr.branch.divided_by(expr.d)
-    record = covers.cyclic_cover_invariants(
-        covers.BASE_RECORDS[expr.base], covers.BASE_C1[expr.base], expr.d, line
-    )
+    base = covers.BASES[expr.base]
+    record = covers.cyclic_cover_invariants(base.record, covers.BASE_C1[expr.base], expr.d, line)
     if expr.d == 1:
-        base_info = REGISTRY.instantiate("CP2" if expr.base == "CP2" else "S2xS2")
-        return _finish(record, base_info.flags, complex_surface=True)
+        return _finish(record, base.flags, complex_surface=True)
     acd_cite = _CITE_ACD_CP2 if expr.base == "CP2" else _CITE_ACD_QUADRIC
     flags = _cover_flags(covers.cyclic_cover_ample(expr.base, expr.d, line), acd_cite)
     return _finish(record, flags, complex_surface=True)
@@ -360,9 +335,9 @@ def _eval_fiber_sum(expr: FiberSum, left: Evaluation, right: Evaluation) -> Eval
     if lp.is_trivial and rp.is_trivial:
         pi1 = GroupLabel.trivial()
         b1 = 0
-    elif rp.is_trivial and left.group_block and right.tower_base in _SC_COMPLEMENT:
+    elif rp.is_trivial and left.group_block and right.sc_fiber_complement:
         pi1, b1 = lp, left.record.b1
-    elif lp.is_trivial and right.group_block and left.tower_base in _SC_COMPLEMENT:
+    elif lp.is_trivial and right.group_block and left.sc_fiber_complement:
         pi1, b1 = rp, right.record.b1
     else:
         pi1, b1 = GroupLabel.unknown(), None
@@ -452,8 +427,8 @@ def _eval_log_transform(expr: LogTransform, inner: Evaluation) -> Evaluation:
         capabilities=dict(inner.capabilities),
         labels=labels,
         complex_surface=inner.complex_surface,
-        tower_base=inner.tower_base,
         fibers=fibers,
+        sc_fiber_complement=inner.sc_fiber_complement,
         group_block=inner.group_block,
     )
 

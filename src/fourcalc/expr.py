@@ -2,7 +2,7 @@
 
 An expression is one of:
 
-* ``Primitive(name, params)`` -- a registry entry such as CP2, K3, E(n);
+* ``Primitive(name, params)`` -- a primitive-table entry such as CP2, K3, E(n);
 * ``CyclicCover(base, d, branch)`` -- d-fold cyclic cover of CP2 or
   CP1xCP1 branched along a smooth divisor whose class is d-divisible;
 * ``BicyclicCover(d, p, a, b, m, n)`` -- two successive cyclic covers of
@@ -19,9 +19,9 @@ Trees are immutable and interned: building a node runs its constructor
 checks and then hands back the one live node of that class with the
 same field values, kept in a table of weak references.  Children count
 by identity, so equal trees are the same object, ``==`` is ``is`` and a
-hash never walks the tree.  ``copy.copy``, ``pickle`` (also into another
-process) and ``dataclasses.replace`` build through the constructor, so
-they hand back the interned node too; ``copy.deepcopy`` hands back the
+hash never walks the tree.  ``pickle`` (also into another process) and
+``dataclasses.replace`` build through the constructor, so they hand back
+the interned node too; ``copy.copy`` and ``copy.deepcopy`` hand back the
 node itself, without walking the tree.
 
 Each composite kind states its subtrees once, in its print template
@@ -29,7 +29,10 @@ Each composite kind states its subtrees once, in its print template
 evaluation reads them.  ``children`` is read off the template, and
 ``str`` walks the templates with an explicit stack, so neither printing
 nor evaluation (``evaluate.py``) recurses, and printing costs time
-linear in the output.  A leaf prints itself whole.
+linear in the output.  A leaf prints itself whole.  ``repr`` and
+``pickle`` of a composite walk the tree with an explicit stack too: a
+tree pickles as the post-order list of its composite nodes, each child
+named by its index in the list.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ class _Node(metaclass=_Interned):
     def __reduce__(self):
         return type(self), tuple(vars(self).values())
 
+    def __copy__(self):
+        return self
+
     def __deepcopy__(self, memo):
         return self
 
@@ -74,6 +80,49 @@ def _check_ints(what: str, *values) -> None:
     for value in values:
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidExpr(f"{what} must be an int, not {value!r}")
+
+
+class _Ref(int):
+    """A composite child in a pickled tree: its index in the post-order list."""
+
+
+class _Text(str):
+    """Literal text among the pieces of a ``repr``."""
+
+
+def _map_leaves(value, f):
+    """``value`` with ``f`` applied to each item that is not a tuple."""
+    if value.__class__ is tuple:
+        return tuple(_map_leaves(item, f) for item in value)
+    return f(value)
+
+
+def _unpickle(entries: tuple) -> "_Composite":
+    """The tree ``_Composite.__reduce__`` took apart, built bottom up."""
+    built: list = []
+
+    def resolve(value):
+        return built[value] if value.__class__ is _Ref else value
+
+    for cls, values in entries:
+        built.append(cls(*_map_leaves(values, resolve)))
+    return built[-1]
+
+
+def _repr_pieces(value) -> list:
+    """``repr`` of a composite node or a tuple one level down: literal
+    text, and the values whose own ``repr`` goes between."""
+    if value.__class__ is tuple:
+        head, tail = "(", ",)" if len(value) == 1 else ")"
+        fields = [("", item) for item in value]
+    else:
+        head, tail = f"{type(value).__qualname__}(", ")"
+        fields = [(f"{name}=", item) for name, item in vars(value).items()]
+    pieces: list = [_Text(head)]
+    for i, (label, item) in enumerate(fields):
+        pieces += (_Text(", " * (i > 0) + label), item)
+    pieces.append(_Text(tail))
+    return pieces
 
 
 class _Composite(_Node):
@@ -96,6 +145,39 @@ class _Composite(_Node):
             else:
                 out.append(str(piece))
         return "".join(out)
+
+    def __repr__(self):
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            piece = stack.pop()
+            if piece.__class__ is _Text:
+                out.append(piece)
+            elif isinstance(piece, _Composite) or piece.__class__ is tuple:
+                stack += reversed(_repr_pieces(piece))
+            else:
+                out.append(repr(piece))
+        return "".join(out)
+
+    def __reduce__(self):
+        index: dict = {}
+        entries: list = []
+
+        def ref(value):
+            return _Ref(index[value]) if isinstance(value, _Composite) else value
+
+        stack: list = [self]
+        while stack:
+            node = stack[-1]
+            todo = [c for c in node.children if isinstance(c, _Composite) and c not in index]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if node not in index:  # else it was reached twice
+                index[node] = len(entries)
+                entries.append((type(node), _map_leaves(tuple(vars(node).values()), ref)))
+        return _unpickle, (tuple(entries),)
 
 
 CP2_BASE = "CP2"
@@ -205,7 +287,7 @@ class BicyclicCover(_Node):
         return f"bicyclic({self.d},{self.p};{self.a},{self.b},{self.m},{self.n})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Quotient(_Composite):
     inner: "ManifoldExpr"
     d: int
@@ -224,7 +306,7 @@ class Quotient(_Composite):
         return ("quotient(", self.inner, f",{self.d}{tail})")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ConnectedSum(_Composite):
     """Connected sum of parts, each with a positive multiplicity."""
 
@@ -250,7 +332,7 @@ class ConnectedSum(_Composite):
         return pieces
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FiberSum(_Composite):
     left: "ManifoldExpr"
     right: "ManifoldExpr"
@@ -266,7 +348,7 @@ class FiberSum(_Composite):
         return ("fibersum(", self.left, ",", self.right, f",g={self.genus})")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class LogTransform(_Composite):
     inner: "ManifoldExpr"
     multiplicity: int

@@ -35,7 +35,7 @@ from fourcalc.expr import (
 )
 from fourcalc.invariants import InvariantRecord, connected_sum_record
 from fourcalc.obstruction import hitchin_thorpe, homeo_equal, lebrun_einstein, spin_einstein
-from fourcalc.registry import REGISTRY
+from fourcalc.registry import instantiate
 from fourcalc.rewrite import CP2, CP2B, NormalizeResult, normalize
 from fourcalc.surgery import universal_cover
 
@@ -215,7 +215,7 @@ def quotient_arithmetic(
     n: int, m: int, d: int, eps_prime: Fraction, c_of_eps: Fraction
 ) -> QuotientArithmetic:
     """Every numeric fact of the blueprint for (n, m), in integers over
-    the registry's records: no expression is built and nothing is
+    the primitive table's records: no expression is built and nothing is
     evaluated.
 
     It also asserts each point-dependent predicate that the flag and
@@ -251,12 +251,12 @@ def quotient_arithmetic(
             "realizable geography region"
         )
     k = f + 1 - n // d
-    block = REGISTRY.instantiate("BK", (chi_h_block, c1sq_block, 0)).record
-    sphere = REGISTRY.instantiate("Sd", (d,)).record
+    block = instantiate("BK", (chi_h_block, c1sq_block, 0)).record
+    sphere = instantiate("Sd", (d,)).record
     assert block.b2 is not None and block.b2 + block.tau > 0, "b2+(BK) >= 1"
     assert k >= 1 and d - 1 >= 1 and d * k >= 1, f"class predicates: k={k}, d={d}"
 
-    cp2, cp2b = (REGISTRY.instantiate(name).record for name in ("CP2", "CP2b"))
+    cp2, cp2b = (instantiate(name).record for name in ("CP2", "CP2b"))
     qrec = connected_sum_record(((block, 1), (sphere, 1), (cp2b, k)))
     assert qrec.c1sq == n // d and d * (qrec.chi + qrec.tau) == 4 * m  # chi_h = m/d
     x_c1sq = connected_sum_record(((block, 1), (sphere, 1))).c1sq

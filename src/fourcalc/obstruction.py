@@ -88,7 +88,7 @@ def lebrun_einstein(x_expr: ManifoldExpr, k: int, l: int) -> Certificate:
     steps = []
     if ev.flags.sw_nontrivial is not YES:
         return _no_verdict(steps, "sw-nontrivial", CITE_LEBRUN, inputs)
-    # Flags registered without a record count as declared.
+    # Flags declared without a provenance record count as declared.
     why = next(
         (p for p in reversed(ev.flags.provenance) if p.field == "sw_nontrivial"),
         Provenance("sw_nontrivial", "declared", "registry block"),

@@ -53,7 +53,7 @@ from fourcalc.expr import (
     connected_sum_of,
     sum_parts,
 )
-from fourcalc.registry import REGISTRY
+from fourcalc.registry import PRIMITIVES, instantiate
 
 # One token per match; the text between matches is whitespace.
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[#*(),;=\-]")
@@ -113,7 +113,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # of the constructors being read
-        # Memoizes the registry check of each distinct (name, params).
+        # Memoizes the table check of each distinct (name, params).
         self.primitives: dict[tuple[str, tuple], Primitive] = {}
 
     def error(self, message: str, index: int | None = None) -> NoReturn:
@@ -299,13 +299,13 @@ class _Parser:
         return LogTransform(inner, mult) if mult > 1 else inner
 
     def parse_primitive(self) -> Primitive:
-        """NAME ['(' args ')'], read by index.  The registry checks each
+        """NAME ['(' args ')'], read by index.  The primitive table checks each
         distinct (name, params) once per parse: ``self.primitives`` only
         memoizes that check, since the node is interned either way."""
         tokens = self.tokens
         at = pos = self.pos
         name = tokens[pos]
-        if name not in REGISTRY:
+        if name not in PRIMITIVES:
             raise UnknownPrimitive(f"unknown primitive {name!r}", *_token_position(self.text, at))
         pos += 1
         params: list = []
@@ -333,7 +333,7 @@ class _Parser:
         node = self.primitives.get(key)
         if node is None:
             try:
-                REGISTRY.instantiate(*key)
+                instantiate(*key)
             except (InvalidExpr, InconsistentFlags) as exc:
                 self.error(str(exc), at)
             node = self.primitives[key] = Primitive(*key)

@@ -1,26 +1,28 @@
-"""Registry of named primitive 4-manifolds.
+"""The table of named primitive 4-manifolds.
 
-Each entry carries exact invariants, declared structure flags with
-citations, capability tags (which symplectic submanifolds the manifold
-offers to fiber sums and logarithmic transforms) and bookkeeping labels.
-Primitives are blocks imported from the literature; the evaluator never
-recomputes their geometry.
+``PRIMITIVES`` declares each primitive once: a fixed
+:class:`PrimitiveInfo`, or for a family the builder that makes one from
+the parameters.  An entry carries exact invariants, declared structure
+flags with citations, capability tags (which symplectic submanifolds
+the manifold offers to fiber sums and logarithmic transforms),
+bookkeeping labels, and the facts the fiber-sum and log-transform rules
+read.  Primitives are blocks imported from the literature; the
+evaluator never recomputes their geometry, nor tests their names.
 
-The registry is populated once at import time and is append-only:
-``Registry.register_primitive`` adds new names but never overwrites
-existing ones.  Entries declare only what no flag rule derives: the
-evaluator fills in what the declarations entail (spin => even form and
-w2-type II, Taubes' Seiberg-Witten flags, ...).  Declared flags are
-validated and stored as given.
+Entries declare only what no flag rule derives: the evaluator fills in
+what the declarations entail (spin => even form and w2-type II, Taubes'
+Seiberg-Witten flags, ...).  Declared flags are validated and stored as
+given: the fixed entries once, at import, and a family's instances at
+every ``instantiate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
-from fourcalc.errors import DuplicateName, InconsistentFlags, InvalidExpr
+from fourcalc.errors import InconsistentFlags, InvalidExpr
 from fourcalc.expr import Primitive
 from fourcalc.flags import (
     NO,
@@ -42,6 +44,14 @@ def genus_cap(g: int) -> str:
     return f"genus{g}"
 
 
+class Fibers(NamedTuple):
+    """The multiple fibers of an elliptic surface, also under log transforms."""
+
+    count: int
+    evens: int  # how many have even multiplicity
+    gcd: int  # of the multiplicities; 0 when there are none
+
+
 @dataclass(frozen=True)
 class PrimitiveInfo:
     """A fully instantiated primitive: invariants, flags, capabilities."""
@@ -51,6 +61,14 @@ class PrimitiveInfo:
     capabilities: dict = field(default_factory=dict)
     complex_surface: bool = False
     labels: tuple[str, ...] = ()
+    # The multiple fibers of an elliptic surface; None for other blocks.
+    fibers: Optional[Fibers] = None
+    # Whether the distinguished fiber has simply connected complement, so
+    # that a fiber sum along it kills the fiber's image in pi1.
+    sc_fiber_complement: bool = False
+    # The prescribed-group block XG, whose distinguished torus has
+    # trivial image in pi1.
+    group_block: bool = False
 
 
 def _rejection(record: InvariantRecord, flags: StructureFlags) -> Optional[str]:
@@ -73,57 +91,29 @@ def _rejection(record: InvariantRecord, flags: StructureFlags) -> Optional[str]:
     return None
 
 
-class Registry:
-    def __init__(self):
-        self._fixed: dict[str, PrimitiveInfo] = {}
-        self._families: dict[str, Callable[[tuple], PrimitiveInfo]] = {}
-        _install_builtins(self)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._fixed or name in self._families
-
-    def register_primitive(
-        self,
-        name: str,
-        record: InvariantRecord,
-        flags: StructureFlags,
-        capabilities: Optional[dict] = None,
-        complex_surface: bool = False,
-        labels: tuple[str, ...] = (),
-    ) -> PrimitiveInfo:
-        """Add a fixed primitive; raises on duplicate names or bad flags."""
-        if name in self:
-            raise DuplicateName(f"primitive {name!r} already registered")
-        problem = _rejection(record, flags)
-        if problem:
-            raise InconsistentFlags(f"{name}: {problem}")
-        info = PrimitiveInfo(
-            record=record,
-            flags=flags,
-            capabilities=dict(capabilities or {}),
-            complex_surface=complex_surface,
-            labels=labels,
-        )
-        self._fixed[name] = info
-        return info
-
-    def register_family(self, name: str, build: Callable[[tuple], PrimitiveInfo]):
-        if name in self:
-            raise DuplicateName(f"primitive {name!r} already registered")
-        self._families[name] = build
-
-    def instantiate(self, name: str, params: tuple = ()) -> PrimitiveInfo:
-        if name in self._fixed:
-            if params:
-                raise InvalidExpr(f"{name} takes no parameters")
-            return self._fixed[name]
-        if name in self._families:
-            info = self._families[name](params)
-            problem = _rejection(info.record, info.flags)
-            if problem:
-                raise InconsistentFlags(f"{Primitive(name, params)}: {problem}")
-            return info
+def instantiate(name: str, params: tuple = ()) -> PrimitiveInfo:
+    """The primitive ``name(params)`` as the table declares it."""
+    entry = PRIMITIVES.get(name)
+    if entry is None:
         raise InvalidExpr(f"unknown primitive {name!r}")
+    if isinstance(entry, PrimitiveInfo):
+        if params:
+            raise InvalidExpr(f"{name} takes no parameters")
+        return entry
+    info = entry(params)
+    problem = _rejection(info.record, info.flags)
+    if problem:
+        raise InconsistentFlags(f"{Primitive(name, params)}: {problem}")
+    return info
+
+
+def _check_declarations() -> None:
+    """Reject a fixed entry of the table whose declaration is impossible."""
+    for name, entry in PRIMITIVES.items():
+        if isinstance(entry, PrimitiveInfo):
+            problem = _rejection(entry.record, entry.flags)
+            if problem:
+                raise InconsistentFlags(f"{name}: {problem}")
 
 
 def _declared(citation: str, **values) -> StructureFlags:
@@ -132,75 +122,6 @@ def _declared(citation: str, **values) -> StructureFlags:
 
 def _simply_connected(spin: TriState, **extra) -> StructureFlags:
     return _declared("simply connected block", pi1=GroupLabel.trivial(), spin=spin, **extra)
-
-
-def _install_builtins(reg: Registry) -> None:
-    reg.register_primitive(
-        "CP2",
-        InvariantRecord(3, 1, 0),
-        _simply_connected(NO, symplectic=YES, sw_nontrivial=NO, acd=YES),
-        complex_surface=True,
-    )
-    reg.register_primitive(
-        "CP2b",
-        InvariantRecord(3, -1, 0),
-        _simply_connected(NO, symplectic=NO, sw_nontrivial=NO, acd=YES),
-    )
-    reg.register_primitive(
-        "S2xS2",
-        InvariantRecord(4, 0, 0),
-        _simply_connected(YES, symplectic=YES, sw_nontrivial=NO, acd=YES),
-        complex_surface=True,
-    )
-    reg.register_primitive(
-        "K3",
-        InvariantRecord(24, -16, 0),
-        _simply_connected(
-            YES,
-            symplectic=YES,
-            minimal_general_type=NO,
-            acd=YES,
-        ),
-        capabilities={GENUS1: 1, ELLIPTIC_FIBER: 1},
-        complex_surface=True,
-    )
-    reg.register_primitive(
-        "S1xS3",
-        InvariantRecord(0, 0, 1),
-        _declared(
-            "product of circle and 3-sphere",
-            pi1=GroupLabel.presented("Z"),
-            spin=YES,
-            symplectic=NO,
-            sw_nontrivial=NO,
-        ),
-        complex_surface=True,  # Hopf surface
-    )
-    reg.register_primitive(
-        "S4",
-        InvariantRecord(2, 0, 0),
-        _simply_connected(YES, symplectic=NO, sw_nontrivial=NO),
-    )
-    reg.register_primitive(
-        "X442",
-        InvariantRecord(104, -64, 0),
-        _simply_connected(
-            YES,
-            symplectic=YES,
-            minimal_general_type=YES,
-        ),
-        capabilities={GENUS1: 1, GENUS2: 1},
-        complex_surface=True,
-        labels=("hypersurface of tridegree (4,4,2) in (CP1)^3",),
-    )
-
-    reg.register_family("E", _build_elliptic)
-    reg.register_family("Sd", _build_homology_sphere)
-    reg.register_family("Xk", _build_gompf_sum)
-    reg.register_family("XG", _build_group_block)
-    reg.register_family("Y", _build_log_elliptic)
-    reg.register_family("FgProd", _build_surface_product)
-    reg.register_family("BK", _build_geography_block)
 
 
 def _one_int(name: str, params: tuple) -> int:
@@ -233,6 +154,8 @@ def _build_elliptic(params: tuple) -> PrimitiveInfo:
         flags=flags,
         capabilities=caps,
         complex_surface=True,
+        fibers=Fibers(0, 0, 0),
+        sc_fiber_complement=True,
     )
 
 
@@ -267,6 +190,7 @@ def _build_gompf_sum(params: tuple) -> PrimitiveInfo:
         # copies are disjoint; two are assumed available (the linking
         # chain glues this block to a neighbor on each side).
         capabilities={GENUS2: 2},
+        sc_fiber_complement=True,
     )
 
 
@@ -302,11 +226,12 @@ def _build_group_block(params: tuple) -> PrimitiveInfo:
         record=record,
         flags=flags,
         capabilities={GENUS1: 1},
+        group_block=True,
     )
 
 
 def _build_log_elliptic(params: tuple) -> PrimitiveInfo:
-    """Y(j): E(2) log-transformed with odd order; basic class 2j*f."""
+    """Y(j): E(2) log-transformed with odd order 2j+1; basic class 2j*f."""
     j = _one_int("Y", params)
     flags = _simply_connected(
         YES,
@@ -319,6 +244,8 @@ def _build_log_elliptic(params: tuple) -> PrimitiveInfo:
         capabilities={GENUS1: 1, ELLIPTIC_FIBER: 1},
         complex_surface=True,
         labels=(f"basic class 2*{j}*f",),
+        fibers=Fibers(1, 0, 2 * j + 1),
+        sc_fiber_complement=True,
     )
 
 
@@ -384,4 +311,67 @@ def _build_geography_block(params: tuple) -> PrimitiveInfo:
     )
 
 
-REGISTRY = Registry()
+PRIMITIVES: dict[str, Union[PrimitiveInfo, Callable[[tuple], PrimitiveInfo]]] = {
+    "CP2": PrimitiveInfo(
+        InvariantRecord(3, 1, 0),
+        _simply_connected(NO, symplectic=YES, sw_nontrivial=NO, acd=YES),
+        complex_surface=True,
+    ),
+    "CP2b": PrimitiveInfo(
+        InvariantRecord(3, -1, 0),
+        _simply_connected(NO, symplectic=NO, sw_nontrivial=NO, acd=YES),
+    ),
+    "S2xS2": PrimitiveInfo(
+        InvariantRecord(4, 0, 0),
+        _simply_connected(YES, symplectic=YES, sw_nontrivial=NO, acd=YES),
+        complex_surface=True,
+    ),
+    "K3": PrimitiveInfo(  # E(2)
+        InvariantRecord(24, -16, 0),
+        _simply_connected(
+            YES,
+            symplectic=YES,
+            minimal_general_type=NO,
+            acd=YES,
+        ),
+        capabilities={GENUS1: 1, ELLIPTIC_FIBER: 1},
+        complex_surface=True,
+        fibers=Fibers(0, 0, 0),
+        sc_fiber_complement=True,
+    ),
+    "S1xS3": PrimitiveInfo(
+        InvariantRecord(0, 0, 1),
+        _declared(
+            "product of circle and 3-sphere",
+            pi1=GroupLabel.presented("Z"),
+            spin=YES,
+            symplectic=NO,
+            sw_nontrivial=NO,
+        ),
+        complex_surface=True,  # Hopf surface
+    ),
+    "S4": PrimitiveInfo(
+        InvariantRecord(2, 0, 0),
+        _simply_connected(YES, symplectic=NO, sw_nontrivial=NO),
+    ),
+    "X442": PrimitiveInfo(
+        InvariantRecord(104, -64, 0),
+        _simply_connected(
+            YES,
+            symplectic=YES,
+            minimal_general_type=YES,
+        ),
+        capabilities={GENUS1: 1, GENUS2: 1},
+        complex_surface=True,
+        labels=("hypersurface of tridegree (4,4,2) in (CP1)^3",),
+        sc_fiber_complement=True,
+    ),
+    "E": _build_elliptic,
+    "Sd": _build_homology_sphere,
+    "Xk": _build_gompf_sum,
+    "XG": _build_group_block,
+    "Y": _build_log_elliptic,
+    "FgProd": _build_surface_product,
+    "BK": _build_geography_block,
+}
+_check_declarations()

@@ -22,7 +22,7 @@ from fourcalc.expr import (
     connected_sum_of,
     sum_parts,
 )
-from fourcalc.registry import REGISTRY
+from fourcalc.registry import PRIMITIVES, instantiate
 
 # One token per match.  ``bad`` matches a character no token begins with;
 # the tokenizer reports the first one.
@@ -259,7 +259,7 @@ class _Parser:
         pos = self.pos
         tok = tokens[pos]
         name = tok.text
-        if name not in REGISTRY:
+        if name not in PRIMITIVES:
             raise UnknownPrimitive(f"unknown primitive {name!r}", *_position(self.text, tok.offset))
         pos += 1
         params: list = []
@@ -287,7 +287,7 @@ class _Parser:
         node = self.primitives.get(key)
         if node is None:
             try:
-                REGISTRY.instantiate(*key)
+                instantiate(*key)
             except (InvalidExpr, InconsistentFlags) as exc:
                 self.error(str(exc), tok)
             node = self.primitives[key] = Primitive(*key)

@@ -8,10 +8,11 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 
-from fourcalc import covers
+from fourcalc import covers, registry
 from fourcalc.certificates import verify_certificate
 from fourcalc.errors import InconsistentFlags
 from fourcalc.evaluate import eval_invariants, evaluate
@@ -30,7 +31,7 @@ from fourcalc.geography import (
 )
 from fourcalc.invariants import InvariantRecord
 from fourcalc.obstruction import spin_einstein
-from fourcalc.registry import Registry
+from fourcalc.registry import PrimitiveInfo
 from fourcalc.reproduce import run_target
 from fourcalc.rewrite import normalize
 from tests.test_composition_oracle import two_step_composition
@@ -242,8 +243,8 @@ def test_criterion_8_property_suites():
             total += 1
     assert total > 200
 
-    # Rohlin inconsistency detection on 20 adversarial registrations.
-    registry = Registry()
+    # Rohlin inconsistency detection on 20 adversarial declarations, each
+    # a fixed entry of the primitive table checked as at import.
     rejected = 0
     for index in range(20):
         tau = rng.randint(-40, 40) * 16 + rng.randint(1, 15)
@@ -251,7 +252,9 @@ def test_criterion_8_property_suites():
         if (chi + tau) % 2:
             chi += 1
         flags = StructureFlags().cite(spin=YES, rule="declared", citation="adversarial")
-        with pytest.raises(InconsistentFlags):
-            registry.register_primitive(f"Bad{index}", InvariantRecord(chi, tau, 0), flags)
+        bad = PrimitiveInfo(InvariantRecord(chi, tau, 0), flags)
+        with mock.patch.dict(registry.PRIMITIVES, {f"Bad{index}": bad}):
+            with pytest.raises(InconsistentFlags, match=f"^Bad{index}: .*Rohlin"):
+                registry._check_declarations()
         rejected += 1
     assert rejected == 20

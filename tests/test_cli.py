@@ -319,10 +319,16 @@ class TestNormalizeAndEnumerate:
             ("enumerate", "bk", "--bounds", "10,10", "--eps-prime", "1/0"),
             ("enumerate", "free-actions", "--d", "2", "--bounds", "10,10", "--eps", "1/0"),
             ("enumerate", "free-actions", "--d", "2", "--bounds", "10,10", "--c", "y"),
+            # An empty value is malformed, not the default.
+            ("enumerate", "free-actions", "--d", "2", "--eps=", "--bounds", "10,10"),
+            ("enumerate", "bk", "--bounds", "10,10", "--eps-prime="),
+            ("enumerate", "bk", "--bounds", "10,10", "--c="),
+            ("enumerate", "free-actions", "--d", "2", "--bounds", "10,10", "--c", ""),
         ):
             code, out, err = run_cli(capsys, *argv)  # nothing may propagate
             assert code == 2 and out == ""
             assert err.startswith("bad --") and len(err.splitlines()) == 1
+        assert err == "bad --c '': expected a fraction\n"
 
 
 class TestReproduce:

@@ -25,7 +25,7 @@ def two_step_composition(d, p, a, b, m, n) -> InvariantRecord:
     """Cover along (da, db) first, then along the proper transform of the
     (pm, pn) curve, using only the single-cover operations."""
     step_one = covers.cyclic_cover_invariants(
-        covers.BASE_RECORDS[QUADRIC],
+        covers.BASES[QUADRIC].record,
         covers.BASE_C1[QUADRIC],
         d,
         DivisorClass(QUADRIC, (a, b)),

@@ -40,12 +40,12 @@ class TestBranchCurveEuler:
 class TestCyclicCover:
     def test_octic_double_plane(self):
         rec = covers.cyclic_cover_invariants(
-            covers.BASE_RECORDS["CP2"], covers.BASE_C1["CP2"], 2, DivisorClass("CP2", (4,))
+            covers.BASES["CP2"].record, covers.BASE_C1["CP2"], 2, DivisorClass("CP2", (4,))
         )
         assert (rec.c2, rec.c1sq, rec.tau) == (46, 2, -30)
 
     def test_degree_one_is_identity(self):
-        base = covers.BASE_RECORDS[QUADRIC]
+        base = covers.BASES[QUADRIC].record
         rec = covers.cyclic_cover_invariants(
             base, covers.BASE_C1[QUADRIC], 1, DivisorClass(QUADRIC, (3, 2))
         )
@@ -53,7 +53,7 @@ class TestCyclicCover:
 
     def test_quadric_double_cover(self):
         rec = covers.cyclic_cover_invariants(
-            covers.BASE_RECORDS[QUADRIC],
+            covers.BASES[QUADRIC].record,
             covers.BASE_C1[QUADRIC],
             2,
             DivisorClass(QUADRIC, (1, 1)),

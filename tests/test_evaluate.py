@@ -5,22 +5,30 @@ chain costs work linear in its depth.  The fundamental group and the
 Seiberg-Witten flags of log-transform towers read those facts."""
 
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fourcalc.evaluate as evaluate_module
+from fourcalc import registry
 from fourcalc.errors import AdmissibilityFail, FourcalcError, MissingCapability
-from fourcalc.evaluate import _ELLIPTIC, _SC_COMPLEMENT, evaluate
+from fourcalc.evaluate import evaluate
 from fourcalc.expr import FiberSum, LogTransform, Primitive, Quotient, connected_sum_of
-from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel
+from fourcalc.flags import NO, UNKNOWN, YES, GroupLabel, StructureFlags
+from fourcalc.invariants import InvariantRecord
 from fourcalc.parser import parse_dsl
 
 from .work import line_events
 
 # Reference: the walkers the evaluator used before the facts moved into
-# Evaluation, kept verbatim.
+# Evaluation, kept verbatim, with their own name sets.  Elliptic
+# surfaces: E(n), K3 = E(2), and Y(j), E(2) with one odd multiple fiber.
+_ELLIPTIC = {"E", "K3", "Y"}
+# Primitives whose distinguished fiber/surface has simply connected
+# complement, letting fiber sums kill the fiber's fundamental-group image.
+_SC_COMPLEMENT = {"E", "Y", "K3", "X442", "Xk"}
 
 
 def _named(sub, names):
@@ -117,12 +125,53 @@ def test_carried_facts_agree_with_the_tree_walkers(leaf, steps):
             ev = evaluate(wrapped)
         except FourcalcError:
             return  # e.g. a missing capability: nothing above it evaluates
-        for names in (_ELLIPTIC, _SC_COMPLEMENT):
-            assert (ev.tower_base in names) == _named(plain, names)
+        assert (ev.fibers is not None) == _named(plain, _ELLIPTIC)
+        assert ev.sc_fiber_complement == _named(plain, _SC_COMPLEMENT)
         assert (ev.fibers and ev.fibers[:2]) == _multiple_fibers(plain)
         if ev.fibers is not None:
             assert ev.fibers.gcd == _fiber_gcd(plain)
         assert ev.group_block == _carries_group_block(plain)
+
+
+def test_a_new_elliptic_primitive_is_one_table_entry():
+    # E(2) under a new name, declared only in the table: the fiber-sum and
+    # log-transform rules read its declaration, not its name.
+    flags = StructureFlags().cite(
+        pi1=GroupLabel.trivial(), spin=YES, rule="declared", citation="test block"
+    )
+    block = registry.PrimitiveInfo(
+        InvariantRecord(24, -16, 0),
+        flags,
+        capabilities={registry.GENUS1: 1, registry.ELLIPTIC_FIBER: 1},
+        fibers=registry.Fibers(0, 0, 0),
+        sc_fiber_complement=True,
+    )
+    new = Primitive("NewElliptic")
+    with mock.patch.dict(registry.PRIMITIVES, {"NewElliptic": block}):
+        # Its fiber has simply connected complement: XG keeps its group.
+        group_sum = evaluate(FiberSum(Primitive("XG", (24, -16, "G")), new, 1))
+        assert group_sum.flags.pi1 == GroupLabel.presented("G")
+        # It is elliptic: two multiple fibers give Z/gcd(3, 9).
+        tower = evaluate(_tower(new, [3, 9]))
+        assert tower.fibers == (2, 0, 3)
+        assert tower.flags.pi1 == GroupLabel.cyclic(3)
+
+
+@pytest.mark.parametrize("partner, sc_complement", [
+    (Primitive("X442"), True),  # not elliptic
+    (Primitive("Y", (2,)), True),
+    (Primitive("NoScComplement"), False),
+], ids=["X442", "Y(2)", "undeclared"])
+def test_the_group_block_keeps_its_group_along_a_declared_complement(partner, sc_complement):
+    # The fiber-sum rule reads the declared complement, not the fibers.
+    block = registry.PrimitiveInfo(
+        InvariantRecord(24, -16, 0),
+        StructureFlags().cite(pi1=GroupLabel.trivial(), rule="declared", citation="test block"),
+        capabilities={registry.GENUS1: 1},
+    )
+    with mock.patch.dict(registry.PRIMITIVES, {"NoScComplement": block}):
+        pi1 = evaluate(FiberSum(Primitive("XG", (24, -16, "G")), partner, 1)).flags.pi1
+    assert pi1 == (GroupLabel.presented("G") if sc_complement else GroupLabel.unknown())
 
 
 def _line_events(expr) -> int:

@@ -183,6 +183,40 @@ def test_deepcopy_of_a_deep_tree_is_the_tree():
     assert copy.deepcopy(tower) is tower
 
 
+@pytest.mark.parametrize("step", [step for step, _, _ in DEEP],
+                         ids=["log-transform tower", "fiber-sum chain"])
+def test_pickle_and_repr_of_a_deep_tree_do_not_recurse(step):
+    # A tree pickles as the post-order list of its composite nodes, and
+    # repr walks it with an explicit stack, so both work at the default
+    # recursion limit.
+    tree = _deep(step, 10_000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        assert pickle.loads(pickle.dumps(tree)) is tree
+        text = repr(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.count(f"{type(tree).__name__}(") == 10_000
+
+
+def test_repr_reads_like_the_dataclass_repr():
+    tree = connected_sum_of(
+        (LogTransform(Primitive("E", (2,)), 3), 2),
+        (Quotient(BicyclicCover(3, 2, 3, 3, 3, 3), 3, "weighted"), 1),
+        (FiberSum(Primitive("K3"), Primitive("K3"), 1), 1),
+    )
+    assert repr(tree) == (
+        "ConnectedSum(parts=((LogTransform(inner=Primitive(name='E', params=(2,)), "
+        "multiplicity=3), 2), (Quotient(inner=BicyclicCover(d=3, p=2, a=3, b=3, m=3, n=3), "
+        "d=3, action='weighted'), 1), (FiberSum(left=Primitive(name='K3', params=()), "
+        "right=Primitive(name='K3', params=()), genus=1), 1)))"
+    )
+    assert repr(ConnectedSum(((Primitive("K3"), 2),))) == (
+        "ConnectedSum(parts=((Primitive(name='K3', params=()), 2),))"
+    )
+
+
 def test_printing_costs_linear_work():
     # A walk that printed a subtree again at each level above it would
     # make both quadratic, with a ratio of about 4 between depths 200 and 100.

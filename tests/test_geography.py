@@ -24,7 +24,6 @@ from fourcalc.evaluate import evaluate
 from fourcalc.expr import FiberSum, Primitive
 from fourcalc.flags import Parity, W2Type
 from fourcalc.invariants import InvariantRecord
-from fourcalc.registry import REGISTRY
 from fourcalc.geography import (
     CITE_GEOGRAPHY,
     GeographyQuery,
@@ -377,7 +376,7 @@ def test_broken_block_record_raises_at_its_point():
     query = GeographyQuery(2, Fraction(1, 2), Fraction(10), (24, 30))
     last = free_action_region(query)[-1]
     broken_params = (last.m // 2, (3 * last.n) // 4 + 1, 0)
-    build = REGISTRY._families["BK"]
+    build = registry.PRIMITIVES["BK"]
 
     def broken(params):
         info = build(params)
@@ -386,7 +385,7 @@ def test_broken_block_record_raises_at_its_point():
         rec = info.record
         return dataclasses.replace(info, record=InvariantRecord(rec.chi + 4, rec.tau, rec.b1))
 
-    with mock.patch.dict(REGISTRY._families, {"BK": broken}):
+    with mock.patch.dict(registry.PRIMITIVES, {"BK": broken}):
         with pytest.raises(AssertionError):
             free_action_region(query)
     assert free_action_region(query)[-1] == last
@@ -428,11 +427,11 @@ def test_homology_sphere_built_once_per_d():
     assert info.misses == 2 and info.hits >= reads - 2
     fresh = build.__wrapped__((3,))
     for _ in range(2):
-        cached = REGISTRY.instantiate("Sd", (3,))
+        cached = registry.instantiate("Sd", (3,))
         assert (cached.record, cached.flags) == (fresh.record, fresh.flags)
     for call in range(1, 3):  # a failed build is not cached: it runs and raises again
         with pytest.raises(InvalidExpr):
-            REGISTRY.instantiate("Sd", (0,))
+            registry.instantiate("Sd", (0,))
         assert build.cache_info().misses == 2 + call
 
 

@@ -3,11 +3,12 @@ obstructions, the SW flags they read, homeomorphism keys, certificates."""
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourcalc import obstruction
+from fourcalc import obstruction, registry
 from fourcalc.certificates import verify_certificate
 from fourcalc.errors import NoSplit, UnknownFlag, UnsupportedGroup
 from fourcalc.evaluate import evaluate
@@ -34,7 +35,7 @@ from fourcalc.obstruction import (
     lebrun_einstein,
     spin_einstein,
 )
-from fourcalc.registry import REGISTRY, Registry
+from fourcalc.registry import PrimitiveInfo
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
@@ -227,8 +228,7 @@ def assert_cited_iff_known(expr):
 
 
 def test_primitive_flags_have_provenance():
-    builtins = Registry()
-    assert {p.name for p in PRIMITIVES} == set(builtins._fixed) | set(builtins._families)
+    assert {p.name for p in PRIMITIVES} == set(registry.PRIMITIVES)
     for primitive in PRIMITIVES:
         assert_cited_iff_known(primitive)
 
@@ -254,12 +254,10 @@ class TestLebrun:
         assert any("1 + 4*0 >=" in (s.arithmetic or "") for s in cert.steps)
 
     def test_uncited_declared_sw(self):
-        # The public registry takes flags without provenance records.
-        if "UncitedSwBlock" not in REGISTRY:
-            REGISTRY.register_primitive(
-                "UncitedSwBlock", InvariantRecord(10, 2, 0), StructureFlags(sw_nontrivial=YES)
-            )
-        cert = certify(lebrun_einstein(Primitive("UncitedSwBlock"), 20, 0))
+        # The primitive table takes flags without provenance records.
+        block = PrimitiveInfo(InvariantRecord(10, 2, 0), StructureFlags(sw_nontrivial=YES))
+        with mock.patch.dict(registry.PRIMITIVES, {"UncitedSwBlock": block}):
+            cert = certify(lebrun_einstein(Primitive("UncitedSwBlock"), 20, 0))
         assert cert.verdict == "einstein_obstructed"
         assert cert.steps[0].rule == "sw-nontrivial:declared"
         assert cert.steps[0].citation == "registry block"
@@ -428,16 +426,15 @@ class TestSpinEinstein:
         assert any("mod(19 + 3 + 3 + 3, 8) == 4" in (s.arithmetic or "") for s in cert.steps)
 
     def test_congruence_failure_is_named(self):
-        if "FlatPiece" not in REGISTRY:
-            REGISTRY.register_primitive(
-                "FlatPiece",
-                InvariantRecord(4, 0, 0),
-                StructureFlags().cite(
-                    sw_mod2_nontrivial=YES, rule="declared", citation="test fixture"
-                ),
-            )
+        block = PrimitiveInfo(
+            InvariantRecord(4, 0, 0),
+            StructureFlags().cite(
+                sw_mod2_nontrivial=YES, rule="declared", citation="test fixture"
+            ),
+        )
         pieces = [Primitive("X442"), Primitive("Y", (1,)), Primitive("FlatPiece"), K3]
-        cert = certify(spin_einstein(pieces, 3, SPHERE2))
+        with mock.patch.dict(registry.PRIMITIVES, {"FlatPiece": block}):
+            cert = certify(spin_einstein(pieces, 3, SPHERE2))
         assert cert.verdict == "no_verdict"
         assert any("b2plus-congruence" in s.rule for s in cert.steps if "failed" in s.rule)
 
@@ -528,25 +525,26 @@ class TestHomeo:
         assert "pi1: Z/2 vs Z/3" in [s.rule for s in cert.steps]
 
     def test_unknown_betti_numbers_shown_as_unknown(self):
-        if "HalfKnownPiece" not in REGISTRY:
-            REGISTRY.register_primitive(
-                "HalfKnownPiece",
-                InvariantRecord(3, 1, None),
-                StructureFlags().cite(
-                    parity=Parity.ODD,
-                    pi1=GroupLabel.trivial(),
-                    rule="declared",
-                    citation="test fixture",
-                ),
-            )
+        block = PrimitiveInfo(
+            InvariantRecord(3, 1, None),
+            StructureFlags().cite(
+                parity=Parity.ODD,
+                pi1=GroupLabel.trivial(),
+                rule="declared",
+                citation="test fixture",
+            ),
+        )
         piece = Primitive("HalfKnownPiece")
-        cert = certify(homeo_equal(piece, Primitive("S2xS2")))
-        assert cert.verdict == "not_homeomorphic"
-        assert [s.rule for s in cert.steps][:2] == ["b2plus: unknown vs 1", "b2minus: unknown vs 1"]
-        assert cert.inputs["left_key"]["b2plus"] is None
-        # Against CP2 every known field agrees: the unknown ones block.
-        with pytest.raises(UnknownFlag):
-            homeo_equal(piece, CP2)
+        with mock.patch.dict(registry.PRIMITIVES, {"HalfKnownPiece": block}):
+            cert = certify(homeo_equal(piece, Primitive("S2xS2")))
+            assert cert.verdict == "not_homeomorphic"
+            assert [s.rule for s in cert.steps][:2] == [
+                "b2plus: unknown vs 1", "b2minus: unknown vs 1"
+            ]
+            assert cert.inputs["left_key"]["b2plus"] is None
+            # Against CP2 every known field agrees: the unknown ones block.
+            with pytest.raises(UnknownFlag):
+                homeo_equal(piece, CP2)
 
     def test_betti_mismatch_decides_whatever_the_group(self):
         # pi1 = Z is outside the classification, but b2+ and b2- are

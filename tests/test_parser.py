@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fourcalc import parser as parser_module
 from fourcalc.errors import DslSyntaxError, UnknownPrimitive
 from fourcalc.expr import (
     BicyclicCover,
@@ -18,7 +19,6 @@ from fourcalc.expr import (
     connected_sum_of,
 )
 from fourcalc.parser import _token_position, _tokenize, parse_dsl
-from fourcalc.registry import Registry
 
 from .reference_parser import reference_parse_dsl
 
@@ -132,13 +132,13 @@ class TestPrimitiveChecks:
     @pytest.fixture
     def instantiations(self, monkeypatch):
         calls = []
-        instantiate = Registry.instantiate
+        instantiate = parser_module.instantiate
 
-        def counting(registry, name, params=()):
+        def counting(name, params=()):
             calls.append((name, params))
-            return instantiate(registry, name, params)
+            return instantiate(name, params)
 
-        monkeypatch.setattr(Registry, "instantiate", counting)
+        monkeypatch.setattr(parser_module, "instantiate", counting)
         return calls
 
     def test_each_distinct_primitive_is_checked_once_per_parse(self, instantiations):

@@ -1,13 +1,27 @@
-"""Primitive registry: built-in blocks, registration and validation."""
+"""The primitive table: built-in blocks, declarations and their checks.
+
+A test declares a block as a scoped patch of the table, which the
+autouse fixture in ``conftest.py`` makes sure is undone."""
+
+from unittest import mock
 
 import pytest
 
-from fourcalc.errors import DuplicateName, InconsistentFlags, InvalidExpr
+from fourcalc import registry
+from fourcalc.errors import InconsistentFlags, InvalidExpr
 from fourcalc.evaluate import eval_invariants, evaluate, infer_flags
 from fourcalc.expr import Primitive
 from fourcalc.flags import NO, YES, GroupLabel, Parity, StructureFlags, W2Type
 from fourcalc.invariants import InvariantRecord
-from fourcalc.registry import REGISTRY, Registry
+from fourcalc.registry import PRIMITIVES, PrimitiveInfo, instantiate
+
+
+def _rejected(name, record, flags):
+    """The message with which the import-time check rejects the fixed entry ``name``."""
+    with mock.patch.dict(PRIMITIVES, {name: PrimitiveInfo(record, flags)}):
+        with pytest.raises(InconsistentFlags) as err:
+            registry._check_declarations()
+    return str(err.value)
 
 
 def test_standard_generators():
@@ -80,62 +94,50 @@ def test_geography_block_record():
 
 
 def test_register_round_trip():
-    reg = Registry()
     rec = InvariantRecord(10, 2, 0)
     flags = StructureFlags(pi1=GroupLabel.trivial()).cite(
         spin=NO, rule="declared", citation="test block"
     )
-    reg.register_primitive("TestBlock", rec, flags)
-    assert reg.instantiate("TestBlock").record == rec
+    info = PrimitiveInfo(rec, flags)
+    with mock.patch.dict(PRIMITIVES, {"TestBlock": info}):
+        registry._check_declarations()
+        assert instantiate("TestBlock") is info
+        with pytest.raises(InvalidExpr, match="TestBlock takes no parameters"):
+            instantiate("TestBlock", (1,))
+    with pytest.raises(InvalidExpr, match="unknown primitive 'TestBlock'"):
+        instantiate("TestBlock")
 
 
 def test_register_then_eval_round_trip():
-    # Through the shared registry and the evaluator: the record comes
-    # back unchanged (module-scoped unique name keeps reruns happy).
+    # Through the table and the evaluator: the record comes back unchanged.
     name = "RoundTripBlock"
     rec = InvariantRecord(14, -2, 0)
-    if name not in REGISTRY:
-        REGISTRY.register_primitive(
-            name,
-            rec,
-            StructureFlags(pi1=GroupLabel.trivial()).cite(
-                spin=NO, rule="declared", citation="test block"
-            ),
-        )
-    assert eval_invariants(Primitive(name)) == rec
-
-
-def test_register_duplicate_rejected():
-    reg = Registry()
-    rec = InvariantRecord(4, 0, 0)
-    reg.register_primitive("Dup", rec, StructureFlags())
-    with pytest.raises(DuplicateName):
-        reg.register_primitive("Dup", rec, StructureFlags())
-    with pytest.raises(DuplicateName):
-        reg.register_primitive("K3", rec, StructureFlags())
+    flags = StructureFlags(pi1=GroupLabel.trivial()).cite(
+        spin=NO, rule="declared", citation="test block"
+    )
+    with mock.patch.dict(PRIMITIVES, {name: PrimitiveInfo(rec, flags)}):
+        assert eval_invariants(Primitive(name)) == rec
 
 
 def test_register_rohlin_violation_rejected():
-    reg = Registry()
     bad = StructureFlags().cite(spin=YES, rule="declared", citation="bogus")
     # Rohlin's theorem holds whatever b1 is.
     for record in (InvariantRecord(46, -30, 0), InvariantRecord(46, -30, 1)):
-        with pytest.raises(InconsistentFlags, match="Rohlin"):
-            reg.register_primitive("Bad", record, bad)
+        assert _rejected("Bad", record, bad) == (
+            "Bad: declared spin with tau=-30 not divisible by 16 (Rohlin)"
+        )
 
 
 def test_unrealizable_records_rejected():
     # chi + tau odd makes b2+ and b2- half-integral.
-    with pytest.raises(InconsistentFlags, match="chi \\+ tau must be even"):
-        Registry().register_primitive("Odd", InvariantRecord(213, -106, 0), StructureFlags())
+    message = _rejected("Odd", InvariantRecord(213, -106, 0), StructureFlags())
+    assert message == "Odd: chi + tau must be even"
     # b2 < |tau| makes b2+ or b2- negative.
     with pytest.raises(InconsistentFlags, match="b2 < \\|tau\\|"):
-        REGISTRY.instantiate("BK", (1, 100, 0))
+        instantiate("BK", (1, 100, 0))
 
 
 def test_instantiation_names_a_block_only_to_reject_it(monkeypatch):
-    import fourcalc.registry as registry
-
     built = []
 
     class CountingPrimitive(Primitive):
@@ -145,27 +147,25 @@ def test_instantiation_names_a_block_only_to_reject_it(monkeypatch):
 
     monkeypatch.setattr(registry, "Primitive", CountingPrimitive)
     for name, params in (("E", (3,)), ("XG", (24, -16, "G", 2)), ("BK", (10, 20, 1)), ("Y", (2,))):
-        REGISTRY.instantiate(name, params)
+        instantiate(name, params)
     assert built == []
     with pytest.raises(InconsistentFlags) as err:
-        REGISTRY.instantiate("BK", (1, 100, 0))
+        instantiate("BK", (1, 100, 0))
     assert str(err.value) == "BK(1,100,0): b2 < |tau|"
     assert built == [("BK", (1, 100, 0))]
 
 
 def test_register_w2type_spin_coherence():
-    reg = Registry()
     bad = StructureFlags(w2type=W2Type.II).cite(
         spin=NO, rule="declared", citation="bogus"
     )
-    with pytest.raises(InconsistentFlags):
-        reg.register_primitive("Bad2", InvariantRecord(4, 0, 0), bad)
+    assert _rejected("Bad2", InvariantRecord(4, 0, 0), bad) == "Bad2: w2-type II means spin"
     ok = StructureFlags().cite(spin=YES, rule="declared", citation="fine")
-    reg.register_primitive("Fine", InvariantRecord(4, 0, 0), ok)
     # The evaluator fills in what declared spin entails.
-    if "SpinCoherentBlock" not in REGISTRY:
-        REGISTRY.register_primitive("SpinCoherentBlock", InvariantRecord(4, 0, 0), ok)
-    flags = infer_flags(Primitive("SpinCoherentBlock"))
+    block = PrimitiveInfo(InvariantRecord(4, 0, 0), ok)
+    with mock.patch.dict(PRIMITIVES, {"SpinCoherentBlock": block}):
+        registry._check_declarations()
+        flags = infer_flags(Primitive("SpinCoherentBlock"))
     assert flags.parity is Parity.EVEN and flags.w2type is W2Type.II
     assert [(p.field, p.rule) for p in flags.provenance][-2:] == [
         ("parity", "spin-entails"),
@@ -175,8 +175,8 @@ def test_register_w2type_spin_coherence():
 
 def test_unknown_primitive_and_bad_params():
     with pytest.raises(InvalidExpr):
-        REGISTRY.instantiate("NoSuch")
+        instantiate("NoSuch")
     with pytest.raises(InvalidExpr):
-        REGISTRY.instantiate("E", (0,))
-    with pytest.raises(InvalidExpr):
-        REGISTRY.instantiate("K3", (1,))
+        instantiate("E", (0,))
+    with pytest.raises(InvalidExpr, match="^K3 takes no parameters$"):
+        instantiate("K3", (1,))
