@@ -5,11 +5,12 @@ The formulas assume nodes that their constructors validated and the
 evaluator admitted: positive degrees, a flexible branch, a known action,
 and a simply connected cover under a quotient of order at least 2.
 
-Conventions.  Only two bases occur: CP2 with hyperplane degree classes,
-and the quadric CP1xCP1 with bidegree classes.  The intersection pairing
-is hardcoded per base (k * k' on CP2, (p,q)*(p',q') = p q' + q p' on the
-quadric).  Signed classes (e.g. first Chern classes of covers) are plain
-integer tuples; effective branch divisors use :class:`DivisorClass`.
+Conventions.  ``BASES`` declares each base once: CP2 with hyperplane
+degree classes and the quadric CP1xCP1 with bidegree classes, with the
+Gram matrix of the intersection form and c1 that the pairing and the
+adjunction formula read.  Signed classes (e.g. first Chern classes of
+covers) are plain integer tuples; effective branch divisors use
+:class:`DivisorClass`.
 
 Free actions are admitted by gcd conditions; ``action_admissibility``
 returns the text of each failing condition, so an empty result means free.
@@ -18,22 +19,36 @@ returns the text of each failing condition, so an empty result means free.
 from __future__ import annotations
 
 from math import gcd
+from typing import NamedTuple
 
 from fourcalc.errors import NonIntegralQuotient
 from fourcalc.expr import CP2_BASE, QUADRIC_BASE, DivisorClass
 from fourcalc.invariants import InvariantRecord
-from fourcalc.registry import PRIMITIVES
+from fourcalc.registry import PRIMITIVES, Evaluation
 
-# The bases as the primitive table declares them; CP1xCP1 is S2xS2.
-BASES = {CP2_BASE: PRIMITIVES["CP2"], QUADRIC_BASE: PRIMITIVES["S2xS2"]}
-BASE_C1 = {CP2_BASE: (3,), QUADRIC_BASE: (2, 2)}
+
+class Base(NamedTuple):
+    entry: Evaluation  # as the primitive table declares it
+    gram: tuple[tuple[int, ...], ...]  # the intersection form on degree classes
+    c1: tuple[int, ...]
+    acd_citation: str
+
+
+BASES = {
+    CP2_BASE: Base(
+        PRIMITIVES["CP2"], ((1,),), (3,),
+        "cyclic covers of ACD surfaces branched along hypersurface sections are ACD",
+    ),
+    QUADRIC_BASE: Base(  # CP1xCP1 is S2xS2
+        PRIMITIVES["S2xS2"], ((0, 1), (1, 0)), (2, 2),
+        "iterated cyclic covers of the quadric are almost completely decomposable",
+    ),
+}
 
 
 def pairing(base: str, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    """Intersection number of two (possibly signed) classes."""
-    if base == CP2_BASE:
-        return x[0] * y[0]
-    return x[0] * y[1] + x[1] * y[0]
+    """Intersection number x^T Q y of two (possibly signed) classes."""
+    return sum(xi * q * yj for xi, row in zip(x, BASES[base].gram) for q, yj in zip(row, y))
 
 
 def self_intersection(base: str, x: tuple[int, ...]) -> int:
@@ -43,14 +58,10 @@ def self_intersection(base: str, x: tuple[int, ...]) -> int:
 def branch_curve_euler(cls: DivisorClass) -> int:
     """Euler characteristic of a smooth curve in the given class.
 
-    Adjunction: on CP2 a degree-k curve has genus (k-1)(k-2)/2; on the
-    quadric a bidegree-(p, q) curve has genus (p-1)(q-1).
+    Adjunction: 2 - 2g = -(K.C + C.C) with K = -c1, so chi = c1.C - C.C.
     """
-    if cls.base == CP2_BASE:
-        k = cls.degrees[0]
-        return 2 - (k - 1) * (k - 2)
-    p, q = cls.degrees
-    return 2 * (p + q) - 2 * p * q
+    c = cls.degrees
+    return pairing(cls.base, BASES[cls.base].c1, c) - self_intersection(cls.base, c)
 
 
 def cyclic_cover_invariants(
@@ -144,6 +155,6 @@ def ample_canonical(d: int, p: int, a: int, b: int, m: int, n: int) -> bool:
 
 def cyclic_cover_ample(base: str, d: int, line_bundle: DivisorClass) -> bool:
     """K of the cover is ample iff (d-1)L - c1(base) is positive."""
-    c1 = BASE_C1[base]
+    c1 = BASES[base].c1
     return all((d - 1) * l - c > 0 for l, c in zip(line_bundle.degrees, c1))
 

@@ -1,9 +1,9 @@
 """Structural evaluation of manifold expressions.
 
-``evaluate`` produces an :class:`Evaluation` bundle: exact invariants,
-structure flags with provenance, remaining capability tags and
-smooth-structure labels.  Evaluation is pure and memoized; equal trees
-give identical results.
+``evaluate`` produces an :class:`Evaluation`, the form in which the
+primitive table declares its entries: exact invariants, flags with
+provenance, capability tags, labels and the facts that rules read.
+Evaluation is pure and memoized; equal trees give identical results.
 
 Each node kind has one rule in ``_RULES``, called with the node and the
 evaluations of its ``children``.  ``evaluate`` walks the nodes not cached
@@ -33,9 +33,9 @@ even forms); only the signature rules and odd-order-group rule apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from math import gcd
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from fourcalc import covers
 from fourcalc.errors import (
@@ -45,6 +45,7 @@ from fourcalc.errors import (
     MissingCapability,
 )
 from fourcalc.expr import (
+    QUADRIC_BASE,
     BicyclicCover,
     ConnectedSum,
     CyclicCover,
@@ -65,7 +66,7 @@ from fourcalc.flags import (
     W2Type,
 )
 from fourcalc.invariants import InvariantRecord, connected_sum_record, rohlin_compatible
-from fourcalc.registry import ELLIPTIC_FIBER, Fibers, genus_cap, instantiate
+from fourcalc.registry import ELLIPTIC_FIBER, Evaluation, Fibers, genus_cap, instantiate
 
 _CITE_ROHLIN = "Rohlin: spin forces tau = 0 mod 16"
 _CITE_SUM_SPIN = "w2 is additive under connected sum"
@@ -74,8 +75,6 @@ _CITE_TAU8 = "smooth even intersection forms have signature divisible by 8"
 _CITE_SC = "simply connected: intersection form even iff spin"
 _CITE_COVER_SPIN = "spin structures pull back to covers"
 _CITE_FLEXIBLE = "flexible branch loci give simply connected covers"
-_CITE_ACD_QUADRIC = "iterated cyclic covers of the quadric are almost completely decomposable"
-_CITE_ACD_CP2 = "cyclic covers of ACD surfaces branched along hypersurface sections are ACD"
 _CITE_AMPLE = "ample canonical bundle: minimal surface of general type"
 _CITE_KAEHLER_QUOTIENT = "free holomorphic quotients of minimal general type stay minimal general type"
 _CITE_GOMPF_SUM = "symplectic sum along square-zero surfaces"
@@ -94,25 +93,6 @@ _SW_FIELDS = ("sw_nontrivial", "sw_mod2_nontrivial")
 _ALL_UNKNOWN = StructureFlags()
 # pi1 of E(n) with three or more multiple fibers.
 _ORBIFOLD_GROUP = GroupLabel.presented("orbifold group of the base sphere")
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    record: InvariantRecord
-    flags: StructureFlags
-    capabilities: dict = field(default_factory=dict)
-    labels: tuple[str, ...] = ()
-    complex_surface: bool = False
-    # Facts the fiber-sum and log-transform rules read, each set from the
-    # direct children and declared by the primitive table at the leaves:
-    # the multiple fibers of an elliptic surface under log transforms;
-    # whether the primitive at the bottom of a log-transform tower has a
-    # distinguished fiber with simply connected complement; whether the
-    # node is built on the prescribed-group block XG through fiber sums
-    # and log transforms.
-    fibers: Optional[Fibers] = None
-    sc_fiber_complement: bool = False
-    group_block: bool = False
 
 
 def _fill(flags: StructureFlags, rule: str, citation: str, **values) -> StructureFlags:
@@ -153,7 +133,7 @@ def _finish(
 
 
 def _eval_primitive(expr: Primitive) -> Evaluation:
-    # Each field of the declaration is an Evaluation field of the same name.
+    # The declaration is an Evaluation: finish it with the generic rules.
     info = instantiate(expr.name, expr.params)
     return _finish(**dict(vars(info), capabilities=dict(info.capabilities)))
 
@@ -174,18 +154,17 @@ def _eval_cyclic(expr: CyclicCover) -> Evaluation:
         raise InvalidExpr("cover not constructible: flexibility")
     line = expr.branch.divided_by(expr.d)
     base = covers.BASES[expr.base]
-    record = covers.cyclic_cover_invariants(base.record, covers.BASE_C1[expr.base], expr.d, line)
+    record = covers.cyclic_cover_invariants(base.entry.record, base.c1, expr.d, line)
     if expr.d == 1:
-        return _finish(record, base.flags, complex_surface=True)
-    acd_cite = _CITE_ACD_CP2 if expr.base == "CP2" else _CITE_ACD_QUADRIC
-    flags = _cover_flags(covers.cyclic_cover_ample(expr.base, expr.d, line), acd_cite)
+        return _finish(record, base.entry.flags, complex_surface=True)
+    flags = _cover_flags(covers.cyclic_cover_ample(expr.base, expr.d, line), base.acd_citation)
     return _finish(record, flags, complex_surface=True)
 
 
 def _eval_bicyclic(expr: BicyclicCover) -> Evaluation:
     record = covers.bicyclic_invariants(expr.d, expr.p, expr.a, expr.b, expr.m, expr.n)
     ample = covers.ample_canonical(expr.d, expr.p, expr.a, expr.b, expr.m, expr.n)
-    flags = _cover_flags(ample, _CITE_ACD_QUADRIC)
+    flags = _cover_flags(ample, covers.BASES[QUADRIC_BASE].acd_citation)
     return _finish(record, flags, complex_surface=True)
 
 
@@ -200,7 +179,7 @@ def _eval_quotient(expr: Quotient, inner_eval: Evaluation) -> Evaluation:
             raise AdmissibilityFail(
                 f"the free action lives along the first cover: need d = {inner.d}"
             )
-    elif isinstance(inner, CyclicCover) and inner.base == "CP1xCP1":
+    elif isinstance(inner, CyclicCover) and inner.base == QUADRIC_BASE:
         line = inner.branch.divided_by(inner.d)
         a, b = line.degrees
         second = None  # single cover: the branch is d-divisible by construction
@@ -421,6 +400,8 @@ def _eval_log_transform(expr: LogTransform, inner: Evaluation) -> Evaluation:
             citation=_CITE_LOG,
         )
     labels = inner.labels + (f"log multiplicity {m}",)
+    # Of the transforms, only E(2)_p at odd p keeps the split it had.
+    odd_e2 = m % 2 and inner.fibers == (0, 0, 0) and inner.spin_split == (1, 0)
     return _finish(
         rec,
         flags,
@@ -430,6 +411,7 @@ def _eval_log_transform(expr: LogTransform, inner: Evaluation) -> Evaluation:
         fibers=fibers,
         sc_fiber_complement=inner.sc_fiber_complement,
         group_block=inner.group_block,
+        spin_split=inner.spin_split if odd_e2 else None,
     )
 
 

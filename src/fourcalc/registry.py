@@ -1,13 +1,16 @@
 """The table of named primitive 4-manifolds.
 
-``PRIMITIVES`` declares each primitive once: a fixed
-:class:`PrimitiveInfo`, or for a family the builder that makes one from
-the parameters.  An entry carries exact invariants, declared structure
-flags with citations, capability tags (which symplectic submanifolds
-the manifold offers to fiber sums and logarithmic transforms),
-bookkeeping labels, and the facts the fiber-sum and log-transform rules
-read.  Primitives are blocks imported from the literature; the
-evaluator never recomputes their geometry, nor tests their names.
+``PRIMITIVES`` declares each primitive once, in the form evaluation
+returns: a fixed :class:`Evaluation`, or for a family the builder that
+makes one from the parameters.  An entry carries exact invariants,
+declared flags with citations, capability tags (the symplectic
+submanifolds offered to fiber sums and log transforms), labels, and the
+facts other layers read in place of names: the evaluator's fiber-sum
+and log-transform rules read ``fibers``, ``sc_fiber_complement`` and
+``group_block``, the spin rows of ``rewrite.RULES`` read ``spin_split``
+and ``fibers``, and ``surgery.universal_cover`` reads ``cover_adds``.
+Primitives are blocks from the literature; no other module recomputes
+their geometry, nor tests their names.
 
 Entries declare only what no flag rule derives: the evaluator fills in
 what the declarations entail (spin => even form and w2-type II, Taubes'
@@ -53,22 +56,30 @@ class Fibers(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PrimitiveInfo:
-    """A fully instantiated primitive: invariants, flags, capabilities."""
+class Evaluation:
+    """What is known of a manifold.  Evaluation returns one for every node,
+    and the table declares each primitive as one."""
 
     record: InvariantRecord
     flags: StructureFlags
     capabilities: dict = field(default_factory=dict)
-    complex_surface: bool = False
     labels: tuple[str, ...] = ()
-    # The multiple fibers of an elliptic surface; None for other blocks.
+    complex_surface: bool = False
+    # Facts that rules read, set from the direct children and declared by
+    # the table at the leaves.  The multiple fibers of an elliptic surface
+    # under log transforms; None for other blocks.
     fibers: Optional[Fibers] = None
-    # Whether the distinguished fiber has simply connected complement, so
+    # Whether a distinguished fiber has simply connected complement, so
     # that a fiber sum along it kills the fiber's image in pi1.
     sc_fiber_complement: bool = False
-    # The prescribed-group block XG, whose distinguished torus has
-    # trivial image in pi1.
+    # Whether the node is built on the prescribed-group block XG, whose
+    # distinguished torus has trivial image in pi1.
     group_block: bool = False
+    # The (K3s, quadrics) a spin block becomes beside its stock of quadrics.
+    spin_split: Optional[tuple[int, int]] = None
+    # Declared only: what the universal cover of a rational homology
+    # sphere adds beside d copies of the other summands.
+    cover_adds: tuple[tuple[Primitive, int], ...] = ()
 
 
 def _rejection(record: InvariantRecord, flags: StructureFlags) -> Optional[str]:
@@ -91,12 +102,12 @@ def _rejection(record: InvariantRecord, flags: StructureFlags) -> Optional[str]:
     return None
 
 
-def instantiate(name: str, params: tuple = ()) -> PrimitiveInfo:
+def instantiate(name: str, params: tuple = ()) -> Evaluation:
     """The primitive ``name(params)`` as the table declares it."""
     entry = PRIMITIVES.get(name)
     if entry is None:
         raise InvalidExpr(f"unknown primitive {name!r}")
-    if isinstance(entry, PrimitiveInfo):
+    if isinstance(entry, Evaluation):
         if params:
             raise InvalidExpr(f"{name} takes no parameters")
         return entry
@@ -110,7 +121,7 @@ def instantiate(name: str, params: tuple = ()) -> PrimitiveInfo:
 def _check_declarations() -> None:
     """Reject a fixed entry of the table whose declaration is impossible."""
     for name, entry in PRIMITIVES.items():
-        if isinstance(entry, PrimitiveInfo):
+        if isinstance(entry, Evaluation):
             problem = _rejection(entry.record, entry.flags)
             if problem:
                 raise InconsistentFlags(f"{name}: {problem}")
@@ -132,7 +143,7 @@ def _one_int(name: str, params: tuple) -> int:
     return params[0]
 
 
-def _build_elliptic(params: tuple) -> PrimitiveInfo:
+def _build_elliptic(params: tuple) -> Evaluation:
     """E(n): simply connected elliptic surface without multiple fibers."""
     n = _one_int("E", params)
     # b2+ = 2n - 1: the evaluator applies Taubes' rule from n = 2 on.
@@ -149,20 +160,22 @@ def _build_elliptic(params: tuple) -> PrimitiveInfo:
         # Special symplectic structure: a torus and a genus-2 surface,
         # disjoint, both of square zero, with simply connected complement.
         caps[GENUS2] = 1
-    return PrimitiveInfo(
+    return Evaluation(
         record=InvariantRecord(12 * n, -8 * n, 0),
         flags=flags,
         capabilities=caps,
         complex_surface=True,
         fibers=Fibers(0, 0, 0),
         sc_fiber_complement=True,
+        # Spin E(2k) stabilizes to k K3 # (k - 1)(S2xS2).
+        spin_split=(n // 2, n // 2 - 1) if n % 2 == 0 else None,
     )
 
 
 # Sd(d) depends on d alone, and the free-action region reads it at every
 # point: one build per d.  Exceptions are not cached.
 @lru_cache(maxsize=64)
-def _build_homology_sphere(params: tuple) -> PrimitiveInfo:
+def _build_homology_sphere(params: tuple) -> Evaluation:
     """Sd(d): rational homology sphere, pi1 = Z/d, cover (d-1)(S2xS2)."""
     d = _one_int("Sd", params)
     flags = _declared(
@@ -172,18 +185,19 @@ def _build_homology_sphere(params: tuple) -> PrimitiveInfo:
         parity=Parity.EVEN,  # b2 = 0: the trivial form is even
         sw_nontrivial=NO,
     )
-    return PrimitiveInfo(
+    return Evaluation(
         record=InvariantRecord(2, 0, 0),
         flags=flags,
         labels=(f"universal cover {d - 1}(S2xS2)",),
+        cover_adds=((Primitive("S2xS2"), d - 1),),
     )
 
 
-def _build_gompf_sum(params: tuple) -> PrimitiveInfo:
+def _build_gompf_sum(params: tuple) -> Evaluation:
     """Xk(k): spin symplectic sum of a surface product with 2k+2 copies of E(2)."""
     k = _one_int("Xk", params)
     flags = _simply_connected(YES, symplectic=YES)
-    return PrimitiveInfo(
+    return Evaluation(
         record=InvariantRecord(52 * k + 48, -32 * (k + 1), 0),
         flags=flags,
         # Generic {pt} x F2 fibers survive the torus sums and parallel
@@ -194,7 +208,7 @@ def _build_gompf_sum(params: tuple) -> PrimitiveInfo:
     )
 
 
-def _build_group_block(params: tuple) -> PrimitiveInfo:
+def _build_group_block(params: tuple) -> Evaluation:
     """XG(chi, tau, name[, b1 >= 0]): spin symplectic block with prescribed pi1.
 
     The numerical invariants depend on the chosen presentation, so they
@@ -222,7 +236,7 @@ def _build_group_block(params: tuple) -> PrimitiveInfo:
         spin=YES,
         symplectic=YES,
     )
-    return PrimitiveInfo(
+    return Evaluation(
         record=record,
         flags=flags,
         capabilities={GENUS1: 1},
@@ -230,7 +244,7 @@ def _build_group_block(params: tuple) -> PrimitiveInfo:
     )
 
 
-def _build_log_elliptic(params: tuple) -> PrimitiveInfo:
+def _build_log_elliptic(params: tuple) -> Evaluation:
     """Y(j): E(2) log-transformed with odd order 2j+1; basic class 2j*f."""
     j = _one_int("Y", params)
     flags = _simply_connected(
@@ -238,7 +252,7 @@ def _build_log_elliptic(params: tuple) -> PrimitiveInfo:
         symplectic=YES,
         minimal_general_type=NO,
     )
-    return PrimitiveInfo(
+    return Evaluation(
         record=InvariantRecord(24, -16, 0),
         flags=flags,
         capabilities={GENUS1: 1, ELLIPTIC_FIBER: 1},
@@ -246,10 +260,11 @@ def _build_log_elliptic(params: tuple) -> PrimitiveInfo:
         labels=(f"basic class 2*{j}*f",),
         fibers=Fibers(1, 0, 2 * j + 1),
         sc_fiber_complement=True,
+        spin_split=(1, 0),
     )
 
 
-def _build_surface_product(params: tuple) -> PrimitiveInfo:
+def _build_surface_product(params: tuple) -> Evaluation:
     """FgProd(g1, g2): product of closed Riemann surfaces."""
     if len(params) != 2 or not all(isinstance(p, int) for p in params):
         raise InvalidExpr("FgProd takes (g1, g2)")
@@ -275,7 +290,7 @@ def _build_surface_product(params: tuple) -> PrimitiveInfo:
         spin=YES,
         symplectic=YES,
     )
-    return PrimitiveInfo(
+    return Evaluation(
         record=record,
         flags=flags,
         capabilities=caps,
@@ -296,7 +311,7 @@ BK_FLAGS = _declared(
 )
 
 
-def _build_geography_block(params: tuple) -> PrimitiveInfo:
+def _build_geography_block(params: tuple) -> Evaluation:
     """BK(x, y, j): simply connected minimal symplectic ACD block with
     chi_h = x, c1^2 = y; j is an opaque smooth-structure index."""
     if len(params) != 3 or not all(isinstance(p, int) for p in params):
@@ -304,29 +319,29 @@ def _build_geography_block(params: tuple) -> PrimitiveInfo:
     x, y, j = params
     if x < 1 or y < 1 or j < 0:
         raise InvalidExpr("BK needs chi_h >= 1, c1sq >= 1, index >= 0")
-    return PrimitiveInfo(
+    return Evaluation(
         record=InvariantRecord(12 * x - y, y - 8 * x, 0),
         flags=BK_FLAGS,
         labels=(f"structure index {j}",),
     )
 
 
-PRIMITIVES: dict[str, Union[PrimitiveInfo, Callable[[tuple], PrimitiveInfo]]] = {
-    "CP2": PrimitiveInfo(
+PRIMITIVES: dict[str, Union[Evaluation, Callable[[tuple], Evaluation]]] = {
+    "CP2": Evaluation(
         InvariantRecord(3, 1, 0),
         _simply_connected(NO, symplectic=YES, sw_nontrivial=NO, acd=YES),
         complex_surface=True,
     ),
-    "CP2b": PrimitiveInfo(
+    "CP2b": Evaluation(
         InvariantRecord(3, -1, 0),
         _simply_connected(NO, symplectic=NO, sw_nontrivial=NO, acd=YES),
     ),
-    "S2xS2": PrimitiveInfo(
+    "S2xS2": Evaluation(
         InvariantRecord(4, 0, 0),
         _simply_connected(YES, symplectic=YES, sw_nontrivial=NO, acd=YES),
         complex_surface=True,
     ),
-    "K3": PrimitiveInfo(  # E(2)
+    "K3": Evaluation(  # E(2)
         InvariantRecord(24, -16, 0),
         _simply_connected(
             YES,
@@ -339,7 +354,7 @@ PRIMITIVES: dict[str, Union[PrimitiveInfo, Callable[[tuple], PrimitiveInfo]]] = 
         fibers=Fibers(0, 0, 0),
         sc_fiber_complement=True,
     ),
-    "S1xS3": PrimitiveInfo(
+    "S1xS3": Evaluation(
         InvariantRecord(0, 0, 1),
         _declared(
             "product of circle and 3-sphere",
@@ -350,11 +365,11 @@ PRIMITIVES: dict[str, Union[PrimitiveInfo, Callable[[tuple], PrimitiveInfo]]] = 
         ),
         complex_surface=True,  # Hopf surface
     ),
-    "S4": PrimitiveInfo(
+    "S4": Evaluation(
         InvariantRecord(2, 0, 0),
         _simply_connected(YES, symplectic=NO, sw_nontrivial=NO),
     ),
-    "X442": PrimitiveInfo(
+    "X442": Evaluation(
         InvariantRecord(104, -64, 0),
         _simply_connected(
             YES,
@@ -365,6 +380,7 @@ PRIMITIVES: dict[str, Union[PrimitiveInfo, Callable[[tuple], PrimitiveInfo]]] = 
         complex_surface=True,
         labels=("hypersurface of tridegree (4,4,2) in (CP1)^3",),
         sc_fiber_complement=True,
+        spin_split=(4, 7),  # Wall: homeomorphic to 4 K3 # 7(S2xS2)
     ),
     "E": _build_elliptic,
     "Sd": _build_homology_sphere,

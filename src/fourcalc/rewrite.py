@@ -12,7 +12,7 @@ is a new row.
   geography blocks), which consumes one CP2.
 * Spin mode targets p K3 # q (S2xS2): the stabilized decompositions of
   elliptic surfaces, their odd log transforms and the (4,4,2)
-  hypersurface into K3s and quadrics.
+  hypersurface into K3s and quadrics, read off declared facts.
 
 A summand with spin rules only puts a sum in spin mode.  A non-spin
 summand (CP2, CP2b, an even log transform of an elliptic surface, ...),
@@ -55,13 +55,7 @@ from fourcalc.certificates import Certificate, Step
 from fourcalc.config import WALL_N0
 from fourcalc.errors import MismatchedInvariants, MixedRewriteModes
 from fourcalc.evaluate import Evaluation, evaluate, sum_spin
-from fourcalc.expr import (
-    LogTransform,
-    ManifoldExpr,
-    Primitive,
-    connected_sum_of,
-    sum_parts,
-)
+from fourcalc.expr import ManifoldExpr, Primitive, connected_sum_of, sum_parts
 from fourcalc.flags import NO, UNKNOWN, YES, TriState
 from fourcalc.invariants import InvariantRecord, summed_record
 
@@ -82,16 +76,16 @@ CITE_IDENTITY = "the 4-sphere is the identity of connected sum"
 
 @dataclass(frozen=True)
 class Rule:
-    """A firing replaces one summand that ``consumes`` accepts by what
-    ``gives`` returns for it, beside ``stock`` copies of ``needs`` that it
-    leaves in place.  ``detail`` writes the trace line from the summand,
-    the stock and what the firing gives.  An exclusive rule is the only
-    rule its summands take.  The import-time check fires each rule on its
-    ``sample``."""
+    """A firing replaces one summand that ``consumes`` accepts, given its
+    evaluation, by what ``gives`` returns for it, beside ``stock`` copies
+    of ``needs`` that it leaves in place.  ``detail`` writes the trace
+    line from the summand, the stock and what the firing gives.  An
+    exclusive rule is the only rule its summands take.  The import-time
+    check fires each rule on its ``sample``."""
 
     name: str
     mode: str
-    consumes: Callable[[ManifoldExpr], bool]
+    consumes: Callable[[ManifoldExpr, Evaluation], bool]
     needs: Primitive
     stock: int
     gives: Callable[[ManifoldExpr], dict]
@@ -106,6 +100,10 @@ def _planes(part: ManifoldExpr) -> dict:
     return {CP2: int(rec.b2plus), CP2B: int(rec.b2minus)}
 
 
+def _split(part: ManifoldExpr) -> dict:
+    return dict(zip((K3, S2XS2), evaluate(part).spin_split))
+
+
 def _acd_origin(part: ManifoldExpr) -> str:
     acd = [p.citation for p in evaluate(part).flags.provenance if p.field == "acd"]
     return acd[-1] if acd else CITE_ACD
@@ -113,34 +111,32 @@ def _acd_origin(part: ManifoldExpr) -> str:
 
 # Columns: name, mode, consumes, needs, stock, gives, citation, detail, sample.
 RULES = (
-    Rule("quadric-blowup", "nonspin", lambda part: part == S2XS2, CP2B, 1,
+    Rule("quadric-blowup", "nonspin", lambda part, ev: part == S2XS2, CP2B, 1,
          lambda part: {CP2: 1, CP2B: 1}, CITE_QUADRIC_BLOWUP,
          lambda part, stock, gives: "(S2xS2) # CP2b -> CP2 # 2*CP2b", S2XS2),
     Rule("decompose", "nonspin",
-         lambda part: part not in CANONICAL["nonspin"] and evaluate(part).flags.acd is YES,
+         lambda part, ev: part not in CANONICAL["nonspin"] and ev.flags.acd is YES,
          CP2, 1, _planes, CITE_ACD,
          lambda part, stock, gives: f"{part} # CP2 -> {gives[CP2] + stock}*CP2 # "
          f"{gives[CP2B]}*CP2b [{_acd_origin(part)}]",
          Primitive("E", (3,))),
+    # The spin rows take a declared split: no fibers, none multiple, or some.
     Rule("wall-stabilize", "spin",
-         lambda part: isinstance(part, Primitive) and part.name == "X442", S2XS2, WALL_N0,
-         lambda part: {K3: 4, S2XS2: 7}, CITE_WALL,
+         lambda part, ev: ev.spin_split is not None and ev.fibers is None, S2XS2, WALL_N0,
+         _split, CITE_WALL,
          lambda part, stock, gives: f"{part} # {stock}*(S2xS2) -> "
          f"{gives[K3]}*K3 # {gives[S2XS2] + stock}*(S2xS2)",
          Primitive("X442")),
-    # E(2)_p is spin only for odd p.  The ACD flag a log transform
-    # inherits gives these summands no non-spin route.
+    # The ACD flag a log transform inherits gives these summands no
+    # non-spin route.
     Rule("log-elliptic-decompose", "spin",
-         lambda part: (isinstance(part, Primitive) and part.name == "Y")
-         or (isinstance(part, LogTransform) and part.inner == Primitive("E", (2,))
-             and part.multiplicity % 2 == 1),
-         S2XS2, 1, lambda part: {K3: 1}, CITE_SPIN_DECOMP,
+         lambda part, ev: ev.spin_split is not None and ev.fibers not in (None, (0, 0, 0)),
+         S2XS2, 1, _split, CITE_SPIN_DECOMP,
          lambda part, stock, gives: f"{part} # (S2xS2) -> K3 # (S2xS2)",
          Primitive("Y", (1,)), exclusive=True),
     Rule("elliptic-decompose", "spin",
-         lambda part: isinstance(part, Primitive) and part.name == "E" and part.params[0] % 2 == 0,
-         S2XS2, 1, lambda part: {K3: part.params[0] // 2, S2XS2: part.params[0] // 2 - 1},
-         CITE_SPIN_DECOMP,
+         lambda part, ev: ev.spin_split is not None and ev.fibers == (0, 0, 0),
+         S2XS2, 1, _split, CITE_SPIN_DECOMP,
          lambda part, stock, gives: f"{part} # (S2xS2) -> "
          f"{gives[K3]}*K3 # {gives[S2XS2] + stock}*(S2xS2)",
          Primitive("E", (4,))),
@@ -171,10 +167,10 @@ class NormalizeResult:
     mode: str
 
 
-def _rules_of(part: ManifoldExpr) -> list[Rule]:
+def _rules_of(part: ManifoldExpr, ev: Evaluation) -> list[Rule]:
     rules = _PIECE_RULES.get(part)
     if rules is None:
-        rules = [rule for rule in RULES if rule.consumes(part)]
+        rules = [rule for rule in RULES if rule.consumes(part, ev)]
         rules = [rule for rule in rules if rule.exclusive] or rules
     return rules
 
@@ -236,7 +232,7 @@ class _Sum:
         entry = self.parts.get(part)
         if entry is None:
             ev = evaluate(part)
-            rules = _rules_of(part)
+            rules = _rules_of(part, ev)
             entry = self.parts[part] = [0, ev, rules]
             self._present(ev, 1)
             if rules:
@@ -395,7 +391,7 @@ def verify_diffeo_claim(lhs: ManifoldExpr, rhs: ManifoldExpr) -> Certificate:
 
 # Most sums hold canonical pieces: their rules are looked up, not found.
 _PIECE_RULES: dict = {}
-_PIECE_RULES.update((piece, _rules_of(piece)) for pieces in CANONICAL.values() for piece in pieces)
+_PIECE_RULES.update((p, _rules_of(p, evaluate(p))) for pieces in CANONICAL.values() for p in pieces)
 
 
 def _registration_check():
@@ -403,7 +399,7 @@ def _registration_check():
     here by firing it once on its sample summand.  No firing may lower
     its own stock: a batch fires every copy on the stock the first had."""
     for rule in RULES:
-        assert rule.consumes(rule.sample), rule.name
+        assert rule.consumes(rule.sample, evaluate(rule.sample)), rule.name
         total = _Sum()
         total.index(rule.mode)
         total.add(rule.sample, 1)

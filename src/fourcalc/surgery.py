@@ -3,9 +3,9 @@
 ``universal_cover`` expands the two covering patterns the engine supports:
 
 * ``Quotient(N, d)``  ->  ``N``;
-* a connected sum with exactly one rational-homology-sphere summand
-  ``Sd(d)`` and otherwise simply connected parts  ->  every other part
-  repeated d times plus (d-1) copies of S2xS2.
+* a connected sum with exactly one rational homology sphere, pi1 = Z/d,
+  beside simply connected parts  ->  every other part repeated d times,
+  plus the sphere's declared ``cover_adds`` (for Sd(d): (d-1) S2xS2).
 
 Both expansions multiply chi and tau by d, which is asserted.
 """
@@ -22,12 +22,6 @@ from fourcalc.expr import (
     connected_sum_of,
     sum_parts,
 )
-
-S2XS2 = Primitive("S2xS2")
-
-
-def _is_homology_sphere(part: ManifoldExpr) -> bool:
-    return isinstance(part, Primitive) and part.name == "Sd"
 
 
 def universal_cover(expr: ManifoldExpr) -> ManifoldExpr:
@@ -46,16 +40,16 @@ def universal_cover(expr: ManifoldExpr) -> ManifoldExpr:
         _assert_multiplicative(expr, cover, expr.d)
         return cover
 
-    parts = sum_parts(expr)
-    spheres = [(p, m) for p, m in parts if _is_homology_sphere(p)]
-    if len(spheres) == 1 and spheres[0][1] == 1:
-        d = spheres[0][0].params[0]
-        rest = [(p, m) for p, m in parts if not _is_homology_sphere(p)]
-        if all(evaluate(p).flags.pi1.is_trivial for p, _ in rest):
-            # pi1 = Z/d is nontrivial here, so d >= 2.
-            cover = connected_sum_of(*[(p, m * d) for p, m in rest], (S2XS2, d - 1))
-            _assert_multiplicative(expr, cover, d)
-            return cover
+    parts = [(p, m, evaluate(p)) for p, m in sum_parts(expr)]
+    spheres = [(ev, m) for _, m, ev in parts if ev.cover_adds]
+    rest = [(p, m) for p, m, ev in parts if not ev.cover_adds and ev.flags.pi1.is_trivial]
+    # One sphere beside simply connected parts: pi1 is the sphere's, Z/d.
+    one_sphere = [m for _, m in spheres] == [1] and len(rest) == len(parts) - 1
+    if one_sphere and flags.pi1.kind == "cyclic":
+        d = flags.pi1.d
+        cover = connected_sum_of(*[(p, m * d) for p, m in rest], *spheres[0][0].cover_adds)
+        _assert_multiplicative(expr, cover, d)
+        return cover
     raise UnsupportedPattern(
         f"no universal-cover expansion for pi1 = {flags.pi1}: {expr}"
     )

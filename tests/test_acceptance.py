@@ -31,7 +31,7 @@ from fourcalc.geography import (
 )
 from fourcalc.invariants import InvariantRecord
 from fourcalc.obstruction import spin_einstein
-from fourcalc.registry import PrimitiveInfo
+from fourcalc.registry import Evaluation
 from fourcalc.reproduce import run_target
 from fourcalc.rewrite import normalize
 from tests.test_composition_oracle import two_step_composition
@@ -252,7 +252,7 @@ def test_criterion_8_property_suites():
         if (chi + tau) % 2:
             chi += 1
         flags = StructureFlags().cite(spin=YES, rule="declared", citation="adversarial")
-        bad = PrimitiveInfo(InvariantRecord(chi, tau, 0), flags)
+        bad = Evaluation(InvariantRecord(chi, tau, 0), flags)
         with mock.patch.dict(registry.PRIMITIVES, {f"Bad{index}": bad}):
             with pytest.raises(InconsistentFlags, match=f"^Bad{index}: .*Rohlin"):
                 registry._check_declarations()

@@ -25,8 +25,8 @@ def two_step_composition(d, p, a, b, m, n) -> InvariantRecord:
     """Cover along (da, db) first, then along the proper transform of the
     (pm, pn) curve, using only the single-cover operations."""
     step_one = covers.cyclic_cover_invariants(
-        covers.BASES[QUADRIC].record,
-        covers.BASE_C1[QUADRIC],
+        covers.BASES[QUADRIC].entry.record,
+        covers.BASES[QUADRIC].c1,
         d,
         DivisorClass(QUADRIC, (a, b)),
     )

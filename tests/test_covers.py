@@ -40,21 +40,21 @@ class TestBranchCurveEuler:
 class TestCyclicCover:
     def test_octic_double_plane(self):
         rec = covers.cyclic_cover_invariants(
-            covers.BASES["CP2"].record, covers.BASE_C1["CP2"], 2, DivisorClass("CP2", (4,))
+            covers.BASES["CP2"].entry.record, covers.BASES["CP2"].c1, 2, DivisorClass("CP2", (4,))
         )
         assert (rec.c2, rec.c1sq, rec.tau) == (46, 2, -30)
 
     def test_degree_one_is_identity(self):
-        base = covers.BASES[QUADRIC].record
+        base = covers.BASES[QUADRIC].entry.record
         rec = covers.cyclic_cover_invariants(
-            base, covers.BASE_C1[QUADRIC], 1, DivisorClass(QUADRIC, (3, 2))
+            base, covers.BASES[QUADRIC].c1, 1, DivisorClass(QUADRIC, (3, 2))
         )
         assert rec == base
 
     def test_quadric_double_cover(self):
         rec = covers.cyclic_cover_invariants(
-            covers.BASES[QUADRIC].record,
-            covers.BASE_C1[QUADRIC],
+            covers.BASES[QUADRIC].entry.record,
+            covers.BASES[QUADRIC].c1,
             2,
             DivisorClass(QUADRIC, (1, 1)),
         )
@@ -187,3 +187,23 @@ class TestConstructibility:
             CyclicCover("CP2", 2, DivisorClass("CP2", (7,)))
         with pytest.raises(NonDivisibleBranch):
             CyclicCover("CP1xCP1", 3, DivisorClass("CP1xCP1", (3, 4)))
+
+
+DEGREE = st.integers(0, 60)
+
+
+@given(st.tuples(DEGREE, DEGREE), st.tuples(DEGREE, DEGREE), st.integers(1, 8))
+def test_generic_cover_formulas_match_the_per_base_closed_forms(x, y, d):
+    # The per-base formulas the table replaced, kept as the oracle: on CP2
+    # genus (k-1)(k-2)/2 and pairing k k'; on the quadric genus
+    # (p-1)(q-1) and pairing p q' + q p'.
+    (p, q), (p2, q2) = x, y
+    k, k2 = p, p2
+    assert covers.pairing("CP2", (k,), (k2,)) == k * k2
+    assert covers.pairing(QUADRIC, (p, q), (p2, q2)) == p * q2 + q * p2
+    assert covers.branch_curve_euler(DivisorClass("CP2", (k,))) == 2 - (k - 1) * (k - 2)
+    assert covers.branch_curve_euler(DivisorClass(QUADRIC, (p, q))) == 2 - 2 * (p - 1) * (q - 1)
+    assert covers.cyclic_cover_ample("CP2", d, DivisorClass("CP2", (k,))) == ((d - 1) * k > 3)
+    assert covers.cyclic_cover_ample(QUADRIC, d, DivisorClass(QUADRIC, (p, q))) == (
+        (d - 1) * p > 2 and (d - 1) * q > 2
+    )

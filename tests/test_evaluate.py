@@ -139,7 +139,7 @@ def test_a_new_elliptic_primitive_is_one_table_entry():
     flags = StructureFlags().cite(
         pi1=GroupLabel.trivial(), spin=YES, rule="declared", citation="test block"
     )
-    block = registry.PrimitiveInfo(
+    block = registry.Evaluation(
         InvariantRecord(24, -16, 0),
         flags,
         capabilities={registry.GENUS1: 1, registry.ELLIPTIC_FIBER: 1},
@@ -164,7 +164,7 @@ def test_a_new_elliptic_primitive_is_one_table_entry():
 ], ids=["X442", "Y(2)", "undeclared"])
 def test_the_group_block_keeps_its_group_along_a_declared_complement(partner, sc_complement):
     # The fiber-sum rule reads the declared complement, not the fibers.
-    block = registry.PrimitiveInfo(
+    block = registry.Evaluation(
         InvariantRecord(24, -16, 0),
         StructureFlags().cite(pi1=GroupLabel.trivial(), rule="declared", citation="test block"),
         capabilities={registry.GENUS1: 1},

@@ -35,7 +35,7 @@ from fourcalc.obstruction import (
     lebrun_einstein,
     spin_einstein,
 )
-from fourcalc.registry import PrimitiveInfo
+from fourcalc.registry import Evaluation
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
@@ -255,7 +255,7 @@ class TestLebrun:
 
     def test_uncited_declared_sw(self):
         # The primitive table takes flags without provenance records.
-        block = PrimitiveInfo(InvariantRecord(10, 2, 0), StructureFlags(sw_nontrivial=YES))
+        block = Evaluation(InvariantRecord(10, 2, 0), StructureFlags(sw_nontrivial=YES))
         with mock.patch.dict(registry.PRIMITIVES, {"UncitedSwBlock": block}):
             cert = certify(lebrun_einstein(Primitive("UncitedSwBlock"), 20, 0))
         assert cert.verdict == "einstein_obstructed"
@@ -426,7 +426,7 @@ class TestSpinEinstein:
         assert any("mod(19 + 3 + 3 + 3, 8) == 4" in (s.arithmetic or "") for s in cert.steps)
 
     def test_congruence_failure_is_named(self):
-        block = PrimitiveInfo(
+        block = Evaluation(
             InvariantRecord(4, 0, 0),
             StructureFlags().cite(
                 sw_mod2_nontrivial=YES, rule="declared", citation="test fixture"
@@ -525,7 +525,7 @@ class TestHomeo:
         assert "pi1: Z/2 vs Z/3" in [s.rule for s in cert.steps]
 
     def test_unknown_betti_numbers_shown_as_unknown(self):
-        block = PrimitiveInfo(
+        block = Evaluation(
             InvariantRecord(3, 1, None),
             StructureFlags().cite(
                 parity=Parity.ODD,

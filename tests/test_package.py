@@ -83,3 +83,20 @@ def test_every_imported_name_is_used():
             if name not in read
         ]
     assert unused == []
+
+
+def test_no_primitive_name_tests_outside_the_table():
+    # A block is a one-place change: only registry.py may compare a
+    # primitive's name or parameters.  The other layers read the facts
+    # that the table declares.
+    found = []
+    for path in sorted(Path(fourcalc.__file__).parent.glob("*.py")):
+        if path.name == "registry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Attribute) and sub.attr in ("name", "params")
+                for sub in ast.walk(node)
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

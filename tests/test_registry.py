@@ -8,17 +8,22 @@ from unittest import mock
 import pytest
 
 from fourcalc import registry
+from fourcalc.config import WALL_N0
 from fourcalc.errors import InconsistentFlags, InvalidExpr
 from fourcalc.evaluate import eval_invariants, evaluate, infer_flags
-from fourcalc.expr import Primitive
+from fourcalc.expr import Primitive, connected_sum_of
 from fourcalc.flags import NO, YES, GroupLabel, Parity, StructureFlags, W2Type
 from fourcalc.invariants import InvariantRecord
-from fourcalc.registry import PRIMITIVES, PrimitiveInfo, instantiate
+from fourcalc.registry import PRIMITIVES, Evaluation, instantiate
+from fourcalc.rewrite import normalize
+from fourcalc.surgery import universal_cover
+
+K3, S2XS2 = Primitive("K3"), Primitive("S2xS2")
 
 
 def _rejected(name, record, flags):
     """The message with which the import-time check rejects the fixed entry ``name``."""
-    with mock.patch.dict(PRIMITIVES, {name: PrimitiveInfo(record, flags)}):
+    with mock.patch.dict(PRIMITIVES, {name: Evaluation(record, flags)}):
         with pytest.raises(InconsistentFlags) as err:
             registry._check_declarations()
     return str(err.value)
@@ -98,7 +103,7 @@ def test_register_round_trip():
     flags = StructureFlags(pi1=GroupLabel.trivial()).cite(
         spin=NO, rule="declared", citation="test block"
     )
-    info = PrimitiveInfo(rec, flags)
+    info = Evaluation(rec, flags)
     with mock.patch.dict(PRIMITIVES, {"TestBlock": info}):
         registry._check_declarations()
         assert instantiate("TestBlock") is info
@@ -115,7 +120,7 @@ def test_register_then_eval_round_trip():
     flags = StructureFlags(pi1=GroupLabel.trivial()).cite(
         spin=NO, rule="declared", citation="test block"
     )
-    with mock.patch.dict(PRIMITIVES, {name: PrimitiveInfo(rec, flags)}):
+    with mock.patch.dict(PRIMITIVES, {name: Evaluation(rec, flags)}):
         assert eval_invariants(Primitive(name)) == rec
 
 
@@ -162,7 +167,7 @@ def test_register_w2type_spin_coherence():
     assert _rejected("Bad2", InvariantRecord(4, 0, 0), bad) == "Bad2: w2-type II means spin"
     ok = StructureFlags().cite(spin=YES, rule="declared", citation="fine")
     # The evaluator fills in what declared spin entails.
-    block = PrimitiveInfo(InvariantRecord(4, 0, 0), ok)
+    block = Evaluation(InvariantRecord(4, 0, 0), ok)
     with mock.patch.dict(PRIMITIVES, {"SpinCoherentBlock": block}):
         registry._check_declarations()
         flags = infer_flags(Primitive("SpinCoherentBlock"))
@@ -180,3 +185,39 @@ def test_unknown_primitive_and_bad_params():
         instantiate("E", (0,))
     with pytest.raises(InvalidExpr, match="^K3 takes no parameters$"):
         instantiate("K3", (1,))
+
+
+# Each block has its own name: evaluations stay cached after a patch.
+@pytest.mark.parametrize("name, record, facts, rule, stock", [
+    ("NewWallBlock", InvariantRecord(104, -64, 0), {}, "wall-stabilize", WALL_N0),
+    ("NewEllipticBlock", InvariantRecord(72, -48, 0), {"fibers": registry.Fibers(0, 0, 0)},
+     "elliptic-decompose", 1),
+    ("NewLogEllipticBlock", InvariantRecord(24, -16, 0), {"fibers": registry.Fibers(1, 0, 5)},
+     "log-elliptic-decompose", 1),
+], ids=["no-fibers", "no-multiple-fiber", "multiple-fiber"])
+def test_a_new_spin_block_is_one_table_entry(name, record, facts, rule, stock):
+    # Blocks like X442, E(6) and Y(2): the spin rows read the declared
+    # split and fibers, not the name.
+    k3s = -record.tau // 16
+    quadrics = (record.chi - 22 * k3s - 2) // 2
+    flags = StructureFlags().cite(
+        pi1=GroupLabel.trivial(), spin=YES, rule="declared", citation="test block"
+    )
+    block = Evaluation(record, flags, spin_split=(k3s, quadrics), **facts)
+    with mock.patch.dict(PRIMITIVES, {name: block}):
+        result = normalize(connected_sum_of((Primitive(name), 1), (S2XS2, stock)))
+    assert result.canonical and result.mode == "spin"
+    assert result.expr == connected_sum_of((K3, k3s), (S2XS2, quadrics + stock))
+    assert [step.rule for step in result.trace] == [rule]
+
+
+def test_a_new_homology_sphere_is_one_table_entry():
+    # A Z/3 sphere whose declared cover is non-spin: universal_cover reads
+    # the summands it adds, and d from its pi1.
+    flags = StructureFlags().cite(pi1=GroupLabel.cyclic(3), rule="declared", citation="test sphere")
+    sphere = Evaluation(
+        InvariantRecord(2, 0, 0), flags, cover_adds=((Primitive("CP2"), 2), (Primitive("CP2b"), 2))
+    )
+    with mock.patch.dict(PRIMITIVES, {"NewSphere": sphere}):
+        cover = universal_cover(connected_sum_of((Primitive("NewSphere"), 1), (K3, 1)))
+    assert cover == connected_sum_of((K3, 3), (Primitive("CP2"), 2), (Primitive("CP2b"), 2))

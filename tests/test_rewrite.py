@@ -19,6 +19,7 @@ from fourcalc.expr import (
     DivisorClass,
     LogTransform,
     Primitive,
+    Quotient,
     connected_sum_of,
     sum_parts,
 )
@@ -136,6 +137,35 @@ class TestNormalize:
         assert result.canonical and result.mode == "nonspin"
         assert result.expr == connected_sum_of((CP2, 6), (CP2B, 29))
         assert [t.rule for t in result.trace] == ["decompose"]
+
+    @pytest.mark.parametrize("block, rules", [
+        (LogTransform(E2, 3), ["log-elliptic-decompose"]),
+        (LogTransform(Primitive("E", (4,)), 3), []),
+        (LogTransform(K3, 3), []),
+        (LogTransform(Primitive("Y", (1,)), 3), []),
+        (LogTransform(LogTransform(E2, 3), 5), []),
+    ], ids=["E(2)_3", "E(4)_3", "K3_3", "Y(1)_3", "E(2)_3_5"])
+    def test_only_odd_transforms_of_e2_keep_a_spin_split(self, block, rules):
+        # E(2)_p at odd p splits like K3.  Any other transform keeps no
+        # split, so logt(E(4),3) keeps its non-spin route beside CP2.
+        result = normalize(connected_sum_of((block, 1), (S2XS2, 1)))
+        assert [t.rule for t in result.trace] == rules
+        assert result.canonical == bool(rules)
+        if block.inner == Primitive("E", (4,)):
+            result = normalize(connected_sum_of((block, 1), (CP2, 1)))
+            assert result.expr == connected_sum_of((CP2, 8), (CP2B, 39))
+
+    @pytest.mark.parametrize("block", [
+        Primitive("X442"), Primitive("E", (4,)), Primitive("Y", (1,)), LogTransform(E2, 3),
+    ], ids=str)
+    @pytest.mark.parametrize("other", [S2XS2, CP2], ids=str)
+    def test_a_trivial_quotient_rewrites_like_its_block(self, block, other):
+        # quotient(X,1) evaluates as X, so it carries X's spin split too.
+        want = _outcome(lambda: normalize(connected_sum_of((block, 1), (other, 1))))
+        got = _outcome(lambda: normalize(connected_sum_of((Quotient(block, 1), 1), (other, 1))))
+        _assert_same_form(got, want)
+        if not isinstance(want, str):
+            assert [t.rule for t in got.trace] == [t.rule for t in want.trace]
 
 
 def test_readme_lists_the_rule_table():
@@ -550,7 +580,7 @@ def test_ready_index_matches_a_rescan(mode, wall_stock, changes):
                 continue
             total.add(part, change)
             if part not in counts:
-                counts[part], rules_of[part] = 0, rewrite._rules_of(part)
+                counts[part], rules_of[part] = 0, rewrite._rules_of(part, evaluate(part))
             counts[part] += change
             if not counts[part]:
                 del counts[part], rules_of[part]

@@ -8,12 +8,14 @@ from hypothesis import given, strategies as st
 from fourcalc.errors import MissingCapability, UnsupportedPattern
 from fourcalc.evaluate import eval_invariants, evaluate
 from fourcalc.expr import (
+    BicyclicCover,
     ConnectedSum,
     CyclicCover,
     DivisorClass,
     FiberSum,
     LogTransform,
     Primitive,
+    Quotient,
     connected_sum_of,
 )
 from fourcalc.flags import NO, YES, GroupLabel
@@ -207,3 +209,8 @@ class TestUniversalCover:
         )
         with pytest.raises(UnsupportedPattern):
             universal_cover(two_spheres)
+        # A sphere with trivial pi1 beside a quotient: the group is the
+        # quotient's, and the quotient is no simply connected part.
+        quotient = Quotient(BicyclicCover(3, 2, 3, 3, 3, 3), 3)
+        with pytest.raises(UnsupportedPattern):
+            universal_cover(connected_sum_of((Primitive("Sd", (1,)), 1), (quotient, 1)))
