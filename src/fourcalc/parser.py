@@ -24,19 +24,21 @@ before that.  Offsets are not kept: an error rescans the text up to its
 token to place it.  So a parse costs one C-level scan plus the grammar's
 own steps, and nothing per token that it does not read.
 
-A parenthesised group is not a level of recursion: its parts go straight
-into the enclosing sum, with multiplicities multiplied, so sums nest to
-any depth.  Only the constructors (``quotient``, ``fibersum``, ``logt``)
-recurse into ``expr``, and they nest at most ``MAX_CONSTRUCTOR_DEPTH``
-deep: the constructor past the limit is a positioned syntax error.  Each
-distinct primitive ``(name, params)`` is validated once per parse, at its
-first occurrence, and its occurrences share one node.
+Every nesting is read in one loop, on explicit stacks, so it nests to
+any depth at the default recursion limit.  A parenthesised group's parts
+go straight into the enclosing sum, with multiplicities multiplied.
+Each constructor is read by a generator, which waits on a stack of open
+constructors while each sum it contains (in ``quotient``, ``fibersum``
+and ``logt``) is read.  Each distinct primitive ``(name, params)`` is
+validated once per parse, at its first occurrence, and its occurrences
+share one node.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Generator
 from itertools import islice
 from typing import NoReturn
 
@@ -65,11 +67,10 @@ _ASCII_GOOD = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_#*(),;=- \t\n\r\x0b\x0c"
 )
 
-_CONSTRUCTORS = ("cover", "bicyclic", "quotient", "fibersum", "logt")
 _COVER_BASES = {"CP2": "CP2", "CP1xCP1": "CP1xCP1", "S2xS2": "CP1xCP1"}
-# How deep constructors may nest: each level costs a few frames of the
-# recursive descent.  Evaluating, printing and hashing a tree do not recurse.
-MAX_CONSTRUCTOR_DEPTH = 256
+# A constructor's reader, started after its '(': it yields for each sum
+# the constructor contains, is sent that sum, and returns the node.
+_Reader = Generator[None, ManifoldExpr, ManifoldExpr]
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -112,7 +113,6 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.depth = 0  # of the constructors being read
         # Memoizes the table check of each distinct (name, params).
         self.primitives: dict[tuple[str, tuple], Primitive] = {}
 
@@ -159,16 +159,19 @@ class _Parser:
     # grammar rules ----------------------------------------------------
 
     def parse_expr(self) -> ManifoldExpr:
-        """A sum, with each parenthesised group flattened into it as it is
-        read.  An open group is only the multiplicity factor outside it, on
-        ``outside``, so groups nest without recursion and build no sum of
-        their own.  Parts keep the order of their first occurrence, as in
-        ``connected_sum_of``."""
+        """A sum, with every nesting in it read by this one loop.  A
+        parenthesised group is flattened into the enclosing sum as it is
+        read: an open group is only the multiplicity factor outside it, on
+        ``outside``.  An open constructor is a frame on ``frames``: its
+        reader, its head's index and the enclosing sum's state, kept while
+        each sum the reader asks for is read.  Parts keep the order of
+        their first occurrence, as in ``connected_sum_of``."""
         tokens = self.tokens
         pos = self.pos
         counts: dict[ManifoldExpr, int] = {}
         outside: list[int] = []
         factor = 1
+        frames: list[tuple[_Reader, int, dict[ManifoldExpr, int], list[int], int, int]] = []
         while True:
             tok = tokens[pos]
             mult = factor
@@ -191,48 +194,52 @@ class _Parser:
                 self.error(f"expected a manifold, found {_found(tok)}", pos)
             self.pos = pos
             if tok in _CONSTRUCTORS:
-                # logt(sum, 1) is the sum itself, so a constructor may give parts.
-                for part, submult in sum_parts(self.parse_constructor()):
-                    counts[part] = counts.get(part, 0) + submult * mult
+                self.pos += 1
+                self.expect_sym("(")
+                frames.append((_CONSTRUCTORS[tok](self), pos, counts, outside, factor, mult))
+                # ``tok`` is still the head, so the loop below at once sends
+                # the reader an empty sum, None, which starts it.
+                counts, outside = {}, []
+                pos = self.pos
             else:
                 part = self.parse_primitive()
                 counts[part] = counts.get(part, 0) + mult
-            pos = self.pos
-            tok = tokens[pos]
+                pos = self.pos
+                tok = tokens[pos]
             while tok != "#":
                 if not outside:
+                    node = connected_sum_of(*counts.items()) if counts else None
                     self.pos = pos
-                    return connected_sum_of(*counts.items())
+                    if not frames:
+                        return node
+                    # The sum is an open constructor's: its reader takes it.
+                    reader, at, counts, outside, factor, mult = frames[-1]
+                    try:
+                        reader.send(node)
+                    except StopIteration as closed:
+                        frames.pop()
+                        # logt(sum, 1) is the sum itself, so a constructor may give parts.
+                        for part, submult in sum_parts(closed.value):
+                            counts[part] = counts.get(part, 0) + submult * mult
+                        pos = self.pos
+                        tok = tokens[pos]
+                        continue
+                    except InvalidExpr as exc:
+                        self.error(str(exc), at)
+                    # The reader asks for its next sum.
+                    counts, outside, factor = {}, [], 1
+                    pos = self.pos
+                    break
                 if tok != ")":
                     self.error(f"expected ')', found {_found(tok)}", pos)
                 factor = outside.pop()
                 pos += 1
                 tok = tokens[pos]
-            pos += 1
+            else:
+                pos += 1
 
-    def parse_constructor(self) -> ManifoldExpr:
-        at = self.pos
-        head = self.tokens[at]
-        if self.depth == MAX_CONSTRUCTOR_DEPTH:
-            self.error(f"constructors nest deeper than {MAX_CONSTRUCTOR_DEPTH} levels", at)
-        self.depth += 1
-        self.pos += 1
-        self.expect_sym("(")
-        try:
-            if head == "cover":
-                return self.finish_cover()
-            if head == "bicyclic":
-                return self.finish_bicyclic()
-            if head == "quotient":
-                return self.finish_quotient()
-            if head == "fibersum":
-                return self.finish_fibersum()
-            return self.finish_logt()
-        except InvalidExpr as exc:
-            self.error(str(exc), at)
-        finally:
-            self.depth -= 1
-    def finish_cover(self) -> ManifoldExpr:
+    def finish_cover(self) -> _Reader:
+        yield from ()  # a cover contains no sum
         base_name = self.expect_name("a cover base (CP2 or CP1xCP1)")
         if base_name not in _COVER_BASES:
             self.error(f"unsupported cover base {base_name!r}")
@@ -255,7 +262,8 @@ class _Parser:
         self.expect_sym(")")
         return CyclicCover(base, d, DivisorClass(base, degrees))
 
-    def finish_bicyclic(self) -> ManifoldExpr:
+    def finish_bicyclic(self) -> _Reader:
+        yield from ()  # nor does a bicyclic cover
         d = self.expect_int()
         self.expect_sym(",")
         p = self.expect_int()
@@ -267,8 +275,8 @@ class _Parser:
         self.expect_sym(")")
         return BicyclicCover(d, p, *values)
 
-    def finish_quotient(self) -> ManifoldExpr:
-        inner = self.parse_expr()
+    def finish_quotient(self) -> _Reader:
+        inner = yield
         self.expect_sym(",")
         d = self.expect_int()
         action = "standard"
@@ -279,17 +287,17 @@ class _Parser:
         self.expect_sym(")")
         return Quotient(inner, d, action)
 
-    def finish_fibersum(self) -> ManifoldExpr:
-        left = self.parse_expr()
+    def finish_fibersum(self) -> _Reader:
+        left = yield
         self.expect_sym(",")
-        right = self.parse_expr()
+        right = yield
         self.expect_sym(",")
         genus = self.expect_keyword_assignment("g")
         self.expect_sym(")")
         return FiberSum(left, right, genus)
 
-    def finish_logt(self) -> ManifoldExpr:
-        inner = self.parse_expr()
+    def finish_logt(self) -> _Reader:
+        inner = yield
         self.expect_sym(",")
         at = self.pos
         mult = self.expect_int()
@@ -338,6 +346,14 @@ class _Parser:
                 self.error(str(exc), at)
             node = self.primitives[key] = Primitive(*key)
         return node
+
+
+# The reader of each constructor, by its head.
+_CONSTRUCTORS = {
+    "cover": _Parser.finish_cover, "bicyclic": _Parser.finish_bicyclic,
+    "quotient": _Parser.finish_quotient, "fibersum": _Parser.finish_fibersum,
+    "logt": _Parser.finish_logt,
+}
 
 
 def parse_dsl(text: str) -> ManifoldExpr:

@@ -14,9 +14,9 @@ their geometry, nor tests their names.
 
 Entries declare only what no flag rule derives: the evaluator fills in
 what the declarations entail (spin => even form and w2-type II, Taubes'
-Seiberg-Witten flags, ...).  Declared flags are validated and stored as
-given: the fixed entries once, at import, and a family's instances at
-every ``instantiate``.
+Seiberg-Witten flags, ...).  Declared flags and spin splits are
+validated and stored as given: the fixed entries once, at import, and a
+family's instances at every ``instantiate``.
 """
 
 from __future__ import annotations
@@ -82,10 +82,11 @@ class Evaluation:
     cover_adds: tuple[tuple[Primitive, int], ...] = ()
 
 
-def _rejection(record: InvariantRecord, flags: StructureFlags) -> Optional[str]:
+def _rejection(info: Evaluation) -> Optional[str]:
     """Why a declaration is internally impossible, or None if it is not.
     Callers prefix the primitive's name, so that it is formatted only
     when a declaration is rejected."""
+    record, flags = info.record, info.flags
     if (record.chi + record.tau) % 2 != 0:
         return "chi + tau must be even"
     if record.b1 is not None and record.b2 is not None and record.b2 < abs(record.tau):
@@ -99,6 +100,12 @@ def _rejection(record: InvariantRecord, flags: StructureFlags) -> Optional[str]:
             return "spin means w2-type II"
     if flags.w2type is W2Type.II and flags.spin is NO:
         return "w2-type II means spin"
+    if info.spin_split is not None:
+        # k K3 # q S2xS2 has chi 22k + 2q + 2 and tau -16k.
+        k3s, quadrics = info.spin_split
+        needed = (22 * k3s + 2 * quadrics + 2, -16 * k3s)
+        if (record.chi, record.tau) != needed:
+            return f"spin split {info.spin_split} needs (chi, tau) = {needed}"
     return None
 
 
@@ -112,7 +119,7 @@ def instantiate(name: str, params: tuple = ()) -> Evaluation:
             raise InvalidExpr(f"{name} takes no parameters")
         return entry
     info = entry(params)
-    problem = _rejection(info.record, info.flags)
+    problem = _rejection(info)
     if problem:
         raise InconsistentFlags(f"{Primitive(name, params)}: {problem}")
     return info
@@ -122,7 +129,7 @@ def _check_declarations() -> None:
     """Reject a fixed entry of the table whose declaration is impossible."""
     for name, entry in PRIMITIVES.items():
         if isinstance(entry, Evaluation):
-            problem = _rejection(entry.record, entry.flags)
+            problem = _rejection(entry)
             if problem:
                 raise InconsistentFlags(f"{name}: {problem}")
 

@@ -28,7 +28,7 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
-from fourcalc.parser import MAX_CONSTRUCTOR_DEPTH, parse_dsl
+from fourcalc.parser import parse_dsl
 
 from .reference_printer import reference_str
 from .work import line_events
@@ -252,27 +252,12 @@ def test_copies_are_the_interned_node(recipe):
     assert dataclasses.replace(tree) is tree
 
 
-def _constructor_depth(tree) -> int:
-    """How deep the constructors of ``tree`` nest in its DSL text."""
-    depths: dict = {}
-
-    def depth(node):
-        if node not in depths:
-            below = max(map(depth, node.children), default=0)
-            depths[node] = below + (not isinstance(node, (Primitive, ConnectedSum)))
-        return depths[node]
-
-    return depth(tree)
-
-
 def _check_printing(tree):
-    """The printer gives the recursive printer's text, and a tree whose
-    constructors nest no deeper than the parser reads parses back to
-    itself."""
+    """The printer gives the recursive printer's text, which parses back
+    to the tree itself."""
     text = str(tree)
     assert text == reference_str(tree)
-    if _constructor_depth(tree) <= MAX_CONSTRUCTOR_DEPTH:
-        assert parse_dsl(text) is tree
+    assert parse_dsl(text) is tree
 
 
 @given(RECIPES)
@@ -322,8 +307,7 @@ def _wrapped(tree, wraps, depth):
 
 
 # Trees over all seven node kinds, some wrapped in up to 280 levels of
-# one-child constructors and sums, so that some nest past the parser's
-# limit.
+# one-child constructors and sums.
 TREES = st.builds(
     _wrapped,
     st.recursive(PRIMITIVES | COVERS, _composites, max_leaves=12),

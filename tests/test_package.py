@@ -1,5 +1,6 @@
-"""The package namespace: re-exports leave the submodules reachable, and
-every public name in the package is used by the package."""
+"""The package namespace: re-exports leave the submodules reachable,
+every public name in the package is used by the package, and no function
+in it recurses."""
 
 import ast
 import sys
@@ -100,3 +101,91 @@ def test_no_primitive_name_tests_outside_the_table():
             ):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def _functions(tree):
+    """Each function a module defines, by qualified name, with the class
+    whose ``self`` and ``cls`` it sees."""
+    found = {}
+    todo = [(tree, "", None)]
+    while todo:
+        node, prefix, cls = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                todo.append((child, f"{prefix}{child.name}.", f"{prefix}{child.name}"))
+            elif isinstance(child, ast.FunctionDef):
+                found[prefix + child.name] = (child, cls)
+                todo.append((child, f"{prefix}{child.name}.", cls))
+            else:
+                todo.append((child, prefix, cls))
+    return found
+
+
+def _calls(function):
+    """The call nodes in ``function``'s own body, not in the functions and
+    classes it defines."""
+    todo = list(ast.iter_child_nodes(function))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Call):
+            yield node
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
+
+
+def _recursive_functions(tree):
+    """The functions of a module that can reach a call of themselves:
+    through plain calls of the functions it defines, looked up as Python
+    looks up a name, and ``self.``/``cls.`` calls of their class's methods."""
+    functions = _functions(tree)
+    graph = {}
+    for qualname, (function, cls) in functions.items():
+        scopes = qualname.split(".")
+        # The enclosing functions, innermost first; a class body is no scope.
+        enclosing = [
+            ".".join(scopes[:i]) for i in range(len(scopes), 0, -1)
+            if ".".join(scopes[:i]) in functions
+        ]
+        graph[qualname] = set()
+        for call in _calls(function):
+            target = call.func
+            if isinstance(target, ast.Name):
+                names = [f"{scope}.{target.id}" for scope in enclosing] + [target.id]
+            elif (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                  and target.value.id in ("self", "cls") and cls is not None):
+                names = [f"{cls}.{target.attr}"]
+            else:
+                continue
+            callee = next((name for name in names if name in functions), None)
+            if callee is not None:
+                graph[qualname].add(callee)
+    recursive = set()
+    for start in graph:
+        seen, todo = set(), list(graph[start])
+        while todo:
+            name = todo.pop()
+            if name == start:
+                recursive.add(start)
+                break
+            if name not in seen:
+                seen.add(name)
+                todo += graph[name]
+    return recursive
+
+
+def test_nothing_in_the_package_recurses():
+    # Every tree walk uses an explicit stack, so that a term tree of any
+    # depth is read, evaluated and printed at the default recursion limit.
+    # Exempt, each bounded by something other than a tree's depth:
+    exempt = {
+        # the nesting of the tuples in one node's fields;
+        "expr._map_leaves",
+        # the arithmetic text that one certificate step states.
+        "certificates._eval_node",
+    }
+    found = set()
+    for path in sorted(Path(fourcalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.stem}.{name}" for name in _recursive_functions(tree)}
+    assert sorted(found - exempt) == []
+    assert exempt <= found

@@ -1,6 +1,7 @@
 """DSL parsing: grammar, positioned errors, print/parse round trips."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from fourcalc.expr import (
 from fourcalc.parser import _token_position, _tokenize, parse_dsl
 
 from .reference_parser import reference_parse_dsl
+from .work import line_events
 
 
 class TestGrammar:
@@ -329,4 +331,57 @@ def spliced_texts(draw):
 @given(st.one_of(st.lists(DSL_PIECES, max_size=40).map("".join), st.text(max_size=60),
                  spliced_texts()))
 def test_parse_matches_the_parser_with_token_records(text):
-    assert _parsed_or_error(parse_dsl, text) == _parsed_or_error(reference_parse_dsl, text)
+    parsed = _parsed_or_error(parse_dsl, text)
+    assert parsed == _parsed_or_error(reference_parse_dsl, text)
+    if not isinstance(parsed, tuple):
+        assert parse_dsl(str(parsed)) is parsed
+
+
+# Each constructor that contains a sum, as one level of a nest.
+NESTS = {
+    "logt": lambda node: LogTransform(node, 3),
+    "quotient": lambda node: Quotient(node, 1),
+    "fibersum": lambda node: FiberSum(node, Primitive("E", (2,)), 1),
+}
+
+
+def _nest(kind, depth):
+    tree = Primitive("E", (2,))
+    for _ in range(depth):
+        tree = NESTS[kind](tree)
+    return tree
+
+
+@pytest.mark.parametrize("kind", NESTS)
+def test_constructors_nest_to_any_depth(kind):
+    assert sys.getrecursionlimit() == 1000  # the interpreter's default
+    tree = _nest(kind, 10_000)
+    assert parse_dsl(str(tree)) is tree
+
+
+@pytest.mark.parametrize("kind", NESTS)
+def test_parsing_a_nest_is_linear_in_its_depth(kind):
+    # Counted in line events of the parser, not in wall time.
+    shallow, deep = str(_nest(kind, 1_000)), str(_nest(kind, 2_000))
+    ratio = line_events(parser_module, lambda: parse_dsl(deep)) / line_events(
+        parser_module, lambda: parse_dsl(shallow)
+    )
+    assert ratio <= 2.2, ratio
+
+
+@pytest.mark.parametrize("head, inner, tail, planted", [
+    ("logt(", "E(2)", ",3)", ",x)"),
+    ("logt(", "E(2)", ",3)", " # 0*K3,3)"),
+    ("quotient(", "K3", ",1)", ",1 # K3)"),
+    ("fibersum(", "E(2)", ",E(2),g=1)", ",E(2);g=1)"),
+    ("fibersum(", "E(2)", ",E(2),g=1)", ",E(2),h=1)"),
+])
+def test_an_error_deep_in_a_nest_keeps_its_message_and_place(head, inner, tail, planted):
+    # ``planted`` closes the constructor at depth ``level`` on a line of
+    # its own, so that its error has the same line and column at any depth.
+    def text(depth, level):
+        return head * depth + inner + tail * (depth - level) + "\n" + planted + tail * (level - 1)
+
+    expected = _parsed_or_error(reference_parse_dsl, text(200, 100))
+    assert expected[0] == "DslSyntaxError" and expected[2] == 2
+    assert _parsed_or_error(parse_dsl, text(10_000, 5_000)) == expected

@@ -3,11 +3,13 @@
 A test declares a block as a scoped patch of the table, which the
 autouse fixture in ``conftest.py`` makes sure is undone."""
 
+import re
 from unittest import mock
 
 import pytest
 
 from fourcalc import registry
+from fourcalc.cli import main
 from fourcalc.config import WALL_N0
 from fourcalc.errors import InconsistentFlags, InvalidExpr
 from fourcalc.evaluate import eval_invariants, evaluate, infer_flags
@@ -187,17 +189,17 @@ def test_unknown_primitive_and_bad_params():
         instantiate("K3", (1,))
 
 
-# Each block has its own name: evaluations stay cached after a patch.
-@pytest.mark.parametrize("name, record, facts, rule, stock", [
-    ("NewWallBlock", InvariantRecord(104, -64, 0), {}, "wall-stabilize", WALL_N0),
-    ("NewEllipticBlock", InvariantRecord(72, -48, 0), {"fibers": registry.Fibers(0, 0, 0)},
-     "elliptic-decompose", 1),
-    ("NewLogEllipticBlock", InvariantRecord(24, -16, 0), {"fibers": registry.Fibers(1, 0, 5)},
-     "log-elliptic-decompose", 1),
+# The three cases declare different blocks under one name: the table
+# fixture clears the evaluations of a patched block with its patch.
+@pytest.mark.parametrize("record, facts, rule, stock", [
+    (InvariantRecord(104, -64, 0), {}, "wall-stabilize", WALL_N0),
+    (InvariantRecord(72, -48, 0), {"fibers": registry.Fibers(0, 0, 0)}, "elliptic-decompose", 1),
+    (InvariantRecord(24, -16, 0), {"fibers": registry.Fibers(1, 0, 5)}, "log-elliptic-decompose", 1),
 ], ids=["no-fibers", "no-multiple-fiber", "multiple-fiber"])
-def test_a_new_spin_block_is_one_table_entry(name, record, facts, rule, stock):
+def test_a_new_spin_block_is_one_table_entry(record, facts, rule, stock):
     # Blocks like X442, E(6) and Y(2): the spin rows read the declared
     # split and fibers, not the name.
+    name = "NewSpinBlock"
     k3s = -record.tau // 16
     quadrics = (record.chi - 22 * k3s - 2) // 2
     flags = StructureFlags().cite(
@@ -221,3 +223,29 @@ def test_a_new_homology_sphere_is_one_table_entry():
     with mock.patch.dict(PRIMITIVES, {"NewSphere": sphere}):
         cover = universal_cover(connected_sum_of((Primitive("NewSphere"), 1), (K3, 1)))
     assert cover == connected_sum_of((K3, 3), (Primitive("CP2"), 2), (Primitive("CP2b"), 2))
+
+
+def test_a_spin_split_must_match_the_record(capsys):
+    # k K3 # q S2xS2 has chi 22k + 2q + 2 and tau -16k.
+    for name, params in [*(("E", (n,)) for n in range(2, 21, 2)), ("X442", ()),
+                         *(("Y", (j,)) for j in range(1, 6))]:
+        info = instantiate(name, params)
+        assert info.spin_split is not None and registry._rejection(info) is None
+    # A K3-like block that declares the split of K3 # S2xS2.
+    flags = StructureFlags().cite(
+        pi1=GroupLabel.trivial(), spin=YES, rule="declared", citation="test block"
+    )
+    bad = Evaluation(InvariantRecord(24, -16, 0), flags, spin_split=(1, 1))
+    message = "BadSplit: spin split (1, 1) needs (chi, tau) = (26, -16)"
+    with mock.patch.dict(PRIMITIVES, {"BadSplit": bad}):
+        with pytest.raises(InconsistentFlags) as err:
+            registry._check_declarations()
+    assert str(err.value) == message
+    # Declared as a family, it is checked at every instantiation.
+    with mock.patch.dict(PRIMITIVES, {"BadSplit": lambda params: bad}):
+        with pytest.raises(InconsistentFlags, match=re.escape(message)):
+            instantiate("BadSplit")
+        code = main(["normalize", "BadSplit # S2xS2"])
+    assert (code, capsys.readouterr()) == (
+        2, ("", f"syntax error: {message} (line 1, column 1)\n")
+    )
