@@ -38,6 +38,8 @@ VERDICTS = (
 
 @dataclass(frozen=True)
 class Step:
+    """One step of a certificate: a rule, its citation and the arithmetic it states."""
+
     rule: str
     citation: str
     arithmetic: Optional[str] = None  # None for purely qualitative steps
@@ -48,6 +50,8 @@ class Step:
 
 @dataclass(frozen=True)
 class Certificate:
+    """A verdict with the steps that support it and the inputs it was issued for."""
+
     verdict: str
     steps: tuple[Step, ...]
     inputs: dict = field(default_factory=dict)

@@ -3,6 +3,9 @@
 Subcommands: ``eval``, ``check ht|einstein|homeo``, ``normalize``,
 ``enumerate bk|free-actions`` and ``reproduce <target>``.  Identical
 invocations produce byte-identical output (sorted keys, fixed ordering).
+Importing this module runs only the evaluator core; a command loads each
+layer above it (parser, obstruction, rewrite, geography, reproduce) on
+first use.
 
 Exit codes: 0 success; 1 a negative verdict (Hitchin-Thorpe violated or
 not homeomorphic); 2 usage or input errors, or stdout closed by its
@@ -14,6 +17,7 @@ of the program, reported on one line of stderr, never as a traceback.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -23,11 +27,35 @@ from itertools import islice
 from fourcalc.config import C_EPS, EPS, eps_prime_of
 from fourcalc.errors import DslSyntaxError, FourcalcError, NoSplit
 from fourcalc.evaluate import evaluate
-from fourcalc.geography import CITE_GEOGRAPHY, GeographyQuery, bk_columns, bk_region, free_action_region
-from fourcalc.obstruction import decompose_for_obstruction, hitchin_thorpe, homeo_equal
-from fourcalc.parser import parse_dsl
-from fourcalc.reproduce import TARGETS, compare_with_golden, run_target
-from fourcalc.rewrite import normalize
+
+
+def _deferred(name: str):
+    """The module ``name``, put in ``sys.modules`` and on its package now,
+    as an import would, but run only when one of its attributes is first
+    read (``importlib.util.LazyLoader``)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+# The layers above the evaluator core run on a command's first use of
+# them, so a command pays only for the layers it reads.  certificates and
+# surgery, which the handlers reach only through those layers, are put in
+# sys.modules too: tools that wrap every layer (perfbench's tracer) look
+# each one up there.
+geography = _deferred("fourcalc.geography")
+obstruction = _deferred("fourcalc.obstruction")
+parser = _deferred("fourcalc.parser")
+reproduce = _deferred("fourcalc.reproduce")
+rewrite = _deferred("fourcalc.rewrite")
+_deferred("fourcalc.certificates")
+_deferred("fourcalc.surgery")
 
 
 class _Command(argparse.ArgumentParser):
@@ -96,26 +124,26 @@ def _build_parser() -> argparse.ArgumentParser:
         kinds.add_parser("free-actions", help="admissible (n, m) points", declare=free_actions)
 
     def target(p):
-        p.add_argument("target", choices=sorted(TARGETS))
+        p.add_argument("target", choices=sorted(reproduce.TARGETS))
         p.add_argument("--json", action="store_true")
 
-    parser = argparse.ArgumentParser(
+    root = argparse.ArgumentParser(
         prog="fourcalc",
         description="exact invariant calculus and Einstein-metric "
         "obstructions for 4-manifold expressions",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub = root.add_subparsers(dest="command", required=True, parser_class=_Command)
     sub.add_parser("eval", help="invariants and flags of an expression", declare=one_expr)
     sub.add_parser("check", help="run an obstruction or comparison check", declare=check)
     sub.add_parser("normalize", help="canonical connected-sum form", declare=one_expr)
     sub.add_parser("enumerate", help="lattice-region enumeration", declare=regions)
     sub.add_parser("reproduce", help="rebuild a named example set", declare=target)
-    return parser
+    return root
 
 
 def _parse_expr_or_exit(text: str):
     try:
-        return parse_dsl(text)
+        return parser.parse_dsl(text)
     except DslSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -175,7 +203,7 @@ def cmd_eval(args) -> int:
 
 def cmd_check_ht(args) -> int:
     expr = _parse_expr_or_exit(args.expr)
-    cert = hitchin_thorpe(evaluate(expr).record, inputs={"expr": str(expr)})
+    cert = obstruction.hitchin_thorpe(evaluate(expr).record, inputs={"expr": str(expr)})
     lines = [f"verdict: {cert.verdict}"]
     lines += [f"  {s.rule}: {s.arithmetic}" for s in cert.steps if s.arithmetic]
     _emit(cert.as_dict(), args.json, lines)
@@ -185,7 +213,7 @@ def cmd_check_ht(args) -> int:
 def cmd_check_einstein(args) -> int:
     expr = _parse_expr_or_exit(args.expr)
     try:
-        splitting = decompose_for_obstruction(expr)
+        splitting = obstruction.decompose_for_obstruction(expr)
     except NoSplit as exc:
         data = {"verdict": "no_verdict", "reason": str(exc)}
         _emit(data, args.json, [f"verdict: no_verdict ({exc})"])
@@ -204,7 +232,7 @@ def cmd_check_einstein(args) -> int:
 def cmd_check_homeo(args) -> int:
     left = _parse_expr_or_exit(args.expr)
     right = _parse_expr_or_exit(args.other)
-    cert = homeo_equal(left, right)
+    cert = obstruction.homeo_equal(left, right)
     lines = [f"verdict: {cert.verdict}"]
     lines += [f"  {s.rule}" + (f": {s.arithmetic}" if s.arithmetic else "")
               for s in cert.steps]
@@ -214,7 +242,7 @@ def cmd_check_homeo(args) -> int:
 
 def cmd_normalize(args) -> int:
     expr = _parse_expr_or_exit(args.expr)
-    result = normalize(expr)
+    result = rewrite.normalize(expr)
     data = {
         "input": str(expr),
         "canonical": result.canonical,
@@ -269,22 +297,22 @@ def cmd_enumerate(args) -> int:
         bounds = _parse_bounds(args.bounds)
         if args.json:
             points = [
-                {"x": x, "y": y, "annotation": CITE_GEOGRAPHY}
-                for x, y in bk_region(eps_prime, c, bounds)
+                {"x": x, "y": y, "annotation": geography.CITE_GEOGRAPHY}
+                for x, y in geography.bk_region(eps_prime, c, bounds)
             ]
             _emit({"eps_prime": str(eps_prime), "c": str(c), "points": points}, True, [])
         else:
-            columns = bk_columns(eps_prime, c, bounds)
+            columns = geography.bk_columns(eps_prime, c, bounds)
             ys = [str(y) for y in range(1, max((top for _, top in columns), default=0) + 1)]
             print("x,y")
             _write_lines(f"{x}," + f"\n{x},".join(ys[:top]) + "\n" for x, top in columns)
         return 0
     eps = _parse_fraction(args.eps, "--eps", EPS)
     c = _parse_fraction(args.c, "--c", C_EPS)
-    query = GeographyQuery(
+    query = geography.GeographyQuery(
         d=args.d, epsilon=eps, c_of_eps=c, bounds=_parse_bounds(args.bounds)
     )
-    points = free_action_region(query)
+    points = geography.free_action_region(query)
     if args.json:
         rows = [{"n": p.n, "m": p.m, "k": p.k, "verdict": p.verdict} for p in points]
         _emit({"d": args.d, "eps": str(eps), "c": str(c), "points": rows}, True, [])
@@ -299,10 +327,10 @@ def cmd_enumerate(args) -> int:
 def cmd_reproduce(args) -> int:
     # run_target raises AssertionError (exit 3) when a certificate fails
     # self-verification.
-    report = run_target(args.target)
+    report = reproduce.run_target(args.target)
     data = report.as_dict()
     _emit(data, args.json, report.lines)
-    diffs = compare_with_golden(args.target, data)
+    diffs = reproduce.compare_with_golden(args.target, data)
     if diffs:
         for diff in diffs:
             print(f"golden mismatch: {diff}", file=sys.stderr)
@@ -313,9 +341,8 @@ def cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

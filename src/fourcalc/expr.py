@@ -223,6 +223,8 @@ class DivisorClass:
 
 @dataclass(frozen=True, eq=False)
 class Primitive(_Node):
+    """A block of the primitive table, by name, with its integer parameters."""
+
     name: str
     params: tuple = ()
 
@@ -234,6 +236,8 @@ class Primitive(_Node):
 
 @dataclass(frozen=True, eq=False)
 class CyclicCover(_Node):
+    """The d-fold cyclic cover of CP2 or CP1xCP1 branched along a d-divisible class."""
+
     base: str
     d: int
     branch: DivisorClass
@@ -289,6 +293,8 @@ class BicyclicCover(_Node):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Quotient(_Composite):
+    """The quotient of ``inner`` by a free Z/d action, standard or weighted."""
+
     inner: "ManifoldExpr"
     d: int
     action: str = "standard"
@@ -334,6 +340,8 @@ class ConnectedSum(_Composite):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FiberSum(_Composite):
+    """The fiber sum of two manifolds along fibers of genus ``genus``."""
+
     left: "ManifoldExpr"
     right: "ManifoldExpr"
     genus: int
@@ -350,6 +358,8 @@ class FiberSum(_Composite):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class LogTransform(_Composite):
+    """A logarithmic transform of multiplicity ``multiplicity`` on a fiber of ``inner``."""
+
     inner: "ManifoldExpr"
     multiplicity: int
 

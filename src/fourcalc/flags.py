@@ -127,6 +127,8 @@ _provenance = lru_cache(maxsize=_PROVENANCE_TABLE_SIZE)(Provenance)
 
 @dataclass(frozen=True)
 class StructureFlags:
+    """The structure flags of a manifold, each with the provenance that set it."""
+
     spin: TriState = UNKNOWN
     parity: Parity = Parity.UNKNOWN
     w2type: W2Type = W2Type.UNKNOWN

@@ -47,6 +47,8 @@ CITE_GEOGRAPHY = (
 
 @dataclass(frozen=True)
 class GeographyQuery:
+    """A free-action region: the degree d, eps, c(eps') and the (NMAX, MMAX) bounds."""
+
     d: int
     epsilon: Fraction
     c_of_eps: Fraction
@@ -70,6 +72,8 @@ class GeographyQuery:
 
 @dataclass(frozen=True)
 class FamilyBlueprint:
+    """A family member: quotient and cover, their records, certificates and labels."""
+
     quotient: ManifoldExpr
     cover: ManifoldExpr
     quotient_record: InvariantRecord
@@ -140,6 +144,8 @@ def bk_contains(eps_prime: Fraction, c: Fraction, x: int, y: int) -> bool:
 
 @dataclass(frozen=True)
 class FreeActionPoint:
+    """An admissible point (n, m) of a free-action region, its k and its verdict."""
+
     n: int
     m: int
     k: int

@@ -116,6 +116,8 @@ def lebrun_einstein(x_expr: ManifoldExpr, k: int, l: int) -> Certificate:
 
 @dataclass(frozen=True)
 class Splitting:
+    """A split of a connected sum into X # k CP2b # l S1xS3, with its certificate."""
+
     x_expr: ManifoldExpr
     k: int
     l: int

@@ -53,6 +53,8 @@ from fourcalc.surgery import gompf_sum_blueprint, universal_cover
 
 @dataclass
 class Report:
+    """The printed lines, values and certificates of one reproduce target."""
+
     target: str
     lines: list[str] = field(default_factory=list)
     values: dict = field(default_factory=dict)

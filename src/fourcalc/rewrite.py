@@ -154,6 +154,8 @@ STOCKS = {
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One rule firing of a normalization: its rule, citation and detail."""
+
     rule: str
     citation: str
     detail: str
@@ -161,6 +163,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class NormalizeResult:
+    """A normal form, the trace that reached it, whether it is canonical, and its mode."""
+
     expr: ManifoldExpr
     trace: tuple[TraceStep, ...]
     canonical: bool

@@ -1,6 +1,8 @@
 """Command line interface: output shape, determinism, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from fourcalc import cli, reproduce
+from fourcalc import cli, geography, reproduce
 from fourcalc.certificates import Certificate, Step
 from fourcalc.cli import main
 from fourcalc.reproduce import TARGETS, Report
@@ -308,7 +310,7 @@ class TestNormalizeAndEnumerate:
         # Columns (x, top) that skip x = 2, have top 1 at x = 3, and are
         # clipped at Y = 7 at x = 4: column x holds the lines x,1 .. x,top.
         columns = [(1, 3), (3, 1), (4, 7)]
-        monkeypatch.setattr(cli, "bk_columns", lambda *args: columns)
+        monkeypatch.setattr(geography, "bk_columns", lambda *args: columns)
         code, out, _ = run_cli(capsys, "enumerate", "bk", "--bounds", "4,7")
         assert code == 0
         assert out == "x,y\n1,1\n1,2\n1,3\n3,1\n" + "".join(f"4,{y}\n" for y in range(1, 8))
@@ -485,6 +487,17 @@ def test_a_command_builds_only_its_branch(monkeypatch, capsys):
     assert _parser_work(monkeypatch, capsys, "check", "ht", "K3") == (built, declared)
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fresh(*args):
+    """``python *args`` in a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def test_importing_the_cli_builds_no_parser():
     script = (
         "import argparse\n"
@@ -497,8 +510,122 @@ def test_importing_the_cli_builds_no_parser():
         "import fourcalc.cli\n"
         "print(len(built))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    result = _fresh("-c", script)
     assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
+
+
+# --- loading: the evaluator core at import, every other layer on first use ----
+
+_DEFERRED = ("parser", "certificates", "obstruction", "rewrite", "surgery", "geography", "reproduce")
+
+
+def test_importing_the_cli_runs_only_the_core_but_registers_every_layer():
+    # perfbench's tracer looks each of its layers up in sys.modules, so
+    # each must be there, run or not.  -X importtime lists every module an
+    # import statement runs; a deferred layer runs later, if at all.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(_ROOT / 'perfbench')!r})\n"
+        "from tracer import LAYERS\n"
+        "import fourcalc.cli\n"
+        "print([layer for layer in LAYERS if f'fourcalc.{layer}' not in sys.modules])\n"
+    )
+    result = _fresh("-X", "importtime", "-c", script)
+    assert (result.returncode, result.stdout) == (0, "[]\n")
+    imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if "|" in line}
+    assert {"fourcalc", "fourcalc.evaluate", "fourcalc.cli"} <= imported
+    assert imported.isdisjoint(f"fourcalc.{layer}" for layer in _DEFERRED)
+
+
+_RECORD_EXECUTED = (
+    "import contextlib, importlib.machinery, io, json, sys\n"
+    "ran = []\n"
+    "exec_module = importlib.machinery.SourceFileLoader.exec_module\n"
+    "def recording(self, module):\n"
+    "    ran.append(self.name)\n"
+    "    exec_module(self, module)\n"
+    "importlib.machinery.SourceFileLoader.exec_module = recording\n"
+    "from fourcalc.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, ran]))\n"
+)
+
+
+def _layers_run(*argv):
+    """The exit code of ``main(argv)`` in a fresh interpreter, and the
+    deferred layers whose code ran there, eagerly or lazily."""
+    result = _fresh("-c", _RECORD_EXECUTED, *argv)
+    assert result.returncode == 0, result.stderr
+    code, ran = json.loads(result.stdout)
+    return code, {name[len("fourcalc."):] for name in ran} & set(_DEFERRED)
+
+
+def test_a_command_runs_only_the_layers_it_reads():
+    code, ran = _layers_run("eval", "K3")
+    assert code == 0
+    assert "parser" in ran
+    assert ran.isdisjoint({"geography", "reproduce", "rewrite", "obstruction"})
+    code, ran = _layers_run("enumerate", "bk", "--bounds", "5,5")
+    assert code == 0
+    assert "geography" in ran
+    assert ran.isdisjoint({"parser", "reproduce"})
+
+
+# --- totality: every argv ends in an exit code that keeps its meaning ----
+
+_FRAGMENTS = [
+    "K3", "CP2", "CP2b", "S2xS2", "S1xS3", "S4", "E(2)", "E(0)", "Sd(2)", "X442", "Xk(2)",
+    "Y(1)", "FgProd(1,2)", "BK(10,16,1)", "XG(24,-16,G)", "XG(12,-8,G,1)", "XG(24,-16,G,-1)",
+    "cover(CP2, d=3, branch=6)", "cover(CP2, d=2, branch=0)", "cover(CP1xCP1, d=2, branch=(2,4))",
+    "bicyclic(3,2;3,3,3,3)", "quotient(bicyclic(3,2;3,3,3,3), 3)", "quotient(K3, 2, weighted)",
+    "fibersum(E(1),E(1),g=1)", "logt(E(2),3)", "logt(E(2),-3)", "Nope(3)", "K3(1)", "0*CP2",
+    "", "(", ")", "#", "*", ",", "2*", "K3 #", "((K3)", "1" * 30,
+]
+_EXPR = st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=3).map(
+    lambda parts: " # ".join(parts)
+) | st.builds("{}*({})".format, st.integers(-2, 4), st.sampled_from(_FRAGMENTS))
+_FRACTION = st.sampled_from(["1/2", "1/3", "3", "10", "0", "-1/2", "9", "x", "1/0", "", "2.5"])
+_BOUNDS = st.builds("{},{}".format, st.integers(-3, 60), st.integers(-3, 60)) | st.sampled_from(
+    ["", "4", "1,2,3", "a,b", "4,", ",4"]
+)
+
+
+@st.composite
+def _argv(draw):
+    path = draw(st.sampled_from(sorted(PATHS) + [(), ("check",), ("enumerate",), ("nope",)]))
+    argv = list(path)
+    if path in (("eval",), ("normalize",), ("check", "ht"), ("check", "einstein")):
+        argv.append(draw(_EXPR))
+    elif path == ("check", "homeo"):
+        argv += [draw(_EXPR), draw(_EXPR)]
+    elif path == ("enumerate", "bk"):
+        argv += ["--bounds", draw(_BOUNDS)]
+        for option in ("--eps-prime", "--c"):
+            if draw(st.booleans()):
+                argv += [option, draw(_FRACTION)]
+    elif path == ("enumerate", "free-actions"):
+        argv += ["--d", draw(st.sampled_from(["2", "3", "4", "1", "0", "-2", "x"])),
+                 "--bounds", draw(_BOUNDS)]
+        for option in ("--eps", "--c"):
+            if draw(st.booleans()):
+                argv += [option, draw(_FRACTION)]
+    elif path == ("reproduce",):
+        argv.append(draw(st.sampled_from(sorted(TARGETS) + ["thm9", ""])))
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 9)) == 0:  # a stray token or option, or help
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--x", "K3", "--json=1"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_every_command_line_exits_0_1_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    # Only a reproduce target may report an internal inconsistency.
+    assert code != 3 or "reproduce" in argv, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,6 @@
 """The package namespace: re-exports leave the submodules reachable,
-every public name in the package is used by the package, and no function
-in it recurses."""
+every public name in the package is used by the package, the evaluator
+core imports no other layer, and no function in it recurses."""
 
 import ast
 import sys
@@ -84,6 +84,46 @@ def test_every_imported_name_is_used():
             if name not in read
         ]
     assert unused == []
+
+
+# The evaluator core: every command runs it, since the package's
+# ``__init__`` imports it; the CLI loads every other layer on first use.
+_CORE = ("__init__", "config", "errors", "expr", "invariants", "flags", "registry", "covers", "evaluate")
+
+
+def _module_level_imports(tree):
+    """The fourcalc modules that the module-level statements of ``tree``
+    import; imports inside functions and classes run later, if at all."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fourcalc":
+            if node.module == "fourcalc":
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".", 1)[1]
+        elif isinstance(node, ast.Import):
+            yield from (
+                alias.name.split(".", 1)[1] for alias in node.names
+                if alias.name.startswith("fourcalc.")
+            )
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
+
+
+def test_the_evaluator_core_imports_only_the_core():
+    # A core module that imported another layer at module level would run
+    # that layer for every command.
+    package = Path(fourcalc.__file__).parent
+    found = [
+        f"{name}.py: {module}"
+        for name in _CORE
+        for module in _module_level_imports(ast.parse((package / f"{name}.py").read_text(encoding="utf-8")))
+        if module not in _CORE
+    ]
+    assert found == []
+    # The walk sees the core's own imports, so an empty list means something.
+    assert "covers" in _module_level_imports(ast.parse((package / "evaluate.py").read_text(encoding="utf-8")))
 
 
 def test_no_primitive_name_tests_outside_the_table():
