@@ -2,8 +2,10 @@
 
 Every family generator returns a :class:`FamilyBlueprint`: a quotient
 expression with finite cyclic (or prescribed) fundamental group, its
-universal-cover expression, pre-verified certificates and bookkeeping
-labels.  Enumerators are deterministic (lexicographic order) and all
+universal-cover expression, the quotient's record, pre-verified
+certificates and, where the cover is a canonical sum, its normal form.
+Reports read each number from the one of these that states it.
+Enumerators are deterministic (lexicographic order) and all
 comparisons are exact: the region predicates compare integers, each
 inequality multiplied through by its positive denominators.
 
@@ -15,11 +17,11 @@ The free-action region checks every point's numbers exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from fourcalc.config import C_EPS, EPS, N1, WALL_N0, eps_prime_of
+from fourcalc.config import N1, WALL_N0, eps_prime_of
 from fourcalc.certificates import Certificate
 from fourcalc.covers import action_admissibility, ample_canonical
 from fourcalc.errors import BadP, BadParity, InfeasiblePoint
@@ -72,14 +74,15 @@ class GeographyQuery:
 
 @dataclass(frozen=True)
 class FamilyBlueprint:
-    """A family member: quotient and cover, their records, certificates and labels."""
+    """A family member: quotient and cover, the quotient's record, its
+    certificates (Hitchin-Thorpe first, the Einstein obstruction last
+    where the family has one) and the cover's normal form, where it is
+    a canonical sum."""
 
     quotient: ManifoldExpr
     cover: ManifoldExpr
     quotient_record: InvariantRecord
-    cover_record: InvariantRecord
     certificates: tuple[Certificate, ...]
-    labels: dict = field(default_factory=dict)
     cover_normal_form: Optional[NormalizeResult] = None
 
 
@@ -87,14 +90,14 @@ def _build_blueprint(
     quotient: ManifoldExpr,
     cover: ManifoldExpr,
     certificates: tuple[Certificate, ...],
-    labels: dict,
     cover_sum: Optional[ManifoldExpr] = None,
 ) -> FamilyBlueprint:
-    """A family member's blueprint: the evaluated records, the quotient's
+    """A family member's blueprint: the evaluated quotient record, its
     Hitchin-Thorpe certificate (asserted to hold) before ``certificates``
     and, given the canonical sum ``cover_sum``, the cover's normal form,
     asserted to be that sum.  ``universal_cover`` or ``Quotient``
-    evaluation already tied the two records by the factor d."""
+    evaluation already tied the cover's record to the quotient's by the
+    factor d."""
     quotient_record = evaluate(quotient).record
     ht = hitchin_thorpe(quotient_record, inputs={"expr": str(quotient)})
     assert ht.verdict == "hitchin_thorpe_ok", f"Hitchin-Thorpe fails on {quotient}"
@@ -106,9 +109,7 @@ def _build_blueprint(
         quotient=quotient,
         cover=cover,
         quotient_record=quotient_record,
-        cover_record=evaluate(cover).record,
         certificates=(ht, *certificates),
-        labels=labels,
         cover_normal_form=nf,
     )
 
@@ -213,7 +214,6 @@ class QuotientArithmetic(NamedTuple):
     block: tuple[int, int]  # (chi_h, c1sq) of the geography block
     k: int
     quotient_record: InvariantRecord
-    cover_record: InvariantRecord
     cover_counts: tuple[int, int]  # (CP2, CP2b) of the cover's normal form
 
 
@@ -274,15 +274,11 @@ def quotient_arithmetic(
     assert min(counts) >= 0
     assert crec == connected_sum_record(zip((cp2, cp2b), counts))
     assert crec.c1sq == n and crec.chi + crec.tau == 4 * m  # chi_h = m
-    return QuotientArithmetic((chi_h_block, c1sq_block), k, qrec, crec, counts)
+    return QuotientArithmetic((chi_h_block, c1sq_block), k, qrec, counts)
 
 
 def build_quotient_blueprint(
-    n: int,
-    m: int,
-    d: int,
-    eps_prime: Fraction = eps_prime_of(EPS),
-    c_of_eps: Fraction = C_EPS,
+    n: int, m: int, d: int, eps_prime: Fraction, c_of_eps: Fraction
 ) -> FamilyBlueprint:
     """Blueprint for the point (n, m): a symplectic block B with
     c1^2 = floor(3n/2d) + 1 and chi_h = m/d, summed with the homology
@@ -307,7 +303,6 @@ def build_quotient_blueprint(
         quotient,
         universal_cover(quotient),
         certificates=(cert,),
-        labels={"n": n, "m": m, "d": d, "k": arith.k},
         cover_sum=connected_sum_of(*zip((CP2, CP2B), arith.cover_counts)),
     )
 
@@ -378,7 +373,7 @@ def ke_corrected_chi_h(d: int, i: int) -> Fraction:
     return ke_printed_chi_h(d, i) - d * (d - 1)
 
 
-def _ke_odd_c1sq(d: int, i: int) -> int:
+def ke_odd_c1sq(d: int, i: int) -> int:
     """c1^2 of the odd-d family member, as exact evaluation gives it."""
     return 4 * (d * (d - 1) + d * i - 2) ** 2
 
@@ -388,22 +383,11 @@ def _ke_family_odd(d: int, i: int) -> FamilyBlueprint:
     quotient = Quotient(cover_expr, d, "standard")
     rec = evaluate(quotient).record
 
-    assert rec.c1sq == _ke_odd_c1sq(d, i)
+    assert rec.c1sq == ke_odd_c1sq(d, i)
     assert rec.chi_h == ke_corrected_chi_h(d, i)
     assert ample_canonical(d, 2, d, d, d * i, d * i)
 
-    return _build_blueprint(
-        quotient,
-        cover_expr,
-        certificates=(),
-        labels={
-            "d": d,
-            "i": i,
-            "c1sq": rec.c1sq,
-            "chi_h": rec.chi_h,
-            "einstein": "exists (Kaehler-Einstein)",
-        },
-    )
+    return _build_blueprint(quotient, cover_expr, certificates=())
 
 
 def _ke_family_even(d: int, i: int) -> FamilyBlueprint:
@@ -422,23 +406,11 @@ def _ke_family_even(d: int, i: int) -> FamilyBlueprint:
     assert tau % 8 != 0  # odd i: the intersection form is odd
 
     cover_expr = BicyclicCover(d, 3, a, b, d * i, d * i)
-    quotient = Quotient(cover_expr, d, "weighted")
-    cover_rec = evaluate(cover_expr).record
     return FamilyBlueprint(
-        quotient=quotient,
+        quotient=Quotient(cover_expr, d, "weighted"),
         cover=cover_expr,
         quotient_record=rec,
-        cover_record=cover_rec,
         certificates=(),
-        labels={
-            "d": d,
-            "i": i,
-            "c1sq": c1sq,
-            "c2": c2,
-            "tau": tau,
-            "tau_mod_4": tau % 4,
-            "einstein": "exists (Kaehler-Einstein)",
-        },
     )
 
 
@@ -447,7 +419,7 @@ def _ke_margin(d: int, i: int) -> Fraction:
     the member has c1^2 <= 5 chi_h exactly when this is >= 0.  It is a
     quadratic in i."""
     if d % 2 == 1:
-        return 5 * ke_corrected_chi_h(d, i) - _ke_odd_c1sq(d, i)
+        return 5 * ke_corrected_chi_h(d, i) - ke_odd_c1sq(d, i)
     # 12 chi_h = c1^2 + c2, and both are positive for i >= 1.
     c1sq, c2, _ = printed_even_invariants(d, i)
     return Fraction(5 * (c1sq + c2) - 12 * c1sq)
@@ -535,7 +507,6 @@ def exotic_partner_family(d: int, i: int, j: int) -> FamilyBlueprint:
         partner,
         universal_cover(partner),
         certificates=(homeo, lebrun),
-        labels={"d": d, "i": i, "j": j, "k": k, "chi_h": chi_h},
         cover_sum=connected_sum_of((CP2, int(crec.b2plus)), (CP2B, int(crec.b2minus))),
     )
 
@@ -567,7 +538,7 @@ def spin_sum_families(d: int, n: int, j: int) -> tuple[FamilyBlueprint, FamilyBl
     def build(pieces_summed, m, expected_k3, expected_s):
         quotient = connected_sum_of(*[(p, 1) for p in pieces_summed], (sphere, 1))
         pieces4 = list(pieces_summed)
-        assumption, fourth = "", None
+        assumption = ""
         if m == 3:
             fourth = fourth_congruence_piece(pieces4)
             pieces4.append(fourth)
@@ -582,8 +553,6 @@ def spin_sum_families(d: int, n: int, j: int) -> tuple[FamilyBlueprint, FamilyBl
             quotient,
             universal_cover(quotient),
             certificates=(cert,),
-            labels={"d": d, "n": n, "j": j, "cover_k3": expected_k3, "cover_s2xs2": expected_s,
-                    "fourth_piece": None if fourth is None else str(fourth)},
             cover_sum=connected_sum_of(
                 (Primitive("K3"), expected_k3), (Primitive("S2xS2"), expected_s)
             ),
@@ -643,15 +612,4 @@ def group_family(
     assert lebrun.verdict == "einstein_obstructed"
     assert ev.record.c1sq == high - p > 0
 
-    return _build_blueprint(
-        total,
-        total,
-        certificates=(lebrun,),
-        labels={
-            "group": group,
-            "k": k_index,
-            "p": p,
-            "j": j,
-            "c1sq_block": high - 16,
-        },
-    )
+    return _build_blueprint(total, total, certificates=(lebrun,))

@@ -29,13 +29,13 @@ from fourcalc.expr import (
 )
 from fourcalc.geography import (
     GeographyQuery,
-    _ke_odd_c1sq,
     blowup_range,
     build_quotient_blueprint,
     exotic_partner_family,
     fourth_congruence_piece,
     ke_corrected_chi_h,
     ke_family_start,
+    ke_odd_c1sq,
     ke_printed_chi_h,
     ke_quotient_family,
     region_lattice_points,
@@ -164,7 +164,7 @@ def reproduce_prop312() -> Report:
                 "d": d,
                 "i": i,
                 "c1sq": rec.c1sq,
-                "c1sq_formula": _ke_odd_c1sq(d, i),
+                "c1sq_formula": ke_odd_c1sq(d, i),
                 "chi_h": _json_safe(rec.chi_h),
                 "chi_h_formula": _json_safe(ke_corrected_chi_h(d, i)),
                 "printed_chi_h": _json_safe(printed),
@@ -182,8 +182,8 @@ def reproduce_prop312() -> Report:
     even_rows = []
     for d in (2, 4, 6):
         for i in (1, 3):
-            labels = ke_quotient_family(d, i).labels
-            c1sq, c2, tau = labels["c1sq"], labels["c2"], labels["tau"]
+            rec = ke_quotient_family(d, i).quotient_record
+            c1sq, c2, tau = rec.c1sq, rec.c2, rec.tau
             row = {
                 "d": d,
                 "i": i,
@@ -222,7 +222,7 @@ def reproduce_thm11() -> Report:
         "tau": zrec.tau,
         "c1sq": zrec.c1sq,
         "chi_h": _json_safe(zrec.chi_h),
-        "einstein": z.labels["einstein"],
+        "einstein": "exists (Kaehler-Einstein)",
     }
     report.certificates.extend(z.certificates)
 
@@ -232,8 +232,8 @@ def reproduce_thm11() -> Report:
         bp = exotic_partner_family(d, start, j)
         partner_bps.append(bp)
         report.certificates.extend(bp.certificates)
-        chi_h = bp.labels["chi_h"]
-        k = bp.labels["k"]
+        chi_h = int(bp.quotient_record.chi_h)
+        k = bp.certificates[-1].inputs["k"]
         partners.append({"j": j, "k": k, "chi_h": chi_h})
         report.say(
             f"exotic partner j={j}: homeomorphic, k={k} >= 3 chi_h = {3 * chi_h}, "
@@ -242,7 +242,7 @@ def reproduce_thm11() -> Report:
     report.values["partners"] = partners
 
     cover_nf = partner_bps[0].cover_normal_form
-    crec = partner_bps[0].cover_record
+    crec = evaluate(z.cover).record
     n_plus, m_minus = int(crec.b2plus), int(crec.b2minus)
     report.values["partner_cover_normal_form"] = display_form(cover_nf.expr)
     report.say(
@@ -287,7 +287,7 @@ def reproduce_thm15() -> Report:
                 {
                     "n": n,
                     "m": m,
-                    "k": bp.labels["k"],
+                    "k": bp.certificates[-1].inputs["k"],
                     "verdict": bp.certificates[-1].verdict,
                     "cover": display_form(bp.cover_normal_form.expr),
                 }
@@ -334,7 +334,7 @@ def reproduce_thm16() -> Report:
         rows.append(
             {
                 "k": k,
-                "c1sq_block": bp.labels["c1sq_block"],
+                "c1sq_block": evaluate(Primitive("Xk", (k,))).record.c1sq,
                 "p_range": [str(low), str(high)],
                 "p": int(p),
                 "structures": entries,
@@ -437,16 +437,18 @@ def reproduce_thm18() -> Report:
             for fam_index, bp in ((1, first), (2, second)):
                 report.certificates.extend(bp.certificates)
                 spin_cert = bp.certificates[-1]
+                counts = dict(sum_parts(bp.cover_normal_form.expr))
+                assumed = "assumption" in spin_cert.inputs
                 rows.append(
                     {
                         "family": fam_index,
                         "d": d,
                         "n": n,
                         "cover": display_form(bp.cover_normal_form.expr),
-                        "k3": bp.labels["cover_k3"],
-                        "s2xs2": bp.labels["cover_s2xs2"],
+                        "k3": counts[Primitive("K3")],
+                        "s2xs2": counts[Primitive("S2xS2")],
                         "verdict": spin_cert.verdict,
-                        "fourth_piece": bp.labels["fourth_piece"],
+                        "fourth_piece": spin_cert.inputs["pieces"][3] if assumed else None,
                     }
                 )
             report.say(

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +393,25 @@ def test_constants_are_not_options(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: fourcalc")
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
+def test_readme_cli_commands_exit_0(capsys):
+    lines = _readme_cli_lines()
+    assert lines
+    for line in lines:
+        # The free-actions line ends in a shell comment.
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "fourcalc"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), line
+        assert out, line
 
 
 def test_closed_stdout_exits_2_without_traceback():

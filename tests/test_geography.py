@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from fourcalc.certificates import verify_certificate
 from fourcalc.cli import main
 from fourcalc.errors import BadP, BadParity, InfeasiblePoint, InvalidExpr
-from fourcalc import geography, registry
+from fourcalc import config, geography, registry
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import FiberSum, Primitive
 from fourcalc.flags import Parity, W2Type
@@ -44,6 +44,10 @@ from fourcalc.geography import (
     quotient_arithmetic,
     spin_sum_families,
 )
+
+
+# The configured eps' of the free-action region, which its callers pass.
+EPS_PRIME = config.eps_prime_of(config.EPS)
 
 
 class TestBkRegion:
@@ -222,7 +226,9 @@ def reference_free_action_region(query):
                 n, m, d, eps_prime=query.eps_prime, c_of_eps=query.c_of_eps
             )
             points.append(
-                geography.FreeActionPoint(n, m, bp.labels["k"], bp.certificates[-1].verdict)
+                geography.FreeActionPoint(
+                    n, m, bp.certificates[-1].inputs["k"], bp.certificates[-1].verdict
+                )
             )
     points.sort(key=lambda p: (p.n, p.m))
     return points
@@ -236,8 +242,10 @@ def _stub_blueprint(n, m, d, eps_prime, c_of_eps):
     """Stands in for the blueprint: the m-range oracle is about which
     points are visited, in which order, with which constants.  The
     verdict names the constants, which every point of a query shares."""
-    verdict = SimpleNamespace(verdict=f"d={d} eps'={eps_prime} c={c_of_eps}")
-    return SimpleNamespace(labels={"k": _closed_form_k(n, d)}, certificates=[verdict])
+    lebrun = SimpleNamespace(
+        verdict=f"d={d} eps'={eps_prime} c={c_of_eps}", inputs={"k": _closed_form_k(n, d)}
+    )
+    return SimpleNamespace(certificates=[lebrun])
 
 
 def _outcome(enumerate_region, query):
@@ -363,7 +371,7 @@ def test_one_oracle_blueprint_per_class():
         assert len(first) == 2
         assert [(n, m) for n, m, _, _ in calls] == list(first.values())
         for n, m, call_d, bp in calls:
-            assert call_d == d and bp.labels["k"] == _closed_form_k(n, d)
+            assert call_d == d and bp.certificates[-1].inputs["k"] == _closed_form_k(n, d)
             assert [c.verdict for c in bp.certificates] == [
                 "hitchin_thorpe_ok", "einstein_obstructed",
             ]
@@ -399,7 +407,7 @@ def test_point_leaving_its_class_raises():
     with pytest.raises(AssertionError, match="class predicates"):
         quotient_arithmetic(2, 4, 1, Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(AssertionError):
-        build_quotient_blueprint(2, 4, 1, c_of_eps=Fraction(1, 2))
+        build_quotient_blueprint(2, 4, 1, EPS_PRIME, Fraction(1, 2))
 
 
 def _evaluate_cache_after(*argv):
@@ -460,7 +468,7 @@ class TestFreeActionRegion:
         points = free_action_region(query)
         assert points
         for point in points:
-            bp = build_quotient_blueprint(point.n, point.m, 3)
+            bp = build_quotient_blueprint(point.n, point.m, 3, query.eps_prime, query.c_of_eps)
             assert point.verdict == bp.certificates[-1].verdict
             for cert in bp.certificates:
                 assert verify_certificate(cert) == []
@@ -468,24 +476,25 @@ class TestFreeActionRegion:
 
 class TestQuotientBlueprint:
     def test_reference_point(self):
-        bp = build_quotient_blueprint(2, 10, 2)
-        assert bp.labels["k"] == 1
+        bp = build_quotient_blueprint(2, 10, 2, EPS_PRIME, config.C_EPS)
+        assert bp.certificates[-1].inputs["k"] == 1
         assert bp.quotient_record.c1sq == 1  # n/d
         assert bp.quotient_record.chi_h == 5  # m/d
-        assert bp.cover_record.c1sq == 2 and bp.cover_record.chi_h == 10
+        crec = evaluate(bp.cover).record
+        assert crec.c1sq == 2 and crec.chi_h == 10
         assert str(bp.cover_normal_form.expr) == "19*CP2 # 97*CP2b"
 
     def test_smallest_point_arithmetic(self):
         # n = m = d: k = floor(3/2) + 1 - 1 = 1 (needs a small c to be
         # inside the geography region).
         for d in (2, 3, 5):
-            bp = build_quotient_blueprint(d, d, d, c_of_eps=Fraction(1, 2))
-            assert bp.labels["k"] == (3 * d) // (2 * d) + 1 - 1 == 1
+            bp = build_quotient_blueprint(d, d, d, EPS_PRIME, Fraction(1, 2))
+            assert bp.certificates[-1].inputs["k"] == (3 * d) // (2 * d) + 1 - 1 == 1
 
     def test_cover_identities_symbolically(self):
         for n, m, d in ((2, 10, 2), (4, 8, 2), (3, 9, 3), (6, 12, 3), (9, 21, 3)):
-            bp = build_quotient_blueprint(n, m, d)
-            crec = bp.cover_record
+            bp = build_quotient_blueprint(n, m, d, EPS_PRIME, config.C_EPS)
+            crec = evaluate(bp.cover).record
             assert crec.c1sq == n and crec.chi_h == m
             parts = dict(bp.cover_normal_form.expr.parts)
             assert parts[Primitive("CP2")] == 2 * m - 1
@@ -493,17 +502,17 @@ class TestQuotientBlueprint:
 
     def test_excess_dominates_block(self):
         for n, m, d in ((2, 10, 2), (6, 12, 3), (12, 24, 4)):
-            bp = build_quotient_blueprint(n, m, d)
+            bp = build_quotient_blueprint(n, m, d, EPS_PRIME, config.C_EPS)
             f = (3 * n) // (2 * d)
-            assert Fraction(bp.labels["k"]) > Fraction(f + 1, 3)
+            assert Fraction(bp.certificates[-1].inputs["k"]) > Fraction(f + 1, 3)
 
     def test_rejections(self):
         with pytest.raises(InfeasiblePoint):
-            build_quotient_blueprint(3, 10, 2)  # d does not divide n
+            build_quotient_blueprint(3, 10, 2, EPS_PRIME, config.C_EPS)  # d does not divide n
         with pytest.raises(InfeasiblePoint):
-            build_quotient_blueprint(-2, 10, 2)
+            build_quotient_blueprint(-2, 10, 2, EPS_PRIME, config.C_EPS)
         with pytest.raises(InfeasiblePoint):
-            build_quotient_blueprint(2, 2, 2)  # outside the region (c too big)
+            build_quotient_blueprint(2, 2, 2, EPS_PRIME, config.C_EPS)  # outside the region (c too big)
 
 
 class TestKeQuotientFamily:
@@ -530,10 +539,10 @@ class TestKeQuotientFamily:
         for d in (2, 4, 6):
             for i in (1, 3, 5):
                 bp = ke_quotient_family(d, i)
-                tau = bp.labels["tau"]
+                tau = bp.quotient_record.tau
                 assert tau % 8 != 0
                 c1, c2, tau2 = printed_even_invariants(d, i)
-                assert tau == tau2 and bp.labels["c1sq"] == c1
+                assert tau == tau2 and bp.quotient_record.c1sq == c1
 
     def test_bad_parity(self):
         with pytest.raises(BadParity):
@@ -588,11 +597,11 @@ def test_ke_family_start_matches_scan():
 class TestExoticPartners:
     def test_partner_bounds_and_homeo(self):
         bp = exotic_partner_family(3, 1, 1)
-        chi_h = bp.labels["chi_h"]
-        assert bp.labels["k"] >= 3 * chi_h
+        chi_h = bp.quotient_record.chi_h
+        assert bp.certificates[-1].inputs["k"] >= 3 * chi_h
         verdicts = [c.verdict for c in bp.certificates]
         assert "homeomorphic" in verdicts and "einstein_obstructed" in verdicts
-        assert bp.cover_record.chi == 3 * bp.quotient_record.chi
+        assert evaluate(bp.cover).record.chi == 3 * bp.quotient_record.chi
 
     def test_below_start_rejected(self):
         with pytest.raises(InfeasiblePoint):
@@ -603,19 +612,24 @@ class TestExoticPartners:
             exotic_partner_family(2, 33, 1)
 
 
+def _k3_s2xs2(bp):
+    """The K3 and S2xS2 counts of a spin family member's cover normal form."""
+    counts = dict(bp.cover_normal_form.expr.parts)
+    assert set(counts) == {Primitive("K3"), Primitive("S2xS2")}
+    return counts[Primitive("K3")], counts[Primitive("S2xS2")]
+
+
 class TestSpinFamilies:
     def test_cover_counts(self):
         for d in (2, 3):
             for n in (1, 2):
                 first, second = spin_sum_families(d, n, 1)
-                assert first.labels["cover_k3"] == d * (n + 5)
-                assert first.labels["cover_s2xs2"] == d * (n + 7) - 1
-                assert second.labels["cover_k3"] == d * (2 * n + 5)
-                assert second.labels["cover_s2xs2"] == d * (2 * n + 6) - 1
+                assert _k3_s2xs2(first) == (d * (n + 5), d * (n + 7) - 1)
+                assert _k3_s2xs2(second) == (d * (2 * n + 5), d * (2 * n + 6) - 1)
 
     def test_chi_multiplicativity(self):
         first, _ = spin_sum_families(2, 1, 1)
-        assert first.cover_record.chi == 296 == 2 * first.quotient_record.chi
+        assert evaluate(first.cover).record.chi == 296 == 2 * first.quotient_record.chi
         assert first.quotient_record.chi == 148
 
     def test_j_independence(self):
@@ -665,11 +679,11 @@ class TestGroupFamily:
             with pytest.raises(BadP):
                 group_family(24, -16, "G", k, p, 1)
         for p in (least, most):
-            assert group_family(24, -16, "G", k, p, 1).labels["p"] == p
+            assert group_family(24, -16, "G", k, p, 1).certificates[-1].inputs["k"] == p
 
     def test_group_label_and_verdicts(self):
         bp = group_family(24, -16, "Dihedral7", 2, 20, 3)
-        assert bp.labels["group"] == "Dihedral7"
+        assert "XG(24,-16,Dihedral7)" in str(bp.quotient)
         assert str(evaluate(bp.quotient).flags.pi1) == "Dihedral7"
         assert [c.verdict for c in bp.certificates] == [
             "hitchin_thorpe_ok",

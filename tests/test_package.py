@@ -126,6 +126,68 @@ def test_the_evaluator_core_imports_only_the_core():
     assert "covers" in _module_level_imports(ast.parse((package / "evaluate.py").read_text(encoding="utf-8")))
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _module_aliases(tree):
+    """The names ``tree`` binds to fourcalc modules: by an import, or by a
+    call with the module's dotted name (the CLI's deferred loads)."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names if alias.name.split(".")[0] == "fourcalc"
+            }
+        elif isinstance(node, ast.ImportFrom) and node.module == "fourcalc":
+            aliases |= {alias.asname or alias.name for alias in node.names}
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and any(isinstance(arg, ast.Constant) and str(arg.value).startswith("fourcalc.")
+                      for arg in node.value.args)):
+            aliases |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    return aliases
+
+
+def _private_reads(tree):
+    """Each private name of another fourcalc module that ``tree`` imports,
+    or reads as an attribute of a name bound to such a module."""
+    aliases = _module_aliases(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fourcalc":
+            for alias in node.names:
+                if _private(alias.name):
+                    yield alias.lineno, f"from {node.module} import {alias.name}"
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                yield node.lineno, ast.unparse(node)
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A leading underscore marks a name as its module's own: a name that
+    # another module needs is public, and named so.
+    package = Path(fourcalc.__file__).parent
+    found = [
+        f"{path.name}:{line}: {text}"
+        for path in sorted(package.glob("*.py"))
+        for line, text in _private_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    # The walk sees the CLI's deferred modules and both kinds of read, so
+    # an empty list means something.
+    cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    assert {"geography", "reproduce"} <= _module_aliases(cli_tree)
+    probe = (
+        "reproduce = load('fourcalc.reproduce')\n"
+        "from fourcalc.geography import _odd_part\n"
+        "reproduce._BUILDERS\n"
+    )
+    assert sorted(line for line, _ in _private_reads(ast.parse(probe))) == [2, 3]
+
+
 def test_no_primitive_name_tests_outside_the_table():
     # A block is a one-place change: only registry.py may compare a
     # primitive's name or parameters.  The other layers read the facts
