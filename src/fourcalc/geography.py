@@ -12,6 +12,9 @@ inequality multiplied through by its positive denominators.
 The free-action region checks every point's numbers exactly
 (``quotient_arithmetic``) and builds one oracle blueprint per class
 (d, n mod 2d), which proves what rests on flags and rewrite rules.
+A point's check is integer arithmetic: it reads the block's record from
+the table without building the block's evaluation, and the records of
+Sd(d), CP2 and CP2b once per query.
 """
 
 from __future__ import annotations
@@ -35,9 +38,14 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
-from fourcalc.invariants import InvariantRecord, connected_sum_record
+from fourcalc.invariants import (
+    InvariantRecord,
+    c1sq_of,
+    connected_sum_invariants,
+    connected_sum_record,
+)
 from fourcalc.obstruction import hitchin_thorpe, homeo_equal, lebrun_einstein, spin_einstein
-from fourcalc.registry import instantiate
+from fourcalc.registry import declared_record
 from fourcalc.rewrite import CP2, CP2B, NormalizeResult, normalize
 from fourcalc.surgery import universal_cover
 
@@ -143,8 +151,7 @@ def bk_contains(eps_prime: Fraction, c: Fraction, x: int, y: int) -> bool:
     return 0 < y and y * e_den * c_den <= (9 * e_den - e_num) * c_den * x - c_num * e_den
 
 
-@dataclass(frozen=True)
-class FreeActionPoint:
+class FreeActionPoint(NamedTuple):
     """An admissible point (n, m) of a free-action region, its k and its verdict."""
 
     n: int
@@ -198,10 +205,11 @@ def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
     affine in n, so k and every record are affine in (n, m).
     """
     d, eps_prime, c_of_eps = query.d, query.eps_prime, query.c_of_eps
+    fixed = fixed_records(d)
     points = []
     verdicts: dict[int, str] = {}  # n mod 2d -> verdict of the class's blueprint
     for n, m in region_lattice_points(query):
-        k = quotient_arithmetic(n, m, d, eps_prime, c_of_eps).k
+        k = quotient_arithmetic(n, m, d, eps_prime, c_of_eps, fixed=fixed).k
         verdict = verdicts.get(n % (2 * d))
         if verdict is None:
             bp = build_quotient_blueprint(n, m, d, eps_prime=eps_prime, c_of_eps=c_of_eps)
@@ -217,12 +225,25 @@ class QuotientArithmetic(NamedTuple):
     cover_counts: tuple[int, int]  # (CP2, CP2b) of the cover's normal form
 
 
+def fixed_records(d: int) -> tuple[InvariantRecord, InvariantRecord, InvariantRecord]:
+    """The table's records of Sd(d), CP2 and CP2b: the same at every
+    point of degree d."""
+    return declared_record("Sd", (d,)), declared_record("CP2"), declared_record("CP2b")
+
+
 def quotient_arithmetic(
-    n: int, m: int, d: int, eps_prime: Fraction, c_of_eps: Fraction
+    n: int, m: int, d: int, eps_prime: Fraction, c_of_eps: Fraction,
+    *, fixed: Optional[tuple[InvariantRecord, InvariantRecord, InvariantRecord]] = None,
 ) -> QuotientArithmetic:
     """Every numeric fact of the blueprint for (n, m), in integers over
     the primitive table's records: no expression is built and nothing is
-    evaluated.
+    evaluated.  The block's record is read from the table at every
+    point, with the table's record checks but without building its
+    evaluation (``registry.declared_record``); ``fixed`` is
+    ``fixed_records(d)``, which a caller checking many points of one d
+    reads once, and which is read here when not given.  The connected
+    sums are added up in integers; only the quotient's record and its
+    cover's are built.
 
     It also asserts each point-dependent predicate that the flag and
     rewrite rules read on the way to the verdict and the cover's normal
@@ -257,22 +278,23 @@ def quotient_arithmetic(
             "realizable geography region"
         )
     k = f + 1 - n // d
-    block = instantiate("BK", (chi_h_block, c1sq_block, 0)).record
-    sphere = instantiate("Sd", (d,)).record
+    block = declared_record("BK", (chi_h_block, c1sq_block, 0))
+    sphere, cp2, cp2b = fixed or fixed_records(d)
     assert block.b2 is not None and block.b2 + block.tau > 0, "b2+(BK) >= 1"
     assert k >= 1 and d - 1 >= 1 and d * k >= 1, f"class predicates: k={k}, d={d}"
 
-    cp2, cp2b = (instantiate(name).record for name in ("CP2", "CP2b"))
     qrec = connected_sum_record(((block, 1), (sphere, 1), (cp2b, k)))
     assert qrec.c1sq == n // d and d * (qrec.chi + qrec.tau) == 4 * m  # chi_h = m/d
-    x_c1sq = connected_sum_record(((block, 1), (sphere, 1))).c1sq
+    x_chi, x_tau, _ = connected_sum_invariants(((block, 1), (sphere, 1)))
+    x_c1sq = c1sq_of(x_chi, x_tau)
     assert x_c1sq > 0 and 3 * k >= x_c1sq, "LeBrun: positivity and blow-up excess"
     assert 3 * k > c1sq_block
 
     crec = qrec.scaled(d)
     counts = (2 * m - 1, 10 * m - n - 1)
     assert min(counts) >= 0
-    assert crec == connected_sum_record(zip((cp2, cp2b), counts))
+    cover_sum = connected_sum_invariants(((cp2, counts[0]), (cp2b, counts[1])))
+    assert (crec.chi, crec.tau, crec.b1) == cover_sum
     assert crec.c1sq == n and crec.chi + crec.tau == 4 * m  # chi_h = m
     return QuotientArithmetic((chi_h_block, c1sq_block), k, qrec, counts)
 

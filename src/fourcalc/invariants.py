@@ -34,7 +34,7 @@ class InvariantRecord:
     # Chern numbers of a compatible almost complex structure.
     @property
     def c1sq(self) -> int:
-        return 2 * self.chi + 3 * self.tau
+        return c1sq_of(self.chi, self.tau)
 
     @property
     def c2(self) -> int:
@@ -73,8 +73,15 @@ class InvariantRecord:
         return InvariantRecord(chi=self.chi * d, tau=self.tau * d, b1=self.b1)
 
 
-def connected_sum_record(parts: Iterable[tuple[InvariantRecord, int]]) -> InvariantRecord:
-    """Invariants of the connected sum of (record, multiplicity) pairs.
+def c1sq_of(chi: int, tau: int) -> int:
+    """c1^2 = 2 chi + 3 tau of a compatible almost complex structure."""
+    return 2 * chi + 3 * tau
+
+
+def connected_sum_invariants(
+    parts: Iterable[tuple[InvariantRecord, int]]
+) -> tuple[int, int, Optional[int]]:
+    """(chi, tau, b1) of the connected sum of (record, multiplicity) pairs.
 
     chi adds and loses 2 per connecting neck; tau and b1 add.  b1 is
     unknown when any part's b1 is.
@@ -86,13 +93,20 @@ def connected_sum_record(parts: Iterable[tuple[InvariantRecord, int]]) -> Invari
         total += mult
         if b1 is not None:
             b1 = None if rec.b1 is None else b1 + rec.b1 * mult
-    return summed_record(chi, tau, b1, total)
+    return summed_invariants(chi, tau, b1, total)
 
 
-def summed_record(chi: int, tau: int, b1: Optional[int], total: int) -> InvariantRecord:
-    """Invariants of a connected sum of ``total`` parts whose chi, tau and
-    b1 add up to ``chi``, ``tau`` and ``b1`` (None when any part's is)."""
-    return InvariantRecord(chi=chi - 2 * (total - 1), tau=tau, b1=b1)
+def connected_sum_record(parts: Iterable[tuple[InvariantRecord, int]]) -> InvariantRecord:
+    """``connected_sum_invariants`` as a record."""
+    return InvariantRecord(*connected_sum_invariants(parts))
+
+
+def summed_invariants(
+    chi: int, tau: int, b1: Optional[int], total: int
+) -> tuple[int, int, Optional[int]]:
+    """(chi, tau, b1) of a connected sum of ``total`` parts whose chi, tau
+    and b1 add up to ``chi``, ``tau`` and ``b1`` (None when any part's is)."""
+    return chi - 2 * (total - 1), tau, b1
 
 
 def rohlin_compatible(tau: int) -> bool:

@@ -15,8 +15,10 @@ their geometry, nor tests their names.
 Entries declare only what no flag rule derives: the evaluator fills in
 what the declarations entail (spin => even form and w2-type II, Taubes'
 Seiberg-Witten flags, ...).  Declared flags and spin splits are
-validated and stored as given: the fixed entries once, at import, and a
-family's instances at every ``instantiate``.
+validated and stored as given; ``instantiate`` checks every entry it
+returns, fixed or built.  A :class:`Family` entry also states its record
+apart, so that ``declared_record`` reads it, with the record's checks,
+without building the evaluation.
 """
 
 from __future__ import annotations
@@ -82,15 +84,23 @@ class Evaluation:
     cover_adds: tuple[tuple[Primitive, int], ...] = ()
 
 
+def _record_rejection(record: InvariantRecord) -> Optional[str]:
+    """Why a declared record is impossible, or None if it is not."""
+    if (record.chi + record.tau) % 2 != 0:
+        return "chi + tau must be even"
+    if record.b1 is not None and record.b2 < abs(record.tau):
+        return "b2 < |tau|"
+    return None
+
+
 def _rejection(info: Evaluation) -> Optional[str]:
     """Why a declaration is internally impossible, or None if it is not.
     Callers prefix the primitive's name, so that it is formatted only
     when a declaration is rejected."""
+    problem = _record_rejection(info.record)
+    if problem:
+        return problem
     record, flags = info.record, info.flags
-    if (record.chi + record.tau) % 2 != 0:
-        return "chi + tau must be even"
-    if record.b1 is not None and record.b2 is not None and record.b2 < abs(record.tau):
-        return "b2 < |tau|"
     if flags.spin is YES:
         if not rohlin_compatible(record.tau):
             return f"declared spin with tau={record.tau} not divisible by 16 (Rohlin)"
@@ -109,29 +119,57 @@ def _rejection(info: Evaluation) -> Optional[str]:
     return None
 
 
+@dataclass(frozen=True)
+class Family:
+    """A family entry that states its record apart from its evaluation.
+
+    ``record(params)`` checks the parameters and gives the record;
+    ``build(params)``, the entry's call, gives the whole evaluation and
+    takes its record from ``record``.  ``declared_record`` runs only the
+    record's checks, so a family states its record apart only when its
+    declared flags pass the rest of ``_rejection`` whatever the record:
+    no spin, no w2-type and no spin split."""
+
+    record: Callable[[tuple], InvariantRecord]
+    build: Callable[[tuple], Evaluation]
+
+    def __call__(self, params: tuple) -> Evaluation:
+        return self.build(params)
+
+
+def _refuse(name: str, params: tuple, problem: str) -> InconsistentFlags:
+    return InconsistentFlags(f"{Primitive(name, params)}: {problem}")
+
+
 def instantiate(name: str, params: tuple = ()) -> Evaluation:
-    """The primitive ``name(params)`` as the table declares it."""
+    """The primitive ``name(params)`` as the table declares it, checked."""
     entry = PRIMITIVES.get(name)
     if entry is None:
         raise InvalidExpr(f"unknown primitive {name!r}")
     if isinstance(entry, Evaluation):
         if params:
             raise InvalidExpr(f"{name} takes no parameters")
-        return entry
-    info = entry(params)
+        info = entry
+    else:
+        info = entry(params)
     problem = _rejection(info)
     if problem:
-        raise InconsistentFlags(f"{Primitive(name, params)}: {problem}")
+        raise _refuse(name, params, problem)
     return info
 
 
-def _check_declarations() -> None:
-    """Reject a fixed entry of the table whose declaration is impossible."""
-    for name, entry in PRIMITIVES.items():
-        if isinstance(entry, Evaluation):
-            problem = _rejection(entry)
-            if problem:
-                raise InconsistentFlags(f"{name}: {problem}")
+def declared_record(name: str, params: tuple = ()) -> InvariantRecord:
+    """The record of ``name(params)``, checked as ``instantiate`` checks
+    it.  A :class:`Family` gives it without building the evaluation;
+    any other entry is read through ``instantiate``."""
+    entry = PRIMITIVES.get(name)
+    if type(entry) is not Family:
+        return instantiate(name, params).record
+    record = entry.record(params)
+    problem = _record_rejection(record)
+    if problem:
+        raise _refuse(name, params, problem)
+    return record
 
 
 def _declared(citation: str, **values) -> StructureFlags:
@@ -318,18 +356,25 @@ BK_FLAGS = _declared(
 )
 
 
+def _geography_block_record(params: tuple) -> InvariantRecord:
+    """BK(x, y, j)'s record: chi_h = x and c1^2 = y, simply connected."""
+    if len(params) != 3:
+        raise InvalidExpr("BK takes (chi_h, c1sq, structure-index)")
+    x, y, j = params
+    if not (isinstance(x, int) and isinstance(y, int) and isinstance(j, int)):
+        raise InvalidExpr("BK takes (chi_h, c1sq, structure-index)")
+    if x < 1 or y < 1 or j < 0:
+        raise InvalidExpr("BK needs chi_h >= 1, c1sq >= 1, index >= 0")
+    return InvariantRecord(12 * x - y, y - 8 * x, 0)
+
+
 def _build_geography_block(params: tuple) -> Evaluation:
     """BK(x, y, j): simply connected minimal symplectic ACD block with
     chi_h = x, c1^2 = y; j is an opaque smooth-structure index."""
-    if len(params) != 3 or not all(isinstance(p, int) for p in params):
-        raise InvalidExpr("BK takes (chi_h, c1sq, structure-index)")
-    x, y, j = params
-    if x < 1 or y < 1 or j < 0:
-        raise InvalidExpr("BK needs chi_h >= 1, c1sq >= 1, index >= 0")
     return Evaluation(
-        record=InvariantRecord(12 * x - y, y - 8 * x, 0),
+        record=_geography_block_record(params),
         flags=BK_FLAGS,
-        labels=(f"structure index {j}",),
+        labels=(f"structure index {params[2]}",),
     )
 
 
@@ -395,6 +440,5 @@ PRIMITIVES: dict[str, Union[Evaluation, Callable[[tuple], Evaluation]]] = {
     "XG": _build_group_block,
     "Y": _build_log_elliptic,
     "FgProd": _build_surface_product,
-    "BK": _build_geography_block,
+    "BK": Family(_geography_block_record, _build_geography_block),
 }
-_check_declarations()

@@ -57,7 +57,7 @@ from fourcalc.errors import MismatchedInvariants, MixedRewriteModes
 from fourcalc.evaluate import Evaluation, evaluate, sum_spin
 from fourcalc.expr import ManifoldExpr, Primitive, connected_sum_of, sum_parts
 from fourcalc.flags import NO, UNKNOWN, YES, TriState
-from fourcalc.invariants import InvariantRecord, summed_record
+from fourcalc.invariants import InvariantRecord, summed_invariants
 
 CP2 = Primitive("CP2")
 CP2B = Primitive("CP2b")
@@ -265,7 +265,7 @@ class _Sum:
     def record(self) -> InvariantRecord:
         """The (chi, tau, b1) record of the whole sum."""
         b1 = None if self.unknown_b1 else self.b1
-        return summed_record(self.chi, self.tau, b1, self.total)
+        return InvariantRecord(*summed_invariants(self.chi, self.tau, b1, self.total))
 
     def spin(self) -> TriState:
         """The spin flag of the whole sum."""

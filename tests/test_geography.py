@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fourcalc.certificates import verify_certificate
@@ -23,7 +24,7 @@ from fourcalc import config, geography, registry
 from fourcalc.evaluate import evaluate
 from fourcalc.expr import FiberSum, Primitive
 from fourcalc.flags import Parity, W2Type
-from fourcalc.invariants import InvariantRecord
+from fourcalc.invariants import InvariantRecord, connected_sum_record
 from fourcalc.geography import (
     CITE_GEOGRAPHY,
     GeographyQuery,
@@ -33,6 +34,7 @@ from fourcalc.geography import (
     blowup_range,
     build_quotient_blueprint,
     exotic_partner_family,
+    fixed_records,
     fourth_congruence_piece,
     free_action_region,
     group_family,
@@ -410,6 +412,128 @@ def test_point_leaving_its_class_raises():
         build_quotient_blueprint(2, 4, 1, EPS_PRIME, Fraction(1, 2))
 
 
+def reference_quotient_arithmetic(n, m, d, eps_prime, c_of_eps):
+    """``quotient_arithmetic`` as it was when it read every record through
+    ``instantiate``, CP2, CP2b and Sd(d) at each call, and built a record
+    for each connected sum."""
+    if n <= 0:
+        raise InfeasiblePoint("need n > 0 (Hitchin-Thorpe side)")
+    if n % d or m % d:
+        raise InfeasiblePoint(f"admissibility: d={d} must divide n={n} and m={m}")
+    f = (3 * n) // (2 * d)  # inputs positive: floor = integer division
+    c1sq_block, chi_h_block = f + 1, m // d
+    if not bk_contains(eps_prime, c_of_eps, chi_h_block, c1sq_block):
+        raise InfeasiblePoint(
+            f"block (chi_h, c1sq) = ({chi_h_block}, {c1sq_block}) outside the "
+            "realizable geography region"
+        )
+    k = f + 1 - n // d
+    block = registry.instantiate("BK", (chi_h_block, c1sq_block, 0)).record
+    sphere = registry.instantiate("Sd", (d,)).record
+    assert block.b2 is not None and block.b2 + block.tau > 0, "b2+(BK) >= 1"
+    assert k >= 1 and d - 1 >= 1 and d * k >= 1, f"class predicates: k={k}, d={d}"
+
+    cp2, cp2b = (registry.instantiate(name).record for name in ("CP2", "CP2b"))
+    qrec = connected_sum_record(((block, 1), (sphere, 1), (cp2b, k)))
+    assert qrec.c1sq == n // d and d * (qrec.chi + qrec.tau) == 4 * m  # chi_h = m/d
+    x_c1sq = connected_sum_record(((block, 1), (sphere, 1))).c1sq
+    assert x_c1sq > 0 and 3 * k >= x_c1sq, "LeBrun: positivity and blow-up excess"
+    assert 3 * k > c1sq_block
+
+    crec = qrec.scaled(d)
+    counts = (2 * m - 1, 10 * m - n - 1)
+    assert min(counts) >= 0
+    assert crec == connected_sum_record(zip((cp2, cp2b), counts))
+    assert crec.c1sq == n and crec.chi + crec.tau == 4 * m  # chi_h = m
+    return geography.QuotientArithmetic((chi_h_block, c1sq_block), k, qrec, counts)
+
+
+def _arithmetic_outcome(run):
+    """What ``run()`` returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except (InfeasiblePoint, AssertionError) as exc:
+        # The first line: pytest appends its own rewriting of the assert.
+        return type(exc), str(exc).splitlines()[0] if str(exc) else ""
+
+
+@st.composite
+def arithmetic_points(draw):
+    """(n, m, d, eps', c): on the d-lattice or off it, inside the free-action
+    region or outside it."""
+    d = draw(st.integers(1, 7))
+    eps = draw(st.fractions(
+        min_value=Fraction(1, 12), max_value=Fraction(71, 12), max_denominator=12
+    ))
+    c = draw(st.fractions(min_value=Fraction(1, 12), max_value=20, max_denominator=12))
+    n, m = (
+        draw(st.one_of(st.integers(1, 150), st.integers(1, 150 // d).map(lambda j: j * d)))
+        for _ in range(2)
+    )
+    return n, m, d, config.eps_prime_of(eps), c
+
+
+_HALF_PRIME = config.eps_prime_of(Fraction(1, 2))
+
+
+@settings(max_examples=400)
+@given(arithmetic_points())
+# A computed point, one outside the block region, one off the lattice and
+# one stopped by the d = 1 class predicate.
+@example((2, 40, 2, _HALF_PRIME, Fraction(10)))
+@example((150, 4, 2, _HALF_PRIME, Fraction(10)))
+@example((3, 40, 2, _HALF_PRIME, Fraction(10)))
+@example((2, 40, 1, _HALF_PRIME, Fraction(10)))
+def test_quotient_arithmetic_matches_reference(point):
+    expected = _arithmetic_outcome(lambda: reference_quotient_arithmetic(*point))
+    assert _arithmetic_outcome(lambda: quotient_arithmetic(*point)) == expected
+    fixed = fixed_records(point[2])
+    assert _arithmetic_outcome(lambda: quotient_arithmetic(*point, fixed=fixed)) == expected
+
+
+def _table_work(query):
+    """The points of ``query``, the parameters BK's builder ran on and the
+    reads of each table entry, from a cold evaluation cache."""
+    entry = registry.PRIMITIVES["BK"]
+    built, reads = [], Counter()
+
+    def build(params):
+        built.append(params)
+        return entry.build(params)
+
+    class CountingTable(dict):
+        def get(self, name, default=None):
+            reads[name] += 1
+            return super().get(name, default)
+
+    table = CountingTable(registry.PRIMITIVES, BK=dataclasses.replace(entry, build=build))
+    evaluate.cache_clear()
+    with mock.patch.object(registry, "PRIMITIVES", table):
+        points = free_action_region(query)
+    return points, built, reads
+
+
+def test_per_point_work_reads_only_the_block_record():
+    small, built_small, reads_small = _table_work(
+        GeographyQuery(2, Fraction(1, 2), Fraction(12), (24, 30))
+    )
+    large, built_large, reads_large = _table_work(
+        GeographyQuery(2, Fraction(1, 2), Fraction(12), (76, 62))
+    )
+    assert (len(small), len(large)) == (153, 1002)
+    # BK's builder runs for the two class blueprints alone, ...
+    firsts = {}
+    for p in large:
+        firsts.setdefault(p.n % 4, (p.m // 2, (3 * p.n) // 4 + 1, 0))
+    assert built_small == built_large and set(built_large) == set(firsts.values())
+    # ... BK's record is read through the table once more per point, ...
+    assert reads_large["BK"] - reads_small["BK"] == len(large) - len(small)
+    # ... and no other entry is read more often in the larger box.
+    for counts in (reads_small, reads_large):
+        del counts["BK"]
+    assert reads_small == reads_large and reads_large["Sd"] >= 1
+
+
 def _evaluate_cache_after(*argv):
     evaluate.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -430,7 +554,7 @@ def test_homology_sphere_built_once_per_d():
     for d, bounds in ((2, (24, 30)), (3, (36, 36))):
         points = free_action_region(GeographyQuery(d, Fraction(1, 2), Fraction(10), bounds))
         assert len(points) > 1
-        reads += len(points)  # one Sd(d) read per point
+        reads += 1  # one Sd(d) read per query
     info = build.cache_info()
     assert info.misses == 2 and info.hits >= reads - 2
     fresh = build.__wrapped__((3,))

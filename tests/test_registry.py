@@ -24,11 +24,41 @@ K3, S2XS2 = Primitive("K3"), Primitive("S2xS2")
 
 
 def _rejected(name, record, flags):
-    """The message with which the import-time check rejects the fixed entry ``name``."""
+    """The message with which ``instantiate`` rejects the fixed entry ``name``."""
     with mock.patch.dict(PRIMITIVES, {name: Evaluation(record, flags)}):
         with pytest.raises(InconsistentFlags) as err:
-            registry._check_declarations()
+            instantiate(name)
     return str(err.value)
+
+
+def test_every_fixed_entry_is_accepted():
+    fixed = [name for name, entry in PRIMITIVES.items() if isinstance(entry, Evaluation)]
+    assert len(fixed) == 7
+    for name in fixed:
+        assert instantiate(name) is PRIMITIVES[name]
+
+
+def _read(read, name, params):
+    try:
+        return read(name, params)
+    except (InvalidExpr, InconsistentFlags) as exc:
+        return type(exc), str(exc)
+
+
+def test_declared_record_is_the_instantiated_record():
+    # BK states its record apart; the other entries are read through
+    # instantiate.  Bad parameters and impossible records fail alike.
+    assert isinstance(PRIMITIVES["BK"], registry.Family)
+    for name, params in (
+        ("BK", (10, 20, 1)), ("BK", (1, 1, 0)), ("BK", (1, 100, 0)), ("BK", (1, 2)),
+        ("BK", (1, 2, "j")), ("BK", (0, 1, 0)), ("BK", (1, 1, -1)), ("BK", (True, 1, 0)),
+        ("CP2", ()), ("CP2", (1,)), ("Sd", (3,)), ("Sd", (0,)), ("E", (4,)), ("NoSuch", ()),
+    ):
+        expected = _read(lambda *key: instantiate(*key).record, name, params)
+        assert _read(registry.declared_record, name, params) == expected
+    assert _read(registry.declared_record, "BK", (1, 100, 0)) == (
+        InconsistentFlags, "BK(1,100,0): b2 < |tau|"
+    )
 
 
 def test_standard_generators():
@@ -107,7 +137,6 @@ def test_register_round_trip():
     )
     info = Evaluation(rec, flags)
     with mock.patch.dict(PRIMITIVES, {"TestBlock": info}):
-        registry._check_declarations()
         assert instantiate("TestBlock") is info
         with pytest.raises(InvalidExpr, match="TestBlock takes no parameters"):
             instantiate("TestBlock", (1,))
@@ -171,7 +200,7 @@ def test_register_w2type_spin_coherence():
     # The evaluator fills in what declared spin entails.
     block = Evaluation(InvariantRecord(4, 0, 0), ok)
     with mock.patch.dict(PRIMITIVES, {"SpinCoherentBlock": block}):
-        registry._check_declarations()
+        assert instantiate("SpinCoherentBlock") is block
         flags = infer_flags(Primitive("SpinCoherentBlock"))
     assert flags.parity is Parity.EVEN and flags.w2type is W2Type.II
     assert [(p.field, p.rule) for p in flags.provenance][-2:] == [
@@ -237,15 +266,13 @@ def test_a_spin_split_must_match_the_record(capsys):
     )
     bad = Evaluation(InvariantRecord(24, -16, 0), flags, spin_split=(1, 1))
     message = "BadSplit: spin split (1, 1) needs (chi, tau) = (26, -16)"
-    with mock.patch.dict(PRIMITIVES, {"BadSplit": bad}):
-        with pytest.raises(InconsistentFlags) as err:
-            registry._check_declarations()
-    assert str(err.value) == message
-    # Declared as a family, it is checked at every instantiation.
-    with mock.patch.dict(PRIMITIVES, {"BadSplit": lambda params: bad}):
-        with pytest.raises(InconsistentFlags, match=re.escape(message)):
-            instantiate("BadSplit")
-        code = main(["normalize", "BadSplit # S2xS2"])
-    assert (code, capsys.readouterr()) == (
-        2, ("", f"syntax error: {message} (line 1, column 1)\n")
-    )
+    # Declared as a fixed entry or as a family, it is checked at every
+    # instantiation, so the parser refuses it before rewrite sees it.
+    for entry in (bad, lambda params: bad):
+        with mock.patch.dict(PRIMITIVES, {"BadSplit": entry}):
+            with pytest.raises(InconsistentFlags, match=re.escape(message)):
+                instantiate("BadSplit")
+            code = main(["normalize", "BadSplit # S2xS2"])
+        assert (code, capsys.readouterr()) == (
+            2, ("", f"syntax error: {message} (line 1, column 1)\n")
+        )
