@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import islice
 
 from fourcalc.config import C_EPS, EPS, eps_prime_of
-from fourcalc.errors import DslSyntaxError, FourcalcError, NoSplit
+from fourcalc.errors import DslSyntaxError, FourcalcError, NoSplit, RefusedPrimitive
 from fourcalc.evaluate import evaluate
 
 
@@ -145,7 +145,8 @@ def _parse_expr_or_exit(text: str):
     try:
         return parser.parse_dsl(text)
     except DslSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
+        kind = "error" if isinstance(exc, RefusedPrimitive) else "syntax error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 

@@ -81,3 +81,10 @@ class DslSyntaxError(FourcalcError):
 
 class UnknownPrimitive(DslSyntaxError):
     """DSL input names a primitive that the primitive table does not declare."""
+
+
+class RefusedPrimitive(DslSyntaxError):
+    """DSL input names a well-written primitive whose declaration the table
+    refuses, because a record or flag check fails (``InconsistentFlags``).
+    It keeps its position, but it is no syntax error: the CLI reports it
+    as an error."""

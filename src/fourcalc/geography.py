@@ -6,15 +6,18 @@ universal-cover expression, the quotient's record, pre-verified
 certificates and, where the cover is a canonical sum, its normal form.
 Reports read each number from the one of these that states it.
 Enumerators are deterministic (lexicographic order) and all
-comparisons are exact: the region predicates compare integers, each
-inequality multiplied through by its positive denominators.
+comparisons are exact: the region predicates compare integers.  The BK
+line y = (9 - eps') x - c is cleared of its denominators in one place,
+``bk_line``, once per command; the BK columns, BK membership and the
+free-action region's chained inequality all read its integers.
 
 The free-action region checks every point's numbers exactly
 (``quotient_arithmetic``) and builds one oracle blueprint per class
 (d, n mod 2d), which proves what rests on flags and rewrite rules.
-A point's check is integer arithmetic: it reads the block's record from
-the table without building the block's evaluation, and the records of
-Sd(d), CP2 and CP2b once per query.
+A point's check is integer arithmetic: BK's record is read from the
+table without building the block's evaluation, and it is the one record
+the point builds; the BK line and the records of Sd(d), CP2 and CP2b are
+read once per query (``PointConstants``).
 """
 
 from __future__ import annotations
@@ -38,12 +41,7 @@ from fourcalc.expr import (
     Quotient,
     connected_sum_of,
 )
-from fourcalc.invariants import (
-    InvariantRecord,
-    c1sq_of,
-    connected_sum_invariants,
-    connected_sum_record,
-)
+from fourcalc.invariants import InvariantRecord, c1sq_of, connected_sum_invariants
 from fourcalc.obstruction import hitchin_thorpe, homeo_equal, lebrun_einstein, spin_einstein
 from fourcalc.registry import declared_record
 from fourcalc.rewrite import CP2, CP2B, NormalizeResult, normalize
@@ -122,20 +120,28 @@ def _build_blueprint(
     )
 
 
-def bk_columns(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[tuple[int, int]]:
-    """The region 0 < y <= (9 - eps') x - c inside the bounds, as columns
-    (x, top): the column at x holds y = 1..top.  Each top is one exact
-    floor, clipped at YMAX; columns with no point are left out, and the
-    walk starts at the first column with one."""
+def bk_line(eps_prime: Fraction, c: Fraction) -> tuple[int, int, int]:
+    """The BK line y = (9 - eps') x - c cleared of its denominators: the
+    integers (a, b, e), a > 0, with a y <= b x - e exactly when
+    y <= (9 - eps') x - c.  Region code reads the line only through this."""
     if eps_prime <= 0 or c <= 0:
         raise InfeasiblePoint("eps' and c must be positive")
+    (e_num, e_den), (c_num, c_den) = eps_prime.as_integer_ratio(), c.as_integer_ratio()
+    return e_den * c_den, (9 * e_den - e_num) * c_den, c_num * e_den
+
+
+def bk_columns(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[tuple[int, int]]:
+    """The region 0 < y <= (9 - eps') x - c inside the bounds, as columns
+    (x, top): the column at x holds y = 1..top.  Each top is one integer
+    floor over ``bk_line``, clipped at YMAX; columns with no point are
+    left out, and the walk starts at the first column with one."""
+    a, b, e = bk_line(eps_prime, c)
     x_max, y_max = bounds
-    slope = 9 - eps_prime
-    if y_max < 1 or slope <= 0:
+    if y_max < 1 or b <= 0:
         return []
-    # top >= 1 exactly when slope x - c >= 1, so from this x on.
-    first = max(1, math.ceil((1 + c) / slope))
-    return [(x, min(y_max, math.floor(slope * x - c))) for x in range(first, x_max + 1)]
+    # top >= 1 exactly when b x - e >= a, so from this x on.
+    first = max(1, -(-(a + e) // b))
+    return [(x, min(y_max, (b * x - e) // a)) for x in range(first, x_max + 1)]
 
 
 def bk_region(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list[tuple[int, int]]:
@@ -144,11 +150,11 @@ def bk_region(eps_prime: Fraction, c: Fraction, bounds: tuple[int, int]) -> list
     return [(x, y) for x, top in columns for y in range(1, top + 1)]
 
 
-def bk_contains(eps_prime: Fraction, c: Fraction, x: int, y: int) -> bool:
-    """0 < y <= (9 - eps') x - c, with both sides times the denominators
-    of eps' and c."""
-    (e_num, e_den), (c_num, c_den) = eps_prime.as_integer_ratio(), c.as_integer_ratio()
-    return 0 < y and y * e_den * c_den <= (9 * e_den - e_num) * c_den * x - c_num * e_den
+def bk_contains(line: tuple[int, int, int], x: int, y: int) -> bool:
+    """0 < y <= (9 - eps') x - c, for the ``bk_line`` (a, b, e) of eps'
+    and c: 0 < y and a y <= b x - e."""
+    a, b, e = line
+    return 0 < y and a * y <= b * x - e
 
 
 class FreeActionPoint(NamedTuple):
@@ -170,15 +176,14 @@ def region_lattice_points(query: GeographyQuery) -> Iterator[tuple[int, int]]:
     """
     d = query.d
     n_max, m_max = query.bounds
-    eps_prime, c_of_eps, n_of_eps = query.eps_prime, query.c_of_eps, query.n_of_eps
+    n_of_eps = query.n_of_eps
     six_minus_eps = 6 - query.epsilon
     if six_minus_eps <= 0:
         return  # (6 - eps) m - N(eps) < 0 < n for every m
-    # The chained inequality times 2d and the denominators of eps' and
-    # c(eps'): n_coef n + shift < m_coef m.
-    (e_num, e_den), (c_num, c_den) = eps_prime.as_integer_ratio(), c_of_eps.as_integer_ratio()
-    n_coef, m_coef = 3 * e_den * c_den, 2 * (9 * e_den - e_num) * c_den
-    shift = 2 * d * e_den * (c_den + c_num)
+    # The chained inequality times 2d a, for the ``bk_line`` (a, b, e):
+    # n_coef n + shift < m_coef m.
+    a, b, e = bk_line(query.eps_prime, query.c_of_eps)
+    n_coef, m_coef, shift = 3 * a, 2 * b, 2 * d * (a + e)
     for n in range(d, n_max + 1, d):
         # The least multiple of d with (6 - eps) m > n + N(eps); it is at
         # least d because n + N(eps) > 0.  It never decreases as n grows,
@@ -205,11 +210,11 @@ def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
     affine in n, so k and every record are affine in (n, m).
     """
     d, eps_prime, c_of_eps = query.d, query.eps_prime, query.c_of_eps
-    fixed = fixed_records(d)
+    constants = point_constants(d, eps_prime, c_of_eps)
     points = []
     verdicts: dict[int, str] = {}  # n mod 2d -> verdict of the class's blueprint
     for n, m in region_lattice_points(query):
-        k = quotient_arithmetic(n, m, d, eps_prime, c_of_eps, fixed=fixed).k
+        k = quotient_arithmetic(n, m, constants).k
         verdict = verdicts.get(n % (2 * d))
         if verdict is None:
             bp = build_quotient_blueprint(n, m, d, eps_prime=eps_prime, c_of_eps=c_of_eps)
@@ -221,29 +226,41 @@ def free_action_region(query: GeographyQuery) -> list[FreeActionPoint]:
 class QuotientArithmetic(NamedTuple):
     block: tuple[int, int]  # (chi_h, c1sq) of the geography block
     k: int
-    quotient_record: InvariantRecord
+    quotient: tuple[int, int, Optional[int]]  # (chi, tau, b1) of the quotient
     cover_counts: tuple[int, int]  # (CP2, CP2b) of the cover's normal form
 
 
-def fixed_records(d: int) -> tuple[InvariantRecord, InvariantRecord, InvariantRecord]:
-    """The table's records of Sd(d), CP2 and CP2b: the same at every
-    point of degree d."""
-    return declared_record("Sd", (d,)), declared_record("CP2"), declared_record("CP2b")
+class PointConstants(NamedTuple):
+    """What every point of one degree d, eps' and c(eps') reads alike: the
+    ``bk_line`` of eps' and c(eps'), and the table's records of Sd(d),
+    CP2 and CP2b."""
+
+    d: int
+    line: tuple[int, int, int]
+    sphere: InvariantRecord
+    cp2: InvariantRecord
+    cp2b: InvariantRecord
 
 
-def quotient_arithmetic(
-    n: int, m: int, d: int, eps_prime: Fraction, c_of_eps: Fraction,
-    *, fixed: Optional[tuple[InvariantRecord, InvariantRecord, InvariantRecord]] = None,
-) -> QuotientArithmetic:
+def point_constants(d: int, eps_prime: Fraction, c_of_eps: Fraction) -> PointConstants:
+    """The ``PointConstants`` of d, eps' and c(eps'), read once per query."""
+    return PointConstants(
+        d, bk_line(eps_prime, c_of_eps),
+        declared_record("Sd", (d,)), declared_record("CP2"), declared_record("CP2b"),
+    )
+
+
+def quotient_arithmetic(n: int, m: int, constants: PointConstants) -> QuotientArithmetic:
     """Every numeric fact of the blueprint for (n, m), in integers over
     the primitive table's records: no expression is built and nothing is
     evaluated.  The block's record is read from the table at every
     point, with the table's record checks but without building its
-    evaluation (``registry.declared_record``); ``fixed`` is
-    ``fixed_records(d)``, which a caller checking many points of one d
-    reads once, and which is read here when not given.  The connected
-    sums are added up in integers; only the quotient's record and its
-    cover's are built.
+    evaluation (``registry.declared_record``); it is the one record a
+    point builds.  The rest comes from ``constants``, which a caller
+    reads once for all its points: BK's cleared line, for the region
+    check, and the records of Sd(d), CP2 and CP2b.  The connected sums,
+    the quotient and its cover are (chi, tau, b1) triples
+    (``connected_sum_invariants``), and each c1^2 is ``c1sq_of``.
 
     It also asserts each point-dependent predicate that the flag and
     rewrite rules read on the way to the verdict and the cover's normal
@@ -266,37 +283,38 @@ def quotient_arithmetic(
     sw_mod2_nontrivial (Taubes' rule needs b2+(BK) > 1, so not at
     chi_h = 1).  BK's declared flags are one constant, ``BK_FLAGS``.
     """
+    d, line, sphere, cp2, cp2b = constants
     if n <= 0:
         raise InfeasiblePoint("need n > 0 (Hitchin-Thorpe side)")
     if n % d or m % d:
         raise InfeasiblePoint(f"admissibility: d={d} must divide n={n} and m={m}")
     f = (3 * n) // (2 * d)  # inputs positive: floor = integer division
     c1sq_block, chi_h_block = f + 1, m // d
-    if not bk_contains(eps_prime, c_of_eps, chi_h_block, c1sq_block):
+    if not bk_contains(line, chi_h_block, c1sq_block):
         raise InfeasiblePoint(
             f"block (chi_h, c1sq) = ({chi_h_block}, {c1sq_block}) outside the "
             "realizable geography region"
         )
     k = f + 1 - n // d
     block = declared_record("BK", (chi_h_block, c1sq_block, 0))
-    sphere, cp2, cp2b = fixed or fixed_records(d)
     assert block.b2 is not None and block.b2 + block.tau > 0, "b2+(BK) >= 1"
     assert k >= 1 and d - 1 >= 1 and d * k >= 1, f"class predicates: k={k}, d={d}"
 
-    qrec = connected_sum_record(((block, 1), (sphere, 1), (cp2b, k)))
-    assert qrec.c1sq == n // d and d * (qrec.chi + qrec.tau) == 4 * m  # chi_h = m/d
+    quotient = q_chi, q_tau, q_b1 = connected_sum_invariants(((block, 1), (sphere, 1), (cp2b, k)))
+    assert c1sq_of(q_chi, q_tau) == n // d and d * (q_chi + q_tau) == 4 * m  # chi_h = m/d
     x_chi, x_tau, _ = connected_sum_invariants(((block, 1), (sphere, 1)))
     x_c1sq = c1sq_of(x_chi, x_tau)
     assert x_c1sq > 0 and 3 * k >= x_c1sq, "LeBrun: positivity and blow-up excess"
     assert 3 * k > c1sq_block
 
-    crec = qrec.scaled(d)
+    # The free d-fold cover: chi and tau multiply (``InvariantRecord.scaled``).
+    c_chi, c_tau = d * q_chi, d * q_tau
     counts = (2 * m - 1, 10 * m - n - 1)
     assert min(counts) >= 0
     cover_sum = connected_sum_invariants(((cp2, counts[0]), (cp2b, counts[1])))
-    assert (crec.chi, crec.tau, crec.b1) == cover_sum
-    assert crec.c1sq == n and crec.chi + crec.tau == 4 * m  # chi_h = m
-    return QuotientArithmetic((chi_h_block, c1sq_block), k, qrec, counts)
+    assert (c_chi, c_tau, q_b1) == cover_sum
+    assert c1sq_of(c_chi, c_tau) == n and c_chi + c_tau == 4 * m  # chi_h = m
+    return QuotientArithmetic((chi_h_block, c1sq_block), k, quotient, counts)
 
 
 def build_quotient_blueprint(
@@ -311,11 +329,11 @@ def build_quotient_blueprint(
     numbers are ``quotient_arithmetic``'s; this adds what rests on flags
     and rules, and checks that evaluation gives the same records.
     """
-    arith = quotient_arithmetic(n, m, d, eps_prime, c_of_eps)
+    arith = quotient_arithmetic(n, m, point_constants(d, eps_prime, c_of_eps))
     block = Primitive("BK", (*arith.block, 0))
     sphere = Primitive("Sd", (d,))
     quotient = connected_sum_of((block, 1), (sphere, 1), (CP2B, arith.k))
-    assert evaluate(quotient).record == arith.quotient_record
+    assert evaluate(quotient).record == InvariantRecord(*arith.quotient)
 
     x_part = connected_sum_of((block, 1), (sphere, 1))
     cert = lebrun_einstein(x_part, arith.k, 0)

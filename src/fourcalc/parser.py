@@ -15,8 +15,9 @@ Grammar::
     args   := arg (',' arg)* ;  arg := ['-'] INT | NAME
 
 Parsing is total: every input yields an expression or a positioned
-syntax error.  Printing an expression with ``str`` re-parses to an
-identical tree.
+error: a syntax error, or the table's refusal of a well-written
+primitive (``RefusedPrimitive``).  Printing an expression with ``str``
+re-parses to an identical tree.
 
 One ``findall`` splits the text into token texts, and a token's kind is
 read off its text; a set check finds a character no token begins with
@@ -42,7 +43,9 @@ from collections.abc import Generator
 from itertools import islice
 from typing import NoReturn
 
-from fourcalc.errors import DslSyntaxError, InconsistentFlags, InvalidExpr, UnknownPrimitive
+from fourcalc.errors import (
+    DslSyntaxError, InconsistentFlags, InvalidExpr, RefusedPrimitive, UnknownPrimitive,
+)
 from fourcalc.expr import (
     BicyclicCover,
     CyclicCover,
@@ -342,8 +345,10 @@ class _Parser:
         if node is None:
             try:
                 instantiate(*key)
-            except (InvalidExpr, InconsistentFlags) as exc:
+            except InvalidExpr as exc:
                 self.error(str(exc), at)
+            except InconsistentFlags as exc:
+                raise RefusedPrimitive(str(exc), *_token_position(self.text, at))
             node = self.primitives[key] = Primitive(*key)
         return node
 

@@ -9,7 +9,9 @@ import re
 import sys
 from typing import NamedTuple, NoReturn
 
-from fourcalc.errors import DslSyntaxError, InconsistentFlags, InvalidExpr, UnknownPrimitive
+from fourcalc.errors import (
+    DslSyntaxError, InconsistentFlags, InvalidExpr, RefusedPrimitive, UnknownPrimitive,
+)
 from fourcalc.expr import (
     BicyclicCover,
     CyclicCover,
@@ -288,8 +290,10 @@ class _Parser:
         if node is None:
             try:
                 instantiate(*key)
-            except (InvalidExpr, InconsistentFlags) as exc:
+            except InvalidExpr as exc:
                 self.error(str(exc), tok)
+            except InconsistentFlags as exc:
+                raise RefusedPrimitive(str(exc), *_position(self.text, tok.offset))
             node = self.primitives[key] = Primitive(*key)
         return node
 

@@ -106,7 +106,7 @@ class TestEval:
     def test_block_outside_its_realizable_range_is_positioned(self, capsys):
         code, out, err = run_cli(capsys, "eval", "CP2 # BK(10,203,1)")
         assert (code, out) == (2, "")
-        assert err == "syntax error: BK(10,203,1): b2 < |tau| (line 1, column 7)\n"
+        assert err == "error: BK(10,203,1): b2 < |tau| (line 1, column 7)\n"
 
     def test_integer_literal_past_the_digit_limit_is_positioned(self, capsys):
         nines = "9" * 5000
@@ -158,7 +158,7 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", "XG(12,-8,G,1)")
         assert (code, out) == (2, "")
         assert err == (
-            "syntax error: XG(12,-8,G,1): declared spin with tau=-8 not divisible by 16 "
+            "error: XG(12,-8,G,1): declared spin with tau=-8 not divisible by 16 "
             "(Rohlin) (line 1, column 1)\n"
         )
         _, out, _ = run_cli(capsys, "eval", "fibersum(FgProd(1,1),E(1),g=1)")
@@ -257,6 +257,44 @@ class TestChecks:
         code, out, err = run_cli(capsys, "check", "homeo", "S2xS2 # Sd(2)", "S2xS2 # Sd(2)")
         assert (code, out) == (2, "")
         assert err == "error: w2-type unknown for S2xS2 # Sd(2)\n"
+
+
+class TestRulesAtTheirBoundaries:
+    """Each rule at the boundary it states, where a strict comparison, or
+    a weaker one, would give another answer."""
+
+    def test_lebrun_obstructs_at_equality(self, capsys):
+        # X = BK(1,3,0) # Sd(2) has 2 chi + 3 tau = 3: k = 1 meets k + 4l >= 3/3.
+        code, out, err = run_cli(capsys, "check", "einstein", "BK(1,3,0) # Sd(2) # CP2b")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "verdict: einstein_obstructed"
+        assert "  blowup-excess: 1 + 4*0 >= 1/3 * (2*9 + 3*(-5))" in lines
+
+    def test_b2_two_below_abs_tau_is_refused(self, capsys):
+        # chi + tau even leaves no smaller gap: XG(0,0,G) has b2 = -2.
+        assert run_cli(capsys, "eval", "XG(0,0,G)") == (
+            2, "", "error: XG(0,0,G): b2 < |tau| (line 1, column 1)\n"
+        )
+
+    def test_parity_alone_decides_not_homeomorphic(self, capsys):
+        # b2+, b2- and pi1 agree; the left side's w2-type is unknown.
+        code, out, err = run_cli(capsys, "check", "homeo", "Sd(2) # S2xS2", "Sd(2) # CP2 # CP2b")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == "verdict: not_homeomorphic"
+        assert "  parity: even vs odd" in lines and "  w2type: unknown vs I" in lines
+
+    def test_equal_keys_with_one_zero_betti_number_are_definite(self, capsys):
+        for left, right in (("9*CP2b", "CP2b # 8*CP2b # S4"), ("9*CP2", "CP2 # 8*CP2 # S4")):
+            assert run_cli(capsys, "check", "homeo", left, right) == (
+                2, "", "error: equal keys on a definite form: the classification does not apply\n"
+            )
+
+    def test_quotient_of_a_cover_with_unknown_spin_keeps_it_unknown(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "quotient(bicyclic(2,2;2,2,2,2),2)")
+        assert (code, err) == (0, "")
+        assert "spin     = unknown\n" in out and "w2-type  = unknown\n" in out
 
 
 class TestNormalizeAndEnumerate:

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import fractions
 import io
 import json
 import os
@@ -30,11 +31,11 @@ from fourcalc.geography import (
     GeographyQuery,
     bk_columns,
     bk_contains,
+    bk_line,
     bk_region,
     blowup_range,
     build_quotient_blueprint,
     exotic_partner_family,
-    fixed_records,
     fourth_congruence_piece,
     free_action_region,
     group_family,
@@ -42,10 +43,13 @@ from fourcalc.geography import (
     ke_family_start,
     ke_printed_chi_h,
     ke_quotient_family,
+    point_constants,
     printed_even_invariants,
     quotient_arithmetic,
     spin_sum_families,
 )
+
+from .work import line_events
 
 
 # The configured eps' of the free-action region, which its callers pass.
@@ -63,8 +67,9 @@ class TestBkRegion:
 
     def test_half_eps_slope(self):
         # eps' = 1/2 gives the working slope 8.5.
-        assert bk_contains(Fraction(1, 2), Fraction(10), 4, 24)
-        assert not bk_contains(Fraction(1, 2), Fraction(10), 4, 25)
+        line = bk_line(Fraction(1, 2), Fraction(10))
+        assert bk_contains(line, 4, 24)
+        assert not bk_contains(line, 4, 25)
 
     def test_empty_from_slope_nine(self):
         for eps_prime in (Fraction(9), Fraction(19, 2), Fraction(40)):
@@ -117,15 +122,42 @@ EPS_PRIME_ANY = st.fractions(min_value=Fraction(1, 12), max_value=20, max_denomi
 
 @given(EPS_PRIME_ANY, POSITIVE, st.integers(-5, 60), st.integers(-5, 500))
 def test_bk_contains_matches_reference(eps_prime, c, x, y):
-    assert bk_contains(eps_prime, c, x, y) == reference_bk_contains(eps_prime, c, x, y)
+    assert bk_contains(bk_line(eps_prime, c), x, y) == reference_bk_contains(eps_prime, c, x, y)
 
 
 @given(integral_column(), st.integers(-2, 2))
 def test_bk_contains_on_the_line(params, offset):
     eps_prime, c, x0, y0 = params
     y = y0 + offset
-    assert bk_contains(eps_prime, c, x0, y) == reference_bk_contains(eps_prime, c, x0, y)
-    assert bk_contains(eps_prime, c, x0, y) == (0 < y <= y0)
+    inside = bk_contains(bk_line(eps_prime, c), x0, y)
+    assert inside == reference_bk_contains(eps_prime, c, x0, y)
+    assert inside == (0 < y <= y0)
+
+
+# eps' in (0, 12): slopes 9 - eps' from just under 9 down past 0.
+@given(
+    st.fractions(min_value=Fraction(1, 12), max_value=Fraction(143, 12), max_denominator=12),
+    st.fractions(min_value=Fraction(1, 12), max_value=20, max_denominator=12),
+    st.integers(-60, 60),
+    st.integers(-600, 600),
+)
+@example(Fraction(9), Fraction(1, 3), 5, -1)
+@example(Fraction(19, 2), Fraction(7, 12), 3, -2)
+def test_bk_line_is_the_line_cleared_of_denominators(eps_prime, c, x, y):
+    a, b, e = bk_line(eps_prime, c)
+    assert a > 0 and all(isinstance(v, int) for v in (a, b, e))
+    assert (a * y <= b * x - e) == (Fraction(y) <= (9 - eps_prime) * x - c)
+
+
+def test_bk_columns_clears_the_denominators_once():
+    # The Fraction work of a command is bk_line's, whatever the bounds:
+    # every column is an integer floor.
+    def fraction_lines(x_max):
+        return line_events(
+            fractions, lambda: bk_columns(Fraction(1, 2), Fraction(10, 3), (x_max, 590))
+        )
+
+    assert fraction_lines(100) == fraction_lines(10_000) > 0
 
 
 @given(integral_column(), BOUNDS)
@@ -405,9 +437,10 @@ def test_point_leaving_its_class_raises():
     # d = 1: pi1 is trivial, the cover pattern and the CP2 stock of the
     # rewrite are gone.  The arithmetic holds there; the class predicate
     # d - 1 >= 1 does not, and the blueprint fails as well.
-    assert quotient_arithmetic(2, 4, 2, Fraction(1, 2), Fraction(1, 2)).k == 1
+    half = Fraction(1, 2)
+    assert quotient_arithmetic(2, 4, point_constants(2, half, half)).k == 1
     with pytest.raises(AssertionError, match="class predicates"):
-        quotient_arithmetic(2, 4, 1, Fraction(1, 2), Fraction(1, 2))
+        quotient_arithmetic(2, 4, point_constants(1, half, half))
     with pytest.raises(AssertionError):
         build_quotient_blueprint(2, 4, 1, EPS_PRIME, Fraction(1, 2))
 
@@ -422,7 +455,7 @@ def reference_quotient_arithmetic(n, m, d, eps_prime, c_of_eps):
         raise InfeasiblePoint(f"admissibility: d={d} must divide n={n} and m={m}")
     f = (3 * n) // (2 * d)  # inputs positive: floor = integer division
     c1sq_block, chi_h_block = f + 1, m // d
-    if not bk_contains(eps_prime, c_of_eps, chi_h_block, c1sq_block):
+    if not reference_bk_contains(eps_prime, c_of_eps, chi_h_block, c1sq_block):
         raise InfeasiblePoint(
             f"block (chi_h, c1sq) = ({chi_h_block}, {c1sq_block}) outside the "
             "realizable geography region"
@@ -485,10 +518,17 @@ _HALF_PRIME = config.eps_prime_of(Fraction(1, 2))
 @example((3, 40, 2, _HALF_PRIME, Fraction(10)))
 @example((2, 40, 1, _HALF_PRIME, Fraction(10)))
 def test_quotient_arithmetic_matches_reference(point):
-    expected = _arithmetic_outcome(lambda: reference_quotient_arithmetic(*point))
-    assert _arithmetic_outcome(lambda: quotient_arithmetic(*point)) == expected
-    fixed = fixed_records(point[2])
-    assert _arithmetic_outcome(lambda: quotient_arithmetic(*point, fixed=fixed)) == expected
+    n, m, d, eps_prime, c = point
+
+    def reference():
+        # The reference states the quotient as a record; compare its triple.
+        arith = reference_quotient_arithmetic(*point)
+        rec = arith.quotient
+        return arith._replace(quotient=(rec.chi, rec.tau, rec.b1))
+
+    expected = _arithmetic_outcome(reference)
+    got = _arithmetic_outcome(lambda: quotient_arithmetic(n, m, point_constants(d, eps_prime, c)))
+    assert got == expected
 
 
 def _table_work(query):
@@ -532,6 +572,34 @@ def test_per_point_work_reads_only_the_block_record():
     for counts in (reads_small, reads_large):
         del counts["BK"]
     assert reads_small == reads_large and reads_large["Sd"] >= 1
+
+
+def _records_built(query):
+    """The points of ``query`` and how many ``InvariantRecord``s finding
+    them builds, from a cold evaluation cache."""
+    built = 0
+    post_init = InvariantRecord.__post_init__
+
+    def counting(record):
+        nonlocal built
+        built += 1
+        post_init(record)
+
+    evaluate.cache_clear()
+    with mock.patch.object(InvariantRecord, "__post_init__", counting):
+        points = free_action_region(query)
+    return points, built
+
+
+def test_each_free_action_point_builds_only_the_block_record():
+    small_query = GeographyQuery(2, Fraction(1, 2), Fraction(12), (24, 30))
+    free_action_region(small_query)  # fill the table's own caches first
+    small, built_small = _records_built(small_query)
+    large, built_large = _records_built(GeographyQuery(2, Fraction(1, 2), Fraction(12), (76, 62)))
+    assert (len(small), len(large)) == (153, 1002)
+    # The class blueprints are the same in both boxes; past them each
+    # point builds BK's record and nothing else.
+    assert built_large - built_small == len(large) - len(small)
 
 
 def _evaluate_cache_after(*argv):

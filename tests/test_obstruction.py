@@ -479,6 +479,16 @@ class TestSpinEinstein:
         assert cert.verdict == "no_verdict"
         assert [(s.rule, s.arithmetic) for s in cert.steps] == steps
 
+    def test_bound_fires_at_equality(self):
+        # Three X442 and K3: b2+ 19 + 19 + 19 + 3 = 60 = 4 mod 8.  With
+        # N = 8 CP2b (2 chi + 3 tau = -4) and m = 3 the two sides meet:
+        # 4*3 + 4 == (16 + 16 + 16)/3.
+        x442 = Primitive("X442")
+        cert = certify(spin_einstein([x442, x442, x442, K3], 3, connected_sum_of((CP2B, 8))))
+        assert cert.verdict == "einstein_obstructed"
+        assert cert.steps[-1].rule == "bauer-furuta-bound"
+        assert cert.steps[-1].arithmetic == "4*3 - (2*10 + 3*(-8)) >= 1/3 * (16 + 16 + 16)"
+
 
 class TestHomeo:
     def test_planes_differ(self):

@@ -274,5 +274,5 @@ def test_a_spin_split_must_match_the_record(capsys):
                 instantiate("BadSplit")
             code = main(["normalize", "BadSplit # S2xS2"])
         assert (code, capsys.readouterr()) == (
-            2, ("", f"syntax error: {message} (line 1, column 1)\n")
+            2, ("", f"error: {message} (line 1, column 1)\n")
         )
